@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qharm.cli import SWEEP_HEADER
+from qharm.cli import sweep_csv
 from qharm.field import FieldParams
 from qharm.verification import kernel_sweep_rows
 
@@ -38,14 +38,7 @@ def main() -> int:
             for alpha in args.alphas:
                 params = FieldParams(q, n, alpha)
                 rows = kernel_sweep_rows(params)
-                lines = [SWEEP_HEADER]
-                for r in rows:
-                    lines.append(
-                        f"{r['q']},{r['n']},{r['alpha']!r},{r['re_z']!r},"
-                        f"{r['im_z']!r},{r['k_x']},{r['abs_K']!r},"
-                        f"{r['bound_ratio']!r},{r['l1_ratio']!r}"
-                    )
-                text = "\n".join(lines)
+                text = sweep_csv(rows)
                 max_b = max(r["bound_ratio"] for r in rows)
                 max_l = max(r["l1_ratio"] for r in rows)
                 if out_dir:

@@ -10,7 +10,9 @@ integral
 (counterclockwise, log-radius trapezoid quadrature on both rays) are
 verifiable redundancy: they exercise the machinery an infinite-dimensional
 setting needs, against the diagonal oracle.  Discrete square functions and
-a seeded empirical Rademacher-ratio witness round out the toolbox.
+a seeded empirical Rademacher-ratio witness round out the toolbox.  Every
+route extends the Fourier window by the rule in :mod:`qharm.radial`, sized
+by the symbol's decay certificate.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import radial
 from .errors import QuadratureError, SpectrumError
 from .field import FieldParams
 from .radial import (
+    LOG_FLOOR,
     RadialProfile,
     fourier_multiplier_apply,
     lp_norm,
     radial_fourier,
 )
-
-_TAIL_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -107,29 +109,6 @@ class ContourConfig:
         )
 
 
-def _eigenvalues(params: FieldParams, kmin: int, kmax: int) -> np.ndarray:
-    ms = np.arange(kmin, kmax + 1, dtype=float)
-    return np.power(float(params.q), -params.alpha * ms)
-
-
-def _extended_hat(g: RadialProfile, params: FieldParams, decay: tuple[float, float]):
-    """Transform g and extend the window until the constant Fourier tail is
-    damped below the float floor by a symbol with the given decay; returns
-    the extended transform and its eigenvalue vector."""
-    ghat = radial_fourier(g)
-    ext_to = ghat.kmax
-    if ghat.tail != 0:
-        s, C = decay
-        eps = _TAIL_EPS * max(1.0, abs(ghat.tail))
-        lam_cut = (eps / (C * abs(ghat.tail))) ** (1.0 / s)
-        ext_to = max(
-            ext_to,
-            math.ceil(math.log(1.0 / lam_cut) / (params.alpha * math.log(params.q))),
-        )
-    ghat = ghat.padded(ghat.kmin, ext_to)
-    return ghat, _eigenvalues(params, ghat.kmin, ghat.kmax)
-
-
 def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
     """Nearest point of the diagonal spectrum {q**(alpha*m)} union {0}."""
     q, alpha = params.q, params.alpha
@@ -143,14 +122,10 @@ def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
 
 
 def resolvent_apply(
-    z: complex,
-    f: RadialProfile,
-    params: FieldParams | None = None,
-    standoff_rel: float = 1e-6,
+    z: complex, f: RadialProfile, standoff_rel: float = 1e-6
 ) -> RadialProfile:
     """R(z, A) f = (z - A)^{-1} f on the Fourier diagonal."""
-    params = f.params if params is None else params
-    lam_star = nearest_eigenvalue(z, params)
+    lam_star = nearest_eigenvalue(z, f.params)
     dist = abs(z - lam_star)
     if dist < standoff_rel * max(abs(z), lam_star, 1e-300):
         raise SpectrumError(
@@ -164,36 +139,29 @@ def resolvent_apply(
     )
 
 
-def hinf_apply_direct(
-    sym, g: RadialProfile, params: FieldParams | None = None, value_at_zero: complex = 0.0
-) -> RadialProfile:
+def hinf_apply_direct(sym, g: RadialProfile, value_at_zero: complex = 0.0) -> RadialProfile:
     """Ground truth: multiply the Fourier crown m by sym(lam_m).
 
     ``value_at_zero`` is the symbol's limit along the spectrum toward 0;
     for a decaying SymbolFunction it is 0 and the decay certificate sizes
     the window extension.
     """
-    params = g.params if params is None else params
     if isinstance(sym, SymbolFunction):
-        s, C = sym.decay
-        return fourier_multiplier_apply(
-            g, sym.fn, limit_at_zero=0.0, decay=(s, C)
-        )
+        return fourier_multiplier_apply(g, sym.fn, limit_at_zero=0.0, decay=sym.decay)
     return fourier_multiplier_apply(
         g, sym, limit_at_zero=value_at_zero, decay=(1.0, 1.0)
     )
 
 
-def semigroup_apply(z, g: RadialProfile, params: FieldParams | None = None) -> RadialProfile:
+def semigroup_apply(z, g: RadialProfile) -> RadialProfile:
     """T_z g: multiply the Fourier crown m by exp(-z * lam_m), Re z > 0."""
-    params = g.params if params is None else params
     zc = complex(z)
     if not zc.real > 0 and zc != 0:
         raise ValueError(f"semigroup time needs Re z > 0 (or z = 0), got {z}")
 
     def sym(lam: float) -> complex:
         w = -zc * lam
-        if w.real < -745.0:
+        if w.real < LOG_FLOOR:
             return 0.0 + 0.0j
         return cmath.exp(w)
 
@@ -236,7 +204,6 @@ def hinf_apply_contour(
     sym: SymbolFunction,
     g: RadialProfile,
     contour: ContourConfig | None = None,
-    params: FieldParams | None = None,
     tol: float = 1e-6,
 ) -> ContourResult:
     """f(A) g by sector-contour quadrature of resolvents.
@@ -246,10 +213,9 @@ def hinf_apply_contour(
     doubling; :class:`QuadratureError` is raised when doubling moves the
     result by more than tol (relative).
     """
-    params = g.params if params is None else params
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
-    ghat, lams = _extended_hat(g, params, sym.decay)
+    ghat, lams = radial._extended_hat(g, sym.decay)
 
     if contour is None:
         contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
@@ -268,7 +234,7 @@ def hinf_apply_contour(
 
     def assemble(factors: np.ndarray) -> RadialProfile:
         out = RadialProfile(
-            params, ghat.kmin, ghat.kmax, ghat.coeffs * factors, tail=0.0
+            g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors, tail=0.0
         )
         return radial_fourier(out, direction="inverse")
 
@@ -297,7 +263,6 @@ def square_function(
     phi: SymbolFunction,
     grid: np.ndarray | None = None,
     p: float = 2.0,
-    params: FieldParams | None = None,
     per_decade: int = 12,
     pad_decades: float = 7.0,
 ) -> float:
@@ -309,8 +274,7 @@ def square_function(
     [10**-pad, 10**pad] for every eigenvalue carrying non-negligible mass;
     a warning fires when the boundary terms exceed 1% of the sum.
     """
-    params = g.params if params is None else params
-    ghat, lams = _extended_hat(g, params, phi.decay)
+    ghat, lams = radial._extended_hat(g, phi.decay)
 
     if grid is None:
         grid = geometric_time_grid(
@@ -328,7 +292,7 @@ def square_function(
     for idx, t in enumerate(grid):
         factors = np.array([phi.fn(t * lam) for lam in lams], dtype=complex)
         prof = radial_fourier(
-            RadialProfile(params, ghat.kmin, ghat.kmax, ghat.coeffs * factors),
+            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors),
             direction="inverse",
         )
         vals = np.abs(prof.coeffs) ** 2
@@ -352,7 +316,7 @@ def square_function(
             stacklevel=2,
         )
     s_prof = RadialProfile(
-        params,
+        g.params,
         out_window[0],
         out_window[1],
         np.sqrt(acc).astype(complex),
@@ -397,7 +361,7 @@ def rademacher_ratio(
         eps = rng.integers(0, 2, size=len(zs)) * 2 - 1
         gs = [_random_profile(rng, params, kmin, kmax) for _ in zs]
         num_terms = [
-            float(e) * c * semigroup_apply(z, g, params)
+            float(e) * c * semigroup_apply(z, g)
             for e, c, z, g in zip(eps, coss, zs, gs)
         ]
         num = num_terms[0]

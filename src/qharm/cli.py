@@ -42,6 +42,19 @@ _NUMERIC_ERRORS = (
 
 SWEEP_HEADER = "q,n,alpha,re_z,im_z,k_x,abs_K,bound_ratio,l1_ratio"
 
+
+def sweep_csv(rows: list[dict]) -> str:
+    """Kernel-sweep rows as CSV text: SWEEP_HEADER, then one line per row."""
+    lines = [SWEEP_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r['q']},{r['n']},{r['alpha']!r},{r['re_z']!r},"
+            f"{r['im_z']!r},{r['k_x']},{r['abs_K']!r},"
+            f"{r['bound_ratio']!r},{r['l1_ratio']!r}"
+        )
+    return "\n".join(lines)
+
+
 CONFIG_HELP = """\
 evolve config file (INI syntax, values space separated):
 
@@ -153,13 +166,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_kernel(args) -> int:
     params = FieldParams(args.q, args.n, args.alpha)
     if args.sweep:
-        print(SWEEP_HEADER)
-        for row in verification.kernel_sweep_rows(params):
-            print(
-                f"{row['q']},{row['n']},{row['alpha']!r},{row['re_z']!r},"
-                f"{row['im_z']!r},{row['k_x']},{row['abs_K']!r},"
-                f"{row['bound_ratio']!r},{row['l1_ratio']!r}"
-            )
+        print(sweep_csv(verification.kernel_sweep_rows(params)))
         return 0
     if args.z is None:
         raise UsageError("--z is required unless --sweep is given")

@@ -8,10 +8,12 @@ variation-of-constants solution is exact:
         + sum over intervals [a, b) of fhat_m * (exp(-lam (t-b')) -
           exp(-lam (t-a))) / lam,        b' = min(b, t),
 
-with the t-linear limit (b' - a) at lam = 0 (never hit on a crown, but kept
-for window extensions).  The maximal-regularity report integrates
-||D^alpha y(t)||_{q_space} over time with the trapezoid rule on a grid that
-contains every forcing breakpoint.
+with the t-linear limit (b' - a) at lam = 0, which the constant inner
+tail carries.  The Fourier window is extended by the rule in
+:mod:`qharm.radial`: up to the time horizon T, exp(-t lam) moves by at most
+T lam from its limit and a Duhamel factor by at most T**2 lam.  The
+maximal-regularity report integrates ||D^alpha y(t)||_{q_space} over time
+with the trapezoid rule on a grid that contains every forcing breakpoint.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowOverflowError
+from . import radial
 from .field import FieldParams
-from .radial import RadialProfile, lp_norm, radial_fourier
-
-_TAIL_EPS = 1e-16
+from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
 
 
 @dataclass(frozen=True)
@@ -70,50 +70,49 @@ class ForcingSignal:
         return cls((0.0, T), (profile,))
 
 
-def _duhamel_factor(lam: float, t: float, a: float, b: float) -> float:
-    """int_a^{min(b,t)} exp(-lam (t-s)) ds, stable for small lam * t."""
-    b_eff = min(b, t)
-    if b_eff <= a:
-        return 0.0
-    if lam == 0.0:
-        return b_eff - a
-    # exp(-lam(t-b')) - exp(-lam(t-a)) = -exp(-lam(t-b')) * expm1(-lam(b'-a))
-    lead = math.exp(max(-745.0, -lam * (t - b_eff)))
-    return -lead * math.expm1(-lam * (b_eff - a)) / lam
-
-
 def _duhamel_factors(lams: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    """Vectorized :func:`_duhamel_factor` over an eigenvalue array."""
+    """int_a^{min(b,t)} exp(-lam (t-s)) ds per eigenvalue, stable for small
+    lam * t."""
     b_eff = min(b, t)
     if b_eff <= a:
         return np.zeros_like(lams)
-    lead = np.exp(np.maximum(-745.0, -lams * (t - b_eff)))
+    # exp(-lam(t-b')) - exp(-lam(t-a)) = -exp(-lam(t-b')) * expm1(-lam(b'-a))
+    lead = np.exp(np.maximum(LOG_FLOOR, -lams * (t - b_eff)))
     safe = np.where(lams == 0.0, 1.0, lams)
     out = -lead * np.expm1(-lams * (b_eff - a)) / safe
     return np.where(lams == 0.0, b_eff - a, out)
 
 
-def _extension_depth(params: FieldParams, kmax: int, lip: float) -> int:
-    """Crown depth beyond which a Lipschitz-in-lam factor stops mattering."""
-    if lip <= 0:
-        return kmax
-    q, alpha = params.q, params.alpha
-    lam_cut = _TAIL_EPS / lip
-    m_cut = math.ceil(math.log(1.0 / lam_cut) / (alpha * math.log(q)))
-    return max(kmax, m_cut)
+def _fourier_window(
+    x0: RadialProfile | None, profiles, horizon: float
+) -> tuple[RadialProfile | None, list[RadialProfile], np.ndarray]:
+    """Transform x0 (None when there is none) and the forcing profiles onto
+    one Fourier window, extended for times up to ``horizon``; returns the
+    padded transforms and their eigenvalues."""
+    xh = None if x0 is None else radial_fourier(x0)
+    fhs = [radial_fourier(p) for p in profiles]
+    hats = fhs if xh is None else [xh, *fhs]
+    kmin = min(h.kmin for h in hats)
+    kmax = max(h.kmax for h in hats)
+    x_tail = 0.0 if xh is None else abs(xh.tail)
+    lip = x_tail * horizon + sum(abs(fh.tail) for fh in fhs) * horizon**2
+    params = hats[0].params
+    ext_to = radial._extension_depth(params, kmax, lip)
+    fhs = [fh.padded(kmin, ext_to) for fh in fhs]
+    xh = None if xh is None else xh.padded(kmin, ext_to)
+    return xh, fhs, radial._eigenvalues(params, kmin, ext_to)
 
 
 def solve_master(
     x0: RadialProfile,
     forcing: ForcingSignal | None,
     out_times,
-    max_ext: int = 20000,
 ) -> list[RadialProfile]:
     """Mild solution y(t) = T_t x0 + int_0^t T_{t-s} f(s) ds at the out_times.
 
     Exact per Fourier crown for piecewise-constant forcing; each output time
-    yields one profile.  Raises :class:`WindowOverflowError` when the tail
-    extension would exceed max_ext crowns.
+    yields one profile.  Raises :class:`WindowOverflowError` when the window
+    extension exceeds ``radial.MAX_EXT`` crowns.
     """
     params = x0.params
     out_times = [float(t) for t in out_times]
@@ -125,25 +124,9 @@ def solve_master(
         if any(t > forcing.T + 1e-12 for t in out_times):
             raise ValueError("output times must lie in [0, T]")
 
-    xh = radial_fourier(x0)
-    fhs = [radial_fourier(p) for p in forcing.profiles] if forcing is not None else []
-    kmin = min([xh.kmin] + [fh.kmin for fh in fhs])
-    kmax = max([xh.kmax] + [fh.kmax for fh in fhs])
-
     t_top = max(out_times) if out_times else 0.0
-    lip = abs(xh.tail) * t_top
-    for fh in fhs:
-        lip += abs(fh.tail) * t_top**2
-    ext_to = _extension_depth(params, kmax, lip)
-    if ext_to - kmax > max_ext:
-        raise WindowOverflowError(
-            f"tail extension needs {ext_to - kmax} crowns (cap {max_ext})"
-        )
-    xh = xh.padded(kmin, ext_to)
-    fhs = [fh.padded(kmin, ext_to) for fh in fhs]
-
-    q, alpha = params.q, params.alpha
-    lams = np.power(float(q), -alpha * np.arange(kmin, ext_to + 1, dtype=float))
+    profiles = forcing.profiles if forcing is not None else ()
+    xh, fhs, lams = _fourier_window(x0, profiles, t_top)
 
     outs = []
     for t in out_times:
@@ -152,8 +135,8 @@ def solve_master(
         if forcing is not None:
             for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
                 coef = coef + fh.coeffs * _duhamel_factors(lams, t, a, b)
-                tail = tail + fh.tail * _duhamel_factor(0.0, t, a, b)
-        prof = RadialProfile(params, kmin, ext_to, coef, tail=tail)
+                tail = tail + fh.tail * max(0.0, min(b, t) - a)
+        prof = RadialProfile(params, xh.kmin, xh.kmax, coef, tail=tail)
         outs.append(radial_fourier(prof, direction="inverse"))
     return outs
 
@@ -170,18 +153,7 @@ def solve_master_rk4(
     steps inside each forcing interval; independent of the closed-form
     exponential route.
     """
-    params = x0.params
-    xh = radial_fourier(x0)
-    fhs = [radial_fourier(p) for p in forcing.profiles]
-    kmin = min([xh.kmin] + [fh.kmin for fh in fhs])
-    kmax = max([xh.kmax] + [fh.kmax for fh in fhs])
-    lip = abs(xh.tail) * t_end + sum(abs(fh.tail) for fh in fhs) * t_end**2
-    kmax = _extension_depth(params, kmax, lip)
-    xh = xh.padded(kmin, kmax)
-    fhs = [fh.padded(kmin, kmax) for fh in fhs]
-
-    q, alpha = params.q, params.alpha
-    lams = np.power(float(q), -alpha * np.arange(kmin, kmax + 1, dtype=float))
+    xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
     y = xh.coeffs.copy()
     tail = xh.tail
 
@@ -204,20 +176,8 @@ def solve_master_rk4(
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         tail = tail + fh.tail * (b_eff - a)  # lam = 0 branch integrates f directly
 
-    prof = RadialProfile(params, kmin, kmax, y, tail=tail)
+    prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)
     return radial_fourier(prof, direction="inverse")
-
-
-def apply_taibleson_hat(prof_hat: RadialProfile) -> RadialProfile:
-    """Multiply a Fourier-side profile by the eigenvalues (no transforms)."""
-    params = prof_hat.params
-    lams = np.power(
-        float(params.q),
-        -params.alpha * np.arange(prof_hat.kmin, prof_hat.kmax + 1, dtype=float),
-    )
-    return RadialProfile(
-        params, prof_hat.kmin, prof_hat.kmax, prof_hat.coeffs * lams, tail=0.0
-    )
 
 
 def max_regularity_report(
@@ -225,7 +185,6 @@ def max_regularity_report(
     p: float = 2.0,
     q_space: float = 2.0,
     n_time: int = 4097,
-    max_ext: int = 20000,
 ) -> float:
     """Ratio ||D^alpha y|| / ||f|| in L^p([0,T]; L^{q_space}), x0 = 0.
 
@@ -244,26 +203,15 @@ def max_regularity_report(
         raise ValueError("zero forcing")
     grid = np.union1d(np.linspace(0.0, T, n_time), np.array(forcing.breakpoints))
 
-    # mirror solve_master's spectral setup, but keep everything Fourier-side
-    fhs = [radial_fourier(pr) for pr in forcing.profiles]
-    kmin = min(fh.kmin for fh in fhs)
-    kmax = max(fh.kmax for fh in fhs)
-    lip = sum(abs(fh.tail) for fh in fhs) * T**2
-    ext_to = _extension_depth(params, kmax, lip)
-    if ext_to - kmax > max_ext:
-        raise WindowOverflowError(
-            f"tail extension needs {ext_to - kmax} crowns (cap {max_ext})"
-        )
-    fhs = [fh.padded(kmin, ext_to) for fh in fhs]
-    q, alpha = params.q, params.alpha
-    lams = np.power(float(q), -alpha * np.arange(kmin, ext_to + 1, dtype=float))
+    _, fhs, lams = _fourier_window(None, forcing.profiles, T)
+    kmin, kmax = fhs[0].kmin, fhs[0].kmax
 
     norms = np.empty(grid.size)
     for i, t in enumerate(grid):
         coef = np.zeros(lams.size, dtype=complex)
         for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
             coef += fh.coeffs * _duhamel_factors(lams, float(t), a, b)
-        dhat = apply_taibleson_hat(RadialProfile(params, kmin, ext_to, coef))
+        dhat = RadialProfile(params, kmin, kmax, coef * lams)
         norms[i] = lp_norm(radial_fourier(dhat, direction="inverse"), q_space)
 
     num = float(np.trapezoid(norms**p, grid)) ** (1.0 / p)

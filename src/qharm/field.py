@@ -264,11 +264,6 @@ class QuotientLattice:
             self._norms.flags.writeable = False
         return self._norms
 
-    def scale_index(self, index: int) -> int | None:
-        """Crown index k with ||x|| = q**(-k); None for the zero coset."""
-        e = norm_exponent(self.params.q, self.norm(index))
-        return None if e is None else -e
-
     # -- characters ----------------------------------------------------------
 
     def pair_character(self, i: int, j: int) -> complex:
@@ -303,12 +298,6 @@ class QuotientLattice:
         if step > self.coord_order:
             return range(0, 1)  # only the zero coset
         return range(0, self.coord_order, step)
-
-    def ball_indices(self, k: int):
-        """Flat indices of all elements with ||x|| <= q**(-k)."""
-        per_coord = [self.ball_coord_values(k)] * self.params.n
-        for combo in itertools.product(*per_coord):
-            yield self.index_of(combo)
 
 
 def check_local_constancy(lattice: QuotientLattice, x_coords) -> None:

@@ -26,10 +26,6 @@ def _pole_distance(z: complex, q: int) -> float:
     return math.hypot(w.real, im)
 
 
-def _zero_distance(z: complex, n: int, q: int) -> float:
-    return _pole_distance(z - n, q)
-
-
 def gamma_qn(z: complex, params: FieldParams, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
     """(1 - q**(z-n)) / (1 - q**(-z)); raises PoleError near the pole lattice."""
     q, n = params.q, params.n

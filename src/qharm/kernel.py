@@ -39,9 +39,7 @@ import numpy as np
 from .errors import CancellationError, ToleranceError
 from .field import FieldParams
 from .gamma import gamma_qn
-from .radial import RadialProfile
-
-_LOG_FLOOR = -745.0  # exp() underflows to 0 below this
+from .radial import LOG_FLOOR, RadialProfile
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class EvalResult(NamedTuple):
 
 def _cexp(w: complex) -> complex:
     """exp(w) for Re w <= 0, flushing the underflow region to exactly 0."""
-    if w.real < _LOG_FLOOR:
+    if w.real < LOG_FLOOR:
         return 0.0 + 0.0j
     return cmath.exp(w)
 
@@ -96,7 +94,7 @@ def _cexpm1(w: complex) -> complex:
     """exp(w) - 1 without cancellation for small |w| (complex expm1)."""
     if abs(w) < 1e-4:
         return w * (1.0 + w / 2.0 * (1.0 + w / 3.0 * (1.0 + w / 4.0)))
-    if w.real < _LOG_FLOOR:
+    if w.real < LOG_FLOOR:
         return -1.0 + 0.0j
     return cmath.exp(w) - 1.0
 
@@ -241,7 +239,7 @@ def kernel_at_zero(
         logmag = -z.real * float(q) ** (-k * alpha) - k * n * lnq
         lognxt = -z.real * float(q) ** (-(k - 1) * alpha) - (k - 1) * n * lnq
         if logmag < math.log(cfg.tol / 4) and lognxt < logmag - math.log(2.0):
-            bound += 2.0 * math.exp(max(_LOG_FLOOR, logmag)) * (1.0 - rn)
+            bound += 2.0 * math.exp(max(LOG_FLOOR, logmag)) * (1.0 - rn)
             break
         acc += _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
         k -= 1

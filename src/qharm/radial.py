@@ -17,6 +17,17 @@ computed in one pass via suffix sums.  Forward and inverse coincide on
 radial inputs because every sphere-character integral is real.  The output
 window is [-kmax-1, -kmin] with inner tail equal to the improper integral
 of f, so the representable class is closed under the transform.
+
+Fourier multipliers act on the eigenvalues lam_m = q**(-m*alpha) of the
+Taibleson operator, and every multiplier route (the H-infinity calculus,
+square functions, the master-equation solver) extends the Fourier window
+by one rule.  The constant Fourier tail meets eigenvalues tending to 0, on
+which the multiplier is not constant.  If the tail times the multiplier
+moves from its lam -> 0 limit by at most lip * lam**s, the window is
+extended to the first crown with lam <= (eps / lip)**(1/s), so the residual
+beyond it is below eps (1e-16, times the tail when that exceeds 1 on the
+multiplier routes).  An extension past ``MAX_EXT`` crowns, or a cut-off
+eigenvalue that underflows to 0, raises :class:`WindowOverflowError`.
 """
 
 from __future__ import annotations
@@ -30,8 +41,10 @@ import numpy as np
 from .errors import WindowOverflowError
 from .field import FieldParams, ball_measure
 
-# absolute floor used when sizing tail extensions for Fourier multipliers
+# absolute floor the residual of the constant Fourier tail must fall below
 _TAIL_EPS = 1e-16
+LOG_FLOOR = -745.0  # exp() underflows to 0 below this
+MAX_EXT = 20000  # most crowns a window extension may add
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,47 +233,72 @@ def majorant(f: RadialProfile) -> RadialProfile:
     )
 
 
+def _eigenvalues(params: FieldParams, kmin: int, kmax: int) -> np.ndarray:
+    """lam_m = q**(-m*alpha) on the Fourier crowns kmin..kmax."""
+    ms = np.arange(kmin, kmax + 1, dtype=float)
+    return np.power(float(params.q), -params.alpha * ms)
+
+
+def _extension_depth(
+    params: FieldParams, kmax: int, lip: float, s: float = 1.0, eps: float = _TAIL_EPS
+) -> int:
+    """Last Fourier crown to keep so that lip * lam**s < eps beyond it."""
+    if lip <= 0:
+        return kmax
+    try:
+        lam_cut = (eps / lip) ** (1.0 / s)
+    except OverflowError:  # the cut-off lies above every eigenvalue
+        return kmax
+    if lam_cut == 0.0:
+        raise WindowOverflowError(
+            f"tail cut-off eigenvalue underflows to 0 (decay exponent {s})"
+        )
+    m_cut = math.ceil(math.log(1.0 / lam_cut) / (params.alpha * math.log(params.q)))
+    ext_to = max(kmax, m_cut)
+    if ext_to - kmax > MAX_EXT:
+        raise WindowOverflowError(
+            f"tail extension needs {ext_to - kmax} crowns (cap {MAX_EXT})"
+        )
+    return ext_to
+
+
+def _extended_hat(
+    f: RadialProfile, decay: tuple[float, float]
+) -> tuple[RadialProfile, np.ndarray]:
+    """Transform f and pad it for a multiplier within C * lam**s of its
+    lam -> 0 limit, ``decay = (s, C)``; returns the padded transform and its
+    eigenvalues."""
+    fhat = radial_fourier(f)
+    s, C = decay
+    tail = abs(fhat.tail)
+    ext_to = _extension_depth(
+        f.params, fhat.kmax, C * tail, s, _TAIL_EPS * max(1.0, tail)
+    )
+    fhat = fhat.padded(fhat.kmin, ext_to)
+    return fhat, _eigenvalues(f.params, fhat.kmin, fhat.kmax)
+
+
 def fourier_multiplier_apply(
     f: RadialProfile,
     symbol,
     limit_at_zero: complex = 0.0,
     decay: tuple[float, float] = (1.0, 1.0),
-    max_ext: int = 20000,
 ) -> RadialProfile:
     """Apply a Fourier multiplier evaluated at the eigenvalues q**(-m*alpha).
 
     ``symbol`` maps the positive eigenvalue lam_m = ||xi||**alpha on the
-    Fourier crown m to a complex factor.  The transform of f has a constant
-    inner tail, on which the symbol is not constant, so the Fourier window
-    is extended until the residual |symbol(lam) - limit_at_zero| * |tail|
-    falls below the float floor; ``decay = (s, C)`` certifies
-    |symbol(lam) - limit_at_zero| <= C * lam**s for small lam.  Raises
-    :class:`WindowOverflowError` when the needed extension exceeds max_ext.
+    Fourier crown m to a complex factor; ``decay = (s, C)`` certifies
+    |symbol(lam) - limit_at_zero| <= C * lam**s for small lam and sizes the
+    window extension (module docstring).
     """
-    params = f.params
-    q, alpha = params.q, params.alpha
-    fhat = radial_fourier(f)
-    ext_to = fhat.kmax
-    if fhat.tail != 0:
-        s, C = decay
-        eps = _TAIL_EPS * max(1.0, abs(fhat.tail))
-        lam_cut = (eps / (C * abs(fhat.tail))) ** (1.0 / s)
-        m_cut = math.ceil(math.log(1.0 / lam_cut) / (alpha * math.log(q)))
-        ext_to = max(ext_to, m_cut)
-        if ext_to - fhat.kmax > max_ext:
-            raise WindowOverflowError(
-                f"multiplier needs {ext_to - fhat.kmax} extra crowns "
-                f"(cap {max_ext})"
-            )
-    ghat = fhat.padded(fhat.kmin, ext_to)
-    lams = np.power(float(q), -alpha * np.arange(ghat.kmin, ghat.kmax + 1, dtype=float))
+    fhat, lams = _extended_hat(f, decay)
     vals = np.array([symbol(lam) for lam in lams], dtype=complex)
     out = RadialProfile(
-        params,
-        ghat.kmin,
-        ghat.kmax,
-        ghat.coeffs * vals,
-        tail=ghat.tail * complex(limit_at_zero),
+        f.params,
+        fhat.kmin,
+        fhat.kmax,
+        fhat.coeffs * vals,
+        tail=fhat.tail * complex(limit_at_zero),
     )
     return radial_fourier(out, direction="inverse")
 

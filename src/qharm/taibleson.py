@@ -34,9 +34,7 @@ def hypersingular_constant(params: FieldParams) -> float:
     return (1.0 - float(q) ** alpha) / (1.0 - float(q) ** (-alpha - n))
 
 
-def taibleson_fourier(
-    f: RadialProfile, params: FieldParams | None = None, max_ext: int = 20000
-) -> RadialProfile:
+def taibleson_fourier(f: RadialProfile, params: FieldParams | None = None) -> RadialProfile:
     """D^alpha f through the Fourier side: multiply by ||xi||**alpha.
 
     The multiplier value on the Fourier crown m is q**(-m*alpha), vanishing
@@ -45,9 +43,7 @@ def taibleson_fourier(
     """
     if params is not None and params != f.params:
         raise ValueError("params disagree with the profile's field")
-    return fourier_multiplier_apply(
-        f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0), max_ext=max_ext
-    )
+    return fourier_multiplier_apply(f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0))
 
 
 def _suffix_integral(f: RadialProfile, k: int) -> complex:

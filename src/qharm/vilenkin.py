@@ -48,10 +48,6 @@ class QuotientFunction:
         Q, n = self.lattice.coord_order, self.lattice.params.n
         return self.values.reshape((Q,) * n)
 
-    @classmethod
-    def from_nd(cls, lattice: QuotientLattice, arr: np.ndarray) -> "QuotientFunction":
-        return cls(lattice, np.asarray(arr).reshape(lattice.size))
-
     def __add__(self, other: "QuotientFunction") -> "QuotientFunction":
         return QuotientFunction(self.lattice, self.values + other.values)
 

@@ -14,7 +14,7 @@ from qharm.calculus import (
     semigroup_apply,
     square_function,
 )
-from qharm.errors import QuadratureError, SpectrumError
+from qharm.errors import QuadratureError, SpectrumError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import default_mass_window, kernel_profile
 from qharm.radial import RadialProfile, convolve, lp_norm, radial_fourier
@@ -26,6 +26,14 @@ P21 = FieldParams(2, 1, 1.0)
 PHI = SymbolFunction(lambda t: t / (1 + t) ** 2, (1.0, 1.1), 1.4)
 ROOT = SymbolFunction(lambda t: cmath.sqrt(t) / (1 + t), (0.5, 1.2), 1.4)
 NARROW = SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0)
+# decay exponent 0.03: the cut-off eigenvalue (1e-16 / C)**(1/s) underflows
+SLOW = SymbolFunction(lambda t: t**0.03 / (1 + t**0.06), (0.03, 1.1), 1.0)
+
+ROUTES = {
+    "direct": hinf_apply_direct,
+    "squarefn": lambda sym, g: square_function(g, sym),
+    "contour": hinf_apply_contour,
+}
 
 
 class TestSymbolFunction:
@@ -186,6 +194,30 @@ class TestSquareFunction:
         g = make_profile(rng, P21, -2, 2)
         with pytest.warns(UserWarning):
             square_function(g, PHI, grid=np.logspace(-1, 1, 10), p=2.0)
+
+
+class TestWindowExtension:
+    """Every route extends the Fourier window by one rule and refuses the
+    extensions it cannot make with a typed error."""
+
+    @pytest.mark.parametrize("route", ["direct", "squarefn", "contour"])
+    def test_underflowing_cutoff_refused(self, route):
+        g = RadialProfile.ball_indicator(P21, 0)
+        with pytest.raises(WindowOverflowError):
+            ROUTES[route](SLOW, g)
+
+    @pytest.mark.parametrize("route", ["direct", "contour"])
+    def test_extension_cap(self, route):
+        g = RadialProfile.ball_indicator(FieldParams(2, 1, 0.002), 0)
+        with pytest.raises(WindowOverflowError):  # about 26,600 crowns needed
+            ROUTES[route](PHI, g)
+
+    def test_negligible_tail_needs_no_extension(self):
+        # (1e-16 / lip)**(1/s) overflows: every eigenvalue is below the cut-off
+        g = 1e-30 * RadialProfile.ball_indicator(P21, 0)
+        out = hinf_apply_direct(SLOW, g)
+        assert (out.kmin, out.kmax) == (-1, 1)
+        assert np.all(np.isfinite(out.coeffs))
 
 
 class TestRademacher:

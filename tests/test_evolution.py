@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qharm.calculus import semigroup_apply
+from qharm.errors import WindowOverflowError
 from qharm.evolution import (
     ForcingSignal,
     max_regularity_report,
@@ -130,3 +131,20 @@ class TestMaxRegularity:
         forcing = ForcingSignal.constant(RadialProfile.zeros(P21, -2, 2), 1.0)
         with pytest.raises(ValueError):
             max_regularity_report(forcing)
+
+
+class TestWindowExtension:
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda x0, fs: solve_master(x0, fs, [1.0]),
+            lambda x0, fs: solve_master_rk4(x0, fs, 1.0),
+            lambda x0, fs: max_regularity_report(fs),
+        ],
+        ids=["exact", "rk4", "maxreg"],
+    )
+    def test_extension_cap(self, route):
+        # at alpha = 0.002 the constant Fourier tails need about 28,000 crowns
+        ball = RadialProfile.ball_indicator(FieldParams(2, 1, 0.002), 0)
+        with pytest.raises(WindowOverflowError):
+            route(ball, ForcingSignal.constant(ball, 1.0))
