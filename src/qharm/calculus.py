@@ -17,7 +17,6 @@ by the symbol's decay certificate.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,25 +27,22 @@ import numpy as np
 from . import radial
 from .errors import QuadratureError, SpectrumError
 from .field import FieldParams
-from .radial import (
-    LOG_FLOOR,
-    RadialProfile,
-    fourier_multiplier_apply,
-    lp_norm,
-    radial_fourier,
-)
+from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
 
 
 @dataclass(frozen=True)
 class SymbolFunction:
     """A holomorphic symbol on a sector with a certified two-sided decay.
 
-    ``decay = (s, C)`` certifies |fn(z)| <= C * min(|z|**s, |z|**(-s)) on the
-    working sector of half-angle ``sector_angle``; the certificate is spot
-    checked on the sector boundary at construction.
+    ``fn`` takes an ndarray (eigenvalues or complex nodes) and returns its
+    values elementwise, e.g. with ``np.sqrt``, not ``cmath.sqrt``; every
+    route calls it once per batch.  ``decay = (s, C)`` certifies
+    |fn(z)| <= C * min(|z|**s, |z|**(-s)) on the working sector of
+    half-angle ``sector_angle``; one array call spot checks it on the sector
+    boundary at construction.
     """
 
-    fn: Callable[[complex], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     decay: tuple[float, float]
     sector_angle: float
 
@@ -56,19 +52,15 @@ class SymbolFunction:
             raise ValueError(f"decay certificate needs s, C > 0, got {self.decay}")
         if not 0 < self.sector_angle < math.pi:
             raise ValueError(f"sector angle must lie in (0, pi), got {self.sector_angle}")
-        for sign in (1.0, -1.0):
-            ang = sign * 0.999 * self.sector_angle
-            for r in np.logspace(-6, 6, 25):
-                z = r * cmath.exp(1j * ang)
-                cap = C * min(r**s, r**-s)
-                if abs(self.fn(z)) > cap * (1.0 + 1e-8) + 1e-300:
-                    raise ValueError(
-                        f"decay certificate violated at z={z}: |f|={abs(self.fn(z))} "
-                        f"> {cap}"
-                    )
-
-    def __call__(self, z: complex) -> complex:
-        return self.fn(z)
+        r = np.tile(np.logspace(-6, 6, 25), 2)
+        zs = r * np.exp(1j * 0.999 * self.sector_angle * np.repeat([1.0, -1.0], 25))
+        vals = np.broadcast_to(np.abs(self.fn(zs)), zs.shape)
+        caps = C * np.minimum(r**s, r**-s)
+        bad = np.flatnonzero(vals > caps * (1.0 + 1e-8) + 1e-300)
+        if bad.size:
+            i = bad[0]
+            msg = f"decay certificate violated at z={zs[i]}: |f|={vals[i]} > {caps[i]}"
+            raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -102,11 +94,14 @@ class ContourConfig:
         tol relative, padded per the symbol's decay exponent."""
         s, _C = sym.decay
         pad = (math.log10(1.0 / tol) + 2.0) / s
-        return cls(
-            nu,
-            nodes_per_decade,
-            (lam_min * 10.0 ** (-pad), lam_max * 10.0**pad),
-        )
+        try:
+            r0, r1 = lam_min * 10.0 ** (-pad), lam_max * 10.0**pad
+        except OverflowError:
+            r0 = r1 = math.inf
+        if not (r0 > 0.0 and math.isfinite(r1)):
+            span = f"[{lam_min:.3e}e-{pad:.0f}, {lam_max:.3e}e+{pad:.0f}]"
+            raise QuadratureError(f"contour radius range {span} leaves the float range")
+        return cls(nu, nodes_per_decade, (r0, r1))
 
 
 def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
@@ -153,21 +148,27 @@ def hinf_apply_direct(sym, g: RadialProfile, value_at_zero: complex = 0.0) -> Ra
     )
 
 
+def _semigroup_factors(z, lams: np.ndarray) -> np.ndarray:
+    """exp(-z * lam), 0 where the exponent's real part is below LOG_FLOOR."""
+    w = -z * lams
+    return np.where(w.real < LOG_FLOOR, 0.0, np.exp(w))
+
+
+def _semigroup_decay(z: complex) -> tuple[float, float]:
+    """|exp(-z lam) - 1| <= |z| lam for Re z >= 0."""
+    return (1.0, max(abs(z), 1e-300))
+
+
 def semigroup_apply(z, g: RadialProfile) -> RadialProfile:
     """T_z g: multiply the Fourier crown m by exp(-z * lam_m), Re z > 0."""
     zc = complex(z)
     if not zc.real > 0 and zc != 0:
         raise ValueError(f"semigroup time needs Re z > 0 (or z = 0), got {z}")
-
-    def sym(lam: float) -> complex:
-        w = -zc * lam
-        if w.real < LOG_FLOOR:
-            return 0.0 + 0.0j
-        return cmath.exp(w)
-
-    # |exp(-z lam) - 1| <= |z| lam for Re z >= 0
     return fourier_multiplier_apply(
-        g, sym, limit_at_zero=1.0, decay=(1.0, max(abs(zc), 1e-300))
+        g,
+        lambda lams: _semigroup_factors(zc, lams),
+        limit_at_zero=1.0,
+        decay=_semigroup_decay(zc),
     )
 
 
@@ -191,9 +192,8 @@ def _contour_factors(
 
     total = np.zeros(lams.size, dtype=complex)
     for sign, orient in ((-1.0, +1.0), (+1.0, -1.0)):
-        e = cmath.exp(1j * sign * contour.nu)
-        zs = r * e
-        fv = np.array([sym.fn(z) for z in zs], dtype=complex)
+        zs = r * np.exp(1j * sign * contour.nu)
+        fv = sym.fn(zs)
         # int f(z) R(z, lam) dz over the ray, dz = e * r du
         integ = (w * fv * zs)[:, None] / (zs[:, None] - lams[None, :])
         total += orient * integ.sum(axis=0)
@@ -225,21 +225,12 @@ def hinf_apply_contour(
             f"(0, {sym.sector_angle})"
         )
 
-    coarse = _contour_factors(lams, sym, contour)
-    fine = _contour_factors(
-        lams,
-        sym,
-        ContourConfig(contour.nu, 2 * contour.nodes_per_decade, contour.radius_range),
+    fine = ContourConfig(contour.nu, 2 * contour.nodes_per_decade, contour.radius_range)
+    hats = ghat.coeffs * np.stack([_contour_factors(lams, sym, c) for c in (fine, contour)])
+    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
+    prof_fine, prof_coarse = (
+        RadialProfile(g.params, kmin, kmax, row, tail=t) for row, t in zip(out, tails)
     )
-
-    def assemble(factors: np.ndarray) -> RadialProfile:
-        out = RadialProfile(
-            g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors, tail=0.0
-        )
-        return radial_fourier(out, direction="inverse")
-
-    prof_fine = assemble(fine)
-    prof_coarse = assemble(coarse)
     diff = lp_norm(prof_fine - prof_coarse, 2)
     scale = max(lp_norm(prof_fine, 2), 1e-300)
     if diff > tol * scale:
@@ -272,7 +263,8 @@ def square_function(
     log-midpoint rule, takes the pointwise square root and returns its L^p
     norm.  When ``grid`` is omitted it is sized so that u = t * lam covers
     [10**-pad, 10**pad] for every eigenvalue carrying non-negligible mass;
-    a warning fires when the boundary terms exceed 1% of the sum.
+    a warning fires when the boundary terms exceed 1% of the sum.  The grid
+    times are the rows of one transform block.
     """
     ghat, lams = radial._extended_hat(g, phi.decay)
 
@@ -283,54 +275,25 @@ def square_function(
             per_decade,
         )
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"time grid must be nonempty and 1-d, got shape {grid.shape}")
     dlog = float(np.mean(np.diff(np.log(grid)))) if grid.size > 1 else 1.0
 
-    acc: np.ndarray | None = None
-    acc_tail = 0.0
-    first = last = 0.0
-    out_window: tuple[int, int] | None = None
-    for idx, t in enumerate(grid):
-        factors = np.array([phi.fn(t * lam) for lam in lams], dtype=complex)
-        prof = radial_fourier(
-            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors),
-            direction="inverse",
-        )
-        vals = np.abs(prof.coeffs) ** 2
-        if acc is None:
-            acc = np.zeros_like(vals)
-            out_window = (prof.kmin, prof.kmax)
-        contrib = vals * dlog
-        acc += contrib
-        acc_tail += abs(prof.tail) ** 2 * dlog  # constant value near x = 0
-        peak_contrib = float(np.max(contrib)) if contrib.size else 0.0
-        if idx == 0:
-            first = peak_contrib
-        if idx == grid.size - 1:
-            last = peak_contrib
-    assert acc is not None and out_window is not None
-    peak = float(np.max(acc)) if acc.size else 0.0
-    if peak > 0 and max(first, last) > 0.01 * peak:
+    hats = ghat.coeffs * phi.fn(grid[:, None] * lams)
+    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
+    # the inner tail rides in the last column; sum(axis=0) adds rows in grid order
+    contrib = np.abs(np.column_stack((out, tails))) ** 2 * dlog
+    acc = contrib.sum(axis=0)
+    peak = float(np.max(acc[:-1]))
+    edge = float(max(np.max(contrib[0, :-1]), np.max(contrib[-1, :-1])))
+    if peak > 0 and edge > 0.01 * peak:
         warnings.warn(
             "square-function grid may not cover the spectrum window: "
-            f"boundary contribution {max(first, last) / peak:.2%} of the peak",
+            f"boundary contribution {edge / peak:.2%} of the peak",
             stacklevel=2,
         )
-    s_prof = RadialProfile(
-        g.params,
-        out_window[0],
-        out_window[1],
-        np.sqrt(acc).astype(complex),
-        tail=math.sqrt(acc_tail),
-    )
-    return lp_norm(s_prof, p)
-
-
-def _random_profile(
-    rng: np.random.Generator, params: FieldParams, kmin: int, kmax: int
-) -> RadialProfile:
-    m = kmax - kmin + 1
-    vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return RadialProfile(params, kmin, kmax, vals)
+    root = np.sqrt(acc)
+    return radial._lp_norms(g.params, kmin, kmax, root[None, :-1], root[-1:], p)[0]
 
 
 def rademacher_ratio(
@@ -346,32 +309,35 @@ def rademacher_ratio(
     Each trial draws one sign vector and one tuple of random profiles and
     computes ||sum_j eps_j (cos arg z_j) T_{z_j} g_j||_p /
     ||sum_j eps_j g_j||_p; the maximum over trials is returned.
-    Deterministic given the seed.
+    Deterministic given the seed.  A trial is one transform block, a row per
+    z, on the Fourier window the largest row extension needs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     zs = [complex(z) for z in family]
     if any(not z.real > 0 for z in zs):
         raise ValueError("all family points need Re z > 0")
-    coss = [z.real / abs(z) for z in zs]
+    coss = np.array([z.real / abs(z) for z in zs])
+    decays = [_semigroup_decay(z) for z in zs]
+    zcol = np.array(zs)[:, None]
     rng = np.random.default_rng(seed)
     kmin, kmax = window
     best = 0.0
     for _ in range(trials):
-        eps = rng.integers(0, 2, size=len(zs)) * 2 - 1
-        gs = [_random_profile(rng, params, kmin, kmax) for _ in zs]
-        num_terms = [
-            float(e) * c * semigroup_apply(z, g)
-            for e, c, z, g in zip(eps, coss, zs, gs)
-        ]
-        num = num_terms[0]
-        for t in num_terms[1:]:
-            num = num + t
-        den = gs[0] * float(eps[0])
-        for e, g in zip(eps[1:], gs[1:]):
-            den = den + float(e) * g
-        dval = lp_norm(den, p)
-        if dval == 0:
-            continue
-        best = max(best, lp_norm(num, p) / dval)
+        eps = (rng.integers(0, 2, size=len(zs)) * 2 - 1).astype(float)
+        draws = rng.standard_normal((len(zs), 2, kmax - kmin + 1))  # re, im parts
+        gs = draws[:, 0] + 1j * draws[:, 1]
+        hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs)
+        sizes = [abs(t) for t in htails.tolist()]
+        top = max(radial._hat_depth(params, hkmax, t, d) for t, d in zip(sizes, decays))
+        hats = np.column_stack((hats, np.repeat(htails[:, None], top - hkmax, axis=1)))
+        hats *= _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
+        okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
+        # rows summed in order, the inner tails riding in the last column
+        num = ((eps * coss)[:, None] * np.column_stack((outs, otails))).sum(axis=0)
+        den = (eps[:, None] * np.column_stack((gs, 0.0 * eps))).sum(axis=0)
+        dval = radial._lp_norms(params, kmin, kmax, den[None, :-1], den[-1:], p)[0]
+        nval = radial._lp_norms(params, okmin, okmax, num[None, :-1], num[-1:], p)[0]
+        if dval > 0:
+            best = max(best, nval / dval)
     return best

@@ -22,7 +22,8 @@ class LatticeWindowError(ValueError):
 
 
 class WindowOverflowError(RuntimeError):
-    """Crown-window extension required by a multiplier exceeds the cap."""
+    """Crown window out of reach: the extension a multiplier needs exceeds
+    the cap, or the window's outermost crown weight is no finite float."""
 
 
 class QuadratureError(RuntimeError):

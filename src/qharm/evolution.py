@@ -14,6 +14,8 @@ tail carries.  The Fourier window is extended by the rule in
 T lam from its limit and a Duhamel factor by at most T**2 lam.  The
 maximal-regularity report integrates ||D^alpha y(t)||_{q_space} over time
 with the trapezoid rule on a grid that contains every forcing breakpoint.
+The exact solver and the report take their times as the rows of one
+transform block (the report in chunks of ``BLOCK_ELEMENTS``); RK4 steps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 from . import radial
 from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
+
+BLOCK_ELEMENTS = 1 << 15  # most time x crown values one report block holds
 
 
 @dataclass(frozen=True)
@@ -70,17 +74,16 @@ class ForcingSignal:
         return cls((0.0, T), (profile,))
 
 
-def _duhamel_factors(lams: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    """int_a^{min(b,t)} exp(-lam (t-s)) ds per eigenvalue, stable for small
-    lam * t."""
-    b_eff = min(b, t)
-    if b_eff <= a:
-        return np.zeros_like(lams)
+def _duhamel_factors(lams: np.ndarray, times: np.ndarray, a: float, b: float) -> np.ndarray:
+    """int_a^{min(b,t)} exp(-lam (t-s)) ds for the column of ``times`` (rows)
+    and the eigenvalues ``lams`` (columns), stable for small lam * t."""
+    b_eff = np.minimum(b, times)
+    width = np.maximum(b_eff - a, 0.0)
     # exp(-lam(t-b')) - exp(-lam(t-a)) = -exp(-lam(t-b')) * expm1(-lam(b'-a))
-    lead = np.exp(np.maximum(LOG_FLOOR, -lams * (t - b_eff)))
+    lead = np.exp(np.maximum(LOG_FLOOR, -lams * (times - b_eff)))
     safe = np.where(lams == 0.0, 1.0, lams)
-    out = -lead * np.expm1(-lams * (b_eff - a)) / safe
-    return np.where(lams == 0.0, b_eff - a, out)
+    out = np.where(lams == 0.0, width, -lead * np.expm1(-lams * width) / safe)
+    return np.where(b_eff > a, out, 0.0)
 
 
 def _fourier_window(
@@ -128,17 +131,15 @@ def solve_master(
     profiles = forcing.profiles if forcing is not None else ()
     xh, fhs, lams = _fourier_window(x0, profiles, t_top)
 
-    outs = []
-    for t in out_times:
-        coef = xh.coeffs * np.exp(-t * lams)
-        tail = xh.tail  # lam -> 0 limit of exp(-t lam) is 1
-        if forcing is not None:
-            for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-                coef = coef + fh.coeffs * _duhamel_factors(lams, t, a, b)
-                tail = tail + fh.tail * max(0.0, min(b, t) - a)
-        prof = RadialProfile(params, xh.kmin, xh.kmax, coef, tail=tail)
-        outs.append(radial_fourier(prof, direction="inverse"))
-    return outs
+    ts = np.array(out_times, dtype=float)[:, None]  # one row per output time
+    coef = xh.coeffs * np.exp(-ts * lams)
+    tails = np.full(len(out_times), xh.tail)  # lam -> 0 limit of exp(-t lam) is 1
+    if forcing is not None:
+        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
+            coef = coef + fh.coeffs * _duhamel_factors(lams, ts, a, b)
+            tails = tails + fh.tail * np.maximum(0.0, np.minimum(b, ts[:, 0]) - a)
+    kmin, kmax, out, otails = radial._fourier_block(params, xh.kmin, xh.kmax, coef, tails)
+    return [RadialProfile(params, kmin, kmax, row, tail=t) for row, t in zip(out, otails)]
 
 
 def solve_master_rk4(
@@ -206,13 +207,15 @@ def max_regularity_report(
     _, fhs, lams = _fourier_window(None, forcing.profiles, T)
     kmin, kmax = fhs[0].kmin, fhs[0].kmax
 
-    norms = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        coef = np.zeros(lams.size, dtype=complex)
+    norms = []
+    rows = max(1, BLOCK_ELEMENTS // lams.size)
+    for start in range(0, grid.size, rows):
+        ts = grid[start : start + rows, None]
+        coef = np.zeros((ts.shape[0], lams.size), dtype=complex)
         for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-            coef += fh.coeffs * _duhamel_factors(lams, float(t), a, b)
-        dhat = RadialProfile(params, kmin, kmax, coef * lams)
-        norms[i] = lp_norm(radial_fourier(dhat, direction="inverse"), q_space)
+            coef += fh.coeffs * _duhamel_factors(lams, ts, a, b)
+        okmin, okmax, out, otails = radial._fourier_block(params, kmin, kmax, coef * lams)
+        norms += radial._lp_norms(params, okmin, okmax, out, otails, q_space)
 
-    num = float(np.trapezoid(norms**p, grid)) ** (1.0 / p)
+    num = float(np.trapezoid(np.array(norms) ** p, grid)) ** (1.0 / p)
     return num / den

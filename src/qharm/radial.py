@@ -13,10 +13,12 @@ series), the transform at the output crown j is
 
     (Ff)_j = T_{-j} - c_{-j-1} * q**(n*j),
 
-computed in one pass via suffix sums.  Forward and inverse coincide on
-radial inputs because every sphere-character integral is real.  The output
-window is [-kmax-1, -kmin] with inner tail equal to the improper integral
-of f, so the representable class is closed under the transform.
+computed in one pass via suffix sums, for a block of rows on one window.
+Forward and inverse coincide on radial inputs because every sphere-character
+integral is real.  The output window is [-kmax-1, -kmin] with inner tail
+equal to the improper integral of f, so the representable class is closed
+under the transform; a window whose outermost crown weight q**(-n*kmin)
+leaves the float range raises WindowOverflowError.
 
 Fourier multipliers act on the eigenvalues lam_m = q**(-m*alpha) of the
 Taibleson operator, and every multiplier route (the H-infinity calculus,
@@ -137,49 +139,71 @@ def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProf
     return f.padded(kmin, kmax), g.padded(kmin, kmax)
 
 
-def _sphere_measures(f: RadialProfile) -> np.ndarray:
-    q, n = f.params.q, f.params.n
-    ks = np.arange(f.kmin, f.kmax + 1, dtype=float)
+def _sphere_measures(params: FieldParams, kmin: int, kmax: int) -> np.ndarray:
+    """mu(S_k) for k = kmin..kmax; raises :class:`WindowOverflowError` when the
+    largest, ~q**(-n*kmin), also a transform's largest output weight, is inf."""
+    q, n = params.q, params.n
+    try:
+        float(q) ** (-n * kmin)
+    except OverflowError:
+        msg = f"crown weight q**({-n * kmin}) at q={q} leaves the float range"
+        raise WindowOverflowError(msg) from None
+    ks = np.arange(kmin, kmax + 1, dtype=float)
     return (1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n)
 
 
 def improper_integral(f: RadialProfile) -> complex:
     """Crown-sum integral; the inner tail contributes tail * mu(G_{kmax+1})."""
-    total = np.sum(f.coeffs * _sphere_measures(f))
+    total = np.sum(f.coeffs * _sphere_measures(f.params, f.kmin, f.kmax))
     total += f.tail * float(ball_measure(f.kmax + 1, f.params))
     return complex(total)
 
 
-def lp_norm(f: RadialProfile, p: float) -> float:
-    """L^p norm, 1 <= p <= inf, with the inner tail summed in closed form."""
+def _lp_norms(
+    params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails, p: float
+) -> list[float]:
+    """L^p norms, 1 <= p <= inf, of the rows of C with inner tails ``tails``."""
+    tails = np.asarray(tails).tolist()
     if p == math.inf:
-        sup = float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 0.0
-        return max(sup, abs(f.tail))
+        return [max(float(s), abs(t)) for s, t in zip(np.max(np.abs(C), axis=-1), tails)]
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    total = float(np.sum(np.abs(f.coeffs) ** p * _sphere_measures(f)))
-    total += abs(f.tail) ** p * float(ball_measure(f.kmax + 1, f.params))
-    return total ** (1.0 / p)
+    totals = (np.abs(C) ** p * _sphere_measures(params, kmin, kmax)).sum(axis=-1)
+    ball = float(ball_measure(kmax + 1, params))
+    return [(float(s) + abs(t) ** p * ball) ** (1.0 / p) for s, t in zip(totals, tails)]
+
+
+def lp_norm(f: RadialProfile, p: float) -> float:
+    """L^p norm, 1 <= p <= inf, with the inner tail summed in closed form."""
+    return _lp_norms(f.params, f.kmin, f.kmax, f.coeffs[None, :], [f.tail], p)[0]
+
+
+def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails=None):
+    """Transform every row of the (rows, crowns) block C on [kmin, kmax], row
+    i with inner tail tails[i] (default 0); returns ``(out_kmin, out_kmax,
+    OUT, out_tails)``.  Each row equals its one-row transform bit for bit."""
+    terms = C * _sphere_measures(params, kmin, kmax)
+    # T[:, m] = sum_{k >= m} c_k mu(S_k) for m = kmin..kmax+1 (index m - kmin)
+    T = np.empty((C.shape[0], kmax - kmin + 2), dtype=complex)
+    T[:, -1] = 0.0 if tails is None else tails * float(ball_measure(kmax + 1, params))
+    T[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1] + T[:, -1:]
+
+    out_kmin, out_kmax = -kmax - 1, -kmin
+    js = np.arange(out_kmin, out_kmax + 1, dtype=float)
+    # for ascending j, -j runs kmax+1 .. kmin and -j-1 runs kmax .. kmin-1
+    prev = np.concatenate((C[:, ::-1], np.zeros((C.shape[0], 1))), axis=1)
+    OUT = T[:, ::-1] - prev * np.power(float(params.q), params.n * js)
+    return out_kmin, out_kmax, OUT, T[:, 0]
 
 
 def radial_fourier(f: RadialProfile, direction: str = "forward") -> RadialProfile:
     """Radial Fourier transform via suffix sums; an involution on profiles."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction}")
-    q, n = f.params.q, f.params.n
-    terms = f.coeffs * _sphere_measures(f)
-    # T[m] = sum_{k >= m} c_k mu(S_k) for m = kmin..kmax+1 (index m - kmin)
-    T = np.empty(f.kmax - f.kmin + 2, dtype=complex)
-    T[-1] = f.tail * float(ball_measure(f.kmax + 1, f.params))
-    T[:-1] = np.cumsum(terms[::-1])[::-1] + T[-1]
-
-    out_kmin, out_kmax = -f.kmax - 1, -f.kmin
-    js = np.arange(out_kmin, out_kmax + 1, dtype=float)
-    # for ascending j, -j runs kmax+1 .. kmin and -j-1 runs kmax .. kmin-1
-    T_at = T[::-1]
-    prev = np.concatenate((f.coeffs[::-1], [0.0 + 0.0j]))
-    out = T_at - prev * np.power(float(q), n * js)
-    return RadialProfile(f.params, out_kmin, out_kmax, out, tail=complex(T[0]))
+    kmin, kmax, out, tails = _fourier_block(
+        f.params, f.kmin, f.kmax, f.coeffs[None, :], np.array([f.tail])
+    )
+    return RadialProfile(f.params, kmin, kmax, out[0], tail=complex(tails[0]))
 
 
 def convolve(g: RadialProfile, f: RadialProfile) -> RadialProfile:
@@ -203,7 +227,7 @@ def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
         raise ValueError("direct convolution oracle requires zero inner tails")
     gp, fp = align(g, f)
     q, n = gp.params.q, gp.params.n
-    smeas = _sphere_measures(gp)
+    smeas = _sphere_measures(gp.params, gp.kmin, gp.kmax)
     gball = np.power(float(q), -np.arange(gp.kmin + 1, gp.kmax + 2, dtype=float) * n)
     gc, fc = gp.coeffs, fp.coeffs
     m = gc.size
@@ -262,19 +286,20 @@ def _extension_depth(
     return ext_to
 
 
+def _hat_depth(params: FieldParams, kmax: int, tail: float, decay) -> int:
+    """Last Fourier crown to keep for an inner tail of size ``tail`` under a
+    multiplier within C * lam**s of its lam -> 0 limit, ``decay = (s, C)``."""
+    s, C = decay
+    return _extension_depth(params, kmax, C * tail, s, _TAIL_EPS * max(1.0, tail))
+
+
 def _extended_hat(
     f: RadialProfile, decay: tuple[float, float]
 ) -> tuple[RadialProfile, np.ndarray]:
-    """Transform f and pad it for a multiplier within C * lam**s of its
-    lam -> 0 limit, ``decay = (s, C)``; returns the padded transform and its
-    eigenvalues."""
+    """Transform f and pad it per :func:`_hat_depth`; returns the padded
+    transform and its eigenvalues."""
     fhat = radial_fourier(f)
-    s, C = decay
-    tail = abs(fhat.tail)
-    ext_to = _extension_depth(
-        f.params, fhat.kmax, C * tail, s, _TAIL_EPS * max(1.0, tail)
-    )
-    fhat = fhat.padded(fhat.kmin, ext_to)
+    fhat = fhat.padded(fhat.kmin, _hat_depth(f.params, fhat.kmax, abs(fhat.tail), decay))
     return fhat, _eigenvalues(f.params, fhat.kmin, fhat.kmax)
 
 
@@ -286,13 +311,14 @@ def fourier_multiplier_apply(
 ) -> RadialProfile:
     """Apply a Fourier multiplier evaluated at the eigenvalues q**(-m*alpha).
 
-    ``symbol`` maps the positive eigenvalue lam_m = ||xi||**alpha on the
-    Fourier crown m to a complex factor; ``decay = (s, C)`` certifies
+    ``symbol`` is called once, on the ndarray of the positive eigenvalues
+    lam_m = ||xi||**alpha of the extended Fourier window, and returns the
+    factors elementwise (or one scalar).  ``decay = (s, C)`` certifies
     |symbol(lam) - limit_at_zero| <= C * lam**s for small lam and sizes the
     window extension (module docstring).
     """
     fhat, lams = _extended_hat(f, decay)
-    vals = np.array([symbol(lam) for lam in lams], dtype=complex)
+    vals = np.asarray(symbol(lams), dtype=complex)
     out = RadialProfile(
         f.params,
         fhat.kmin,

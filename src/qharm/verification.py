@@ -47,6 +47,7 @@ TOL_DOMINATION = 1e-12
 TOL_MAXREG = 1e-6
 TOL_MAXREG_ORACLE = 1e-8
 SEED_RBOUND = 20240801
+RBOUND_FAMILY = (4.0, 1.3, 16)  # p, theta, points: the family rbound_p4 records
 SEED_PROFILES = 424243
 
 
@@ -400,7 +401,7 @@ def verify_taibleson(
 def standard_symbols() -> list[calculus.SymbolFunction]:
     return [
         calculus.SymbolFunction(lambda t: t / (1 + t) ** 2, (1.0, 1.1), 1.4),
-        calculus.SymbolFunction(lambda t: cmath.sqrt(t) / (1 + t), (0.5, 1.2), 1.4),
+        calculus.SymbolFunction(lambda t: np.sqrt(t) / (1 + t), (0.5, 1.2), 1.4),
         calculus.SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0),
     ]
 
@@ -581,9 +582,10 @@ def rbound_family(theta: float = 1.3, points: int = 16) -> list[complex]:
 def verify_rbound(update: bool = False, trials: int = 200) -> dict:
     baselines = load_baselines()
     params = FieldParams(2, 1, 1.0)
-    fam = rbound_family()
-    ratio = calculus.rademacher_ratio(fam, 4.0, trials, SEED_RBOUND, params)
-    ratio2 = calculus.rademacher_ratio(fam, 4.0, trials, SEED_RBOUND + 7, params)
+    p, theta, points = RBOUND_FAMILY
+    fam = rbound_family(theta, points)
+    ratio = calculus.rademacher_ratio(fam, p, trials, SEED_RBOUND, params)
+    ratio2 = calculus.rademacher_ratio(fam, p, trials, SEED_RBOUND + 7, params)
     seed_stable = abs(ratio2 - ratio) <= 0.10 * ratio
     key = _bkey("rbound_p4", params)
     ok_base, ref = _check_baseline(baselines, key, ratio, update)
@@ -591,7 +593,7 @@ def verify_rbound(update: bool = False, trials: int = 200) -> dict:
         save_baselines(baselines)
     return {
         "suite": "rbound",
-        "p": 4.0,
+        "p": p,
         "trials": trials,
         "seed": SEED_RBOUND,
         "ratio": ratio,

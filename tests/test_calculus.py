@@ -24,7 +24,7 @@ from conftest import make_profile
 P21 = FieldParams(2, 1, 1.0)
 
 PHI = SymbolFunction(lambda t: t / (1 + t) ** 2, (1.0, 1.1), 1.4)
-ROOT = SymbolFunction(lambda t: cmath.sqrt(t) / (1 + t), (0.5, 1.2), 1.4)
+ROOT = SymbolFunction(lambda t: np.sqrt(t) / (1 + t), (0.5, 1.2), 1.4)
 NARROW = SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0)
 # decay exponent 0.03: the cut-off eigenvalue (1e-16 / C)**(1/s) underflows
 SLOW = SymbolFunction(lambda t: t**0.03 / (1 + t**0.06), (0.03, 1.1), 1.0)
@@ -89,7 +89,7 @@ class TestDirectCalculus:
         g = make_profile(rng, P21, -3, 3, tail=0.5)
         t = 0.7
         a = hinf_apply_direct(
-            lambda lam: cmath.exp(-t * lam), g, value_at_zero=1.0
+            lambda lam: np.exp(-t * lam), g, value_at_zero=1.0
         )
         b = semigroup_apply(t, g)
         assert lp_norm(a - b, 2) < 1e-13
@@ -195,6 +195,10 @@ class TestSquareFunction:
         with pytest.warns(UserWarning):
             square_function(g, PHI, grid=np.logspace(-1, 1, 10), p=2.0)
 
+    def test_empty_grid_rejected(self, rng):
+        with pytest.raises(ValueError):
+            square_function(make_profile(rng, P21, -2, 2), PHI, grid=[])
+
 
 class TestWindowExtension:
     """Every route extends the Fourier window by one rule and refuses the
@@ -218,6 +222,13 @@ class TestWindowExtension:
         out = hinf_apply_direct(SLOW, g)
         assert (out.kmin, out.kmax) == (-1, 1)
         assert np.all(np.isfinite(out.coeffs))
+
+    def test_contour_radius_range_past_float_range_refused(self):
+        # no extension is needed, but the radius range padded for s = 0.03
+        # spans 10**(+-333)
+        g = 1e-30 * RadialProfile.ball_indicator(P21, 0)
+        with pytest.raises(QuadratureError):
+            hinf_apply_contour(SLOW, g)
 
 
 class TestRademacher:

@@ -81,6 +81,16 @@ class TestVerify:
 
 
 class TestRbound:
+    def test_baseline_keyed_by_family(self, capsys, tmp_path, monkeypatch):
+        # the rbound_p4 constant belongs to p = 4, theta = 1.3, 16 points
+        bad = tmp_path / "baselines.txt"
+        bad.write_text("# suite q n alpha value\nrbound_p4 2 1 1.0 1e-9\n")
+        monkeypatch.setenv("QHARM_BASELINES", str(bad))
+        for extra in (["--p", "2"], ["--theta", "1.2"], ["--points", "8"]):
+            code, out, _ = run_cli(capsys, "rbound", "--trials", "5", *extra)
+            assert code == 0
+            assert json.loads(out)["baseline"] is None
+
     def test_deterministic_stdout(self, capsys):
         argv = ["rbound", "--trials", "10", "--seed", "99", "--points", "4"]
         code1, out1, _ = run_cli(capsys, *argv)

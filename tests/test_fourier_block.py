@@ -1,0 +1,210 @@
+"""The batched Fourier-diagonal routes against their loop versions.
+
+Each reference below is the loop the batched code replaced: one transform
+per row, time or trial, built from the public ``radial_fourier``,
+``semigroup_apply`` and ``lp_norm``, with scalar symbol calls.  The batched
+routes change the order of no sum, so the tolerance is set in advance at a
+few hundred float64 ulps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qharm import radial
+from qharm.calculus import (
+    geometric_time_grid,
+    rademacher_ratio,
+    semigroup_apply,
+    square_function,
+)
+from qharm.evolution import (
+    ForcingSignal,
+    _fourier_window,
+    max_regularity_report,
+    solve_master,
+)
+from qharm.field import FieldParams, ball_measure
+from qharm.radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
+from qharm.verification import rbound_family, standard_symbols
+
+from conftest import make_profile
+
+REL = 1e-13
+
+# the field triples of the benchmark's diagonal workload
+DIAG = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0))
+DIAG_IDS = ["q2n1a1", "q3n2a0.5", "q2n2a2"]
+
+
+def diag_window(params):
+    """Six crowns whose largest eigenvalue is at most 16."""
+    top = math.floor(math.log(16.0) / (params.alpha * math.log(params.q))) - 1
+    return top - 5, top
+
+
+def assert_close(a: RadialProfile, b: RadialProfile):
+    assert (a.kmin, a.kmax) == (b.kmin, b.kmax)
+    scale = max(np.max(np.abs(b.coeffs)), abs(b.tail))
+    assert np.max(np.abs(a.coeffs - b.coeffs)) <= REL * scale
+    assert abs(a.tail - b.tail) <= REL * scale
+
+
+# -- references ----------------------------------------------------------------
+
+
+def fourier_1d(f: RadialProfile) -> RadialProfile:
+    """The one-row suffix-sum transform, written on 1-d arrays."""
+    q, n = f.params.q, f.params.n
+    ks = np.arange(f.kmin, f.kmax + 1, dtype=float)
+    terms = f.coeffs * ((1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n))
+    T = np.empty(f.kmax - f.kmin + 2, dtype=complex)
+    T[-1] = f.tail * float(ball_measure(f.kmax + 1, f.params))
+    T[:-1] = np.cumsum(terms[::-1])[::-1] + T[-1]
+    js = np.arange(-f.kmax - 1, -f.kmin + 1, dtype=float)
+    prev = np.concatenate((f.coeffs[::-1], [0.0 + 0.0j]))
+    out = T[::-1] - prev * np.power(float(q), n * js)
+    return RadialProfile(f.params, -f.kmax - 1, -f.kmin, out, tail=complex(T[0]))
+
+
+def square_function_loop(g, phi, p):
+    ghat, lams = radial._extended_hat(g, phi.decay)
+    grid = geometric_time_grid(1e-7 / float(lams.max()), 1e7 / float(lams.min()), 12)
+    dlog = float(np.mean(np.diff(np.log(grid))))
+    acc, acc_tail = 0.0, 0.0
+    for t in grid:
+        factors = np.array([phi.fn(t * lam) for lam in lams], dtype=complex)
+        prof = radial_fourier(
+            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors), "inverse"
+        )
+        acc = acc + np.abs(prof.coeffs) ** 2 * dlog
+        acc_tail += abs(prof.tail) ** 2 * dlog
+    s = RadialProfile(g.params, prof.kmin, prof.kmax, np.sqrt(acc), tail=math.sqrt(acc_tail))
+    return lp_norm(s, p)
+
+
+def rademacher_loop(family, p, trials, seed, params, window):
+    zs = [complex(z) for z in family]
+    rng = np.random.default_rng(seed)
+    kmin, kmax = window
+    m = kmax - kmin + 1
+    best = 0.0
+    for _ in range(trials):
+        eps = rng.integers(0, 2, size=len(zs)) * 2 - 1
+        gs = [
+            RadialProfile(params, kmin, kmax, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            for _ in zs
+        ]
+        num = den = RadialProfile.zeros(params, kmin, kmax)
+        for e, z, g in zip(eps, zs, gs):
+            num = num + float(e) * (z.real / abs(z)) * semigroup_apply(z, g)
+            den = den + float(e) * g
+        if lp_norm(den, p) > 0:
+            best = max(best, lp_norm(num, p) / lp_norm(den, p))
+    return best
+
+
+def duhamel_scalar(lams, t, a, b):
+    """int_a^{min(b,t)} exp(-lam (t-s)) ds at one time t."""
+    b_eff = min(b, t)
+    if b_eff <= a:
+        return np.zeros_like(lams)
+    lead = np.exp(np.maximum(LOG_FLOOR, -lams * (t - b_eff)))
+    return -lead * np.expm1(-lams * (b_eff - a)) / lams
+
+
+def solve_master_loop(x0, forcing, times):
+    xh, fhs, lams = _fourier_window(x0, forcing.profiles, max(times))
+    intervals = list(zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]))
+    outs = []
+    for t in times:
+        coef = xh.coeffs * np.exp(-t * lams)
+        tail = xh.tail
+        for fh, a, b in intervals:
+            coef = coef + fh.coeffs * duhamel_scalar(lams, t, a, b)
+            tail = tail + fh.tail * max(0.0, min(b, t) - a)
+        prof = RadialProfile(x0.params, xh.kmin, xh.kmax, coef, tail=tail)
+        outs.append(radial_fourier(prof, "inverse"))
+    return outs
+
+
+def max_regularity_loop(forcing, p, q_space, n_time):
+    den = sum(
+        lp_norm(pr, q_space) ** p * (b - a)
+        for pr, a, b in zip(forcing.profiles, forcing.breakpoints, forcing.breakpoints[1:])
+    ) ** (1.0 / p)
+    grid = np.union1d(np.linspace(0.0, forcing.T, n_time), np.array(forcing.breakpoints))
+    _, fhs, lams = _fourier_window(None, forcing.profiles, forcing.T)
+    norms = []
+    for t in grid:
+        coef = np.zeros(lams.size, dtype=complex)
+        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
+            coef += fh.coeffs * duhamel_scalar(lams, float(t), a, b)
+        dhat = RadialProfile(forcing.params, fhs[0].kmin, fhs[0].kmax, coef * lams)
+        norms.append(lp_norm(radial_fourier(dhat, "inverse"), q_space))
+    return float(np.trapezoid(np.array(norms) ** p, grid)) ** (1.0 / p) / den
+
+
+# -- the block -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", [*DIAG, FieldParams(5, 1, 0.5)], ids=[*DIAG_IDS, "q5n1"])
+@pytest.mark.parametrize("rows, kmin, kmax", [(1, 0, 0), (3, -3, 4), (17, -12, 9)])
+def test_block_rows_equal_one_row_transforms(params, rows, kmin, kmax, rng):
+    m = kmax - kmin + 1
+    C = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    tails = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    okmin, okmax, out, out_tails = radial._fourier_block(params, kmin, kmax, C, tails)
+    for i in range(rows):
+        f = RadialProfile(params, kmin, kmax, C[i], tail=tails[i])
+        for ref in (radial_fourier(f), fourier_1d(f)):
+            assert (okmin, okmax) == (ref.kmin, ref.kmax)
+            assert np.array_equal(out[i], ref.coeffs)
+            assert out_tails[i] == ref.tail
+
+
+def test_block_default_tails_are_zero(rng):
+    C = rng.standard_normal((4, 6)) + 0j
+    a = radial._fourier_block(DIAG[0], -2, 3, C)
+    b = radial._fourier_block(DIAG[0], -2, 3, C, np.zeros(4))
+    assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+
+
+# -- batched routes against their loops ------------------------------------------
+
+
+@pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+def test_square_function_matches_loop(params, rng):
+    phi = standard_symbols()[0]
+    g = make_profile(rng, params, *diag_window(params), tail=0.3)
+    for p in (2.0, 1.5, 3.0):
+        ref = square_function_loop(g, phi, p)
+        assert abs(square_function(g, phi, p=p) - ref) <= REL * ref
+
+
+@pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+def test_rademacher_matches_loop(params):
+    fam, window = rbound_family(1.3, 16), diag_window(params)
+    ref = rademacher_loop(fam, 4.0, 6, 99, params, window)
+    assert abs(rademacher_ratio(fam, 4.0, 6, 99, params, window) - ref) <= REL * ref
+
+
+@pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+def test_solve_master_matches_loop(params, rng):
+    window = diag_window(params)
+    profs = tuple(make_profile(rng, params, *window, tail=0.2) for _ in range(3))
+    forcing = ForcingSignal((0.0, 0.3, 0.7, 1.0), profs)
+    x0 = make_profile(rng, params, *window, tail=-0.4)
+    times = [0.0, 0.1, 0.3, 0.55, 0.7, 1.0]
+    for out, ref in zip(solve_master(x0, forcing, times), solve_master_loop(x0, forcing, times)):
+        assert_close(out, ref)
+
+
+@pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+def test_max_regularity_matches_loop(params, rng):
+    profs = tuple(make_profile(rng, params, *diag_window(params)) for _ in range(2))
+    forcing = ForcingSignal((0.0, 0.6, 1.0), profs)
+    for p in (2.0, 4.0):
+        ref = max_regularity_loop(forcing, p, p, 1025)
+        assert abs(max_regularity_report(forcing, p, p, n_time=1025) - ref) <= REL * ref

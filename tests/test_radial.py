@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qharm.errors import WindowOverflowError
 from qharm.field import FieldParams
 from qharm.radial import (
     RadialProfile,
@@ -100,6 +101,34 @@ class TestFourier:
             1.0, abs(improper_integral(f))
         )
         assert fh.value_at(fh.kmax + 50) == fh.tail
+
+
+class TestFloatRange:
+    """A window whose outermost crown weight q**(-n*kmin) leaves the float
+    range is refused with a typed error instead of turning into inf and NaN;
+    weights that underflow on inner crowns are harmless."""
+
+    def test_wide_window_refused(self):
+        f = RadialProfile.zeros(P21, -1050, 1049)  # 2,100 crowns at q=2, n=1
+        with pytest.raises(WindowOverflowError):
+            radial_fourier(f)
+
+    def test_inner_crowns_underflow_harmlessly(self):
+        fh = radial_fourier(RadialProfile.sphere_indicator(P21, 1100))
+        assert (fh.kmin, fh.kmax) == (-1101, -1100)
+        assert np.all(np.isfinite(fh.coeffs)) and fh.tail == 0.0
+
+    @pytest.mark.parametrize("route", [lp_norm, improper_integral, radial_fourier])
+    def test_huge_ball_measure_refused(self, route):
+        # mu(G_-1099) = 2**1099 is no float
+        f = RadialProfile.ball_indicator(P21, -1100)
+        with pytest.raises(WindowOverflowError):
+            route(f, 2.0) if route is lp_norm else route(f)
+
+    def test_edge_of_range_still_transforms(self):
+        f = RadialProfile.ball_indicator(P21, -1022)
+        back = radial_fourier(radial_fourier(f))
+        assert abs(back.value_at(-1022) - 1.0) < 1e-12
 
 
 class TestConvolve:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qharm.errors import WindowOverflowError
 from qharm.field import FieldParams, QuotientLattice
 from qharm.gamma import gamma_qn
 from qharm.radial import RadialProfile, lp_norm, radial_fourier
@@ -41,6 +42,16 @@ class TestFourierRoute:
         D = taibleson_fourier(e)
         lam = 3.0 ** (-m0 * 0.5)
         assert lp_norm(D - lam * e, 2) < 1e-12 * lam
+
+    def test_window_past_float_range_refused(self):
+        # at alpha = 0.05 the tail extension reaches Fourier crown 1064, so D
+        # reaches crown -1065, whose measure 2**1065 is no float
+        D = taibleson_fourier(RadialProfile.ball_indicator(FieldParams(2, 1, 0.05), 0))
+        assert D.kmin == -1065 and np.all(np.isfinite(D.coeffs))
+        with pytest.raises(WindowOverflowError):
+            lp_norm(D, 2.0)
+        with pytest.raises(WindowOverflowError):
+            radial_fourier(D)
 
 
 class TestOracleEquivalence:
