@@ -14,7 +14,7 @@ class CancellationError(ArithmeticError):
 
 
 class ToleranceError(RuntimeError):
-    """Requested tolerance unreachable within the configured term budget."""
+    """Requested tolerance unreachable within the configured term or step budget."""
 
 
 class LatticeWindowError(ValueError):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
+from .errors import ToleranceError
 from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
 
@@ -142,6 +143,12 @@ def solve_master(
     return [RadialProfile(params, kmin, kmax, row, tail=t) for row, t in zip(out, otails)]
 
 
+def _rk4_gain(x: float) -> float:
+    """RK4's amplification factor R(-x) = 1 - x + x**2/2 - x**3/6 + x**4/24
+    on y' = -lam y, at x = lam * h."""
+    return 1.0 + x * (-1.0 + x * (0.5 + x * (-1.0 / 6.0 + x / 24.0)))
+
+
 def solve_master_rk4(
     x0: RadialProfile,
     forcing: ForcingSignal,
@@ -152,9 +159,12 @@ def solve_master_rk4(
 
     Integrates yhat' = -lam yhat + fhat(t) per Fourier crown with fixed
     steps inside each forcing interval; independent of the closed-form
-    exponential route.
+    exponential route.  Raises :class:`ToleranceError`, with the steps the
+    interval needs, when a step is unstable for the stiffest crown, i.e.
+    RK4's amplification factor R(-lam_max * h) exceeds 1.
     """
     xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
+    lam_max = float(lams.max())
     y = xh.coeffs.copy()
     tail = xh.tail
 
@@ -164,6 +174,16 @@ def solve_master_rk4(
         b_eff = min(b, t_end)
         nsteps = max(1, int(math.ceil(steps_per_interval * (b_eff - a) / forcing.T)))
         h = (b_eff - a) / nsteps
+        span = lam_max * (b_eff - a)
+        if _rk4_gain(span / nsteps) > 1:
+            need, hi = nsteps, max(nsteps, math.ceil(span))  # lam_max*h <= 1 is stable
+            while need < hi:  # bisect for the least stable step count
+                mid = (need + hi) // 2
+                need, hi = (mid + 1, hi) if _rk4_gain(span / mid) > 1 else (need, mid)
+            raise ToleranceError(
+                f"RK4 unstable on [{a}, {b_eff}]: lam_max*h = {span / nsteps:.4g} with "
+                f"{nsteps} steps, needs {need}"
+            )
         fc = fh.coeffs
 
         def rhs(v):

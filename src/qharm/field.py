@@ -173,7 +173,8 @@ class QuotientLattice:
     index = u_0 + u_1 * Q + ... + u_{n-1} * Q**(n-1) with Q = q**(M+N).
 
     Lattice elements stand for canonical coset representatives; every coset
-    of G_N has Haar measure q**(-n*N).
+    of G_N has Haar measure q**(-n*N).  ``add``, ``neg``, ``sub``,
+    ``coord_values`` and ``index_of`` broadcast over integer index arrays.
     """
 
     def __init__(self, params: FieldParams, M: int, N: int):
@@ -186,7 +187,7 @@ class QuotientLattice:
         self.N = N
         self.coord_order = params.q ** (M + N)
         self.size = self.coord_order**params.n
-        self._norms: np.ndarray | None = None
+        self._scales: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover
         p = self.params
@@ -233,36 +234,31 @@ class QuotientLattice:
 
     # -- norms -------------------------------------------------------------
 
-    def coord_norm(self, u: int) -> Fraction:
-        """|x_i| for the coordinate value u; q**(M - val_q(u)), 0 for u = 0."""
-        if u == 0:
-            return Fraction(0)
-        q = self.params.q
-        val = 0
-        while u % q == 0:
-            u //= q
-            val += 1
-        return qpow(q, self.M - val)
+    def scales(self) -> np.ndarray:
+        """Scale index k of every element, ||x|| = q**(-k), cached read-only;
+        the zero coset (the ball G_N) gets N.  Per coordinate, k is the number
+        of trailing zero base-q digits of u minus M (u = 0 has all M + N)."""
+        if self._scales is None:
+            q, M, N = self.params.q, self.M, self.N
+            u = np.arange(self.coord_order)
+            coord = np.full(u.size, -M)
+            for j in range(1, M + N + 1):
+                coord += u % q**j == 0
+            self._scales = coord
+            for _ in range(self.params.n - 1):
+                self._scales = np.minimum.outer(coord, self._scales).ravel()
+            self._scales.flags.writeable = False
+        return self._scales
 
     def norm(self, index: int) -> Fraction:
         """||x|| = max_i |x_i|; the zero coset maps to 0."""
-        return max(self.coord_norm(u) for u in self.coord_values(index))
+        k = int(self.scales()[index])
+        return Fraction(0) if k == self.N else qpow(self.params.q, -k)
 
     def norms(self) -> np.ndarray:
-        """Float norms for all elements, cached; index order as above."""
-        if self._norms is None:
-            q, n = self.params.q, self.params.n
-            Q = self.coord_order
-            coord = np.empty(Q)
-            coord[0] = 0.0
-            for u in range(1, Q):
-                coord[u] = float(self.coord_norm(u))
-            out = coord.copy()
-            for _ in range(n - 1):
-                out = np.maximum.outer(coord, out).ravel()
-            self._norms = out
-            self._norms.flags.writeable = False
-        return self._norms
+        """Float norms q**(-k) of all elements, 0 on the zero coset."""
+        k = self.scales()
+        return np.where(k == self.N, 0.0, float(self.params.q) ** -k)
 
     # -- characters ----------------------------------------------------------
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import CancellationError, ToleranceError
 from .field import FieldParams
 from .gamma import gamma_qn
-from .radial import LOG_FLOOR, RadialProfile
+from .radial import LOG_FLOOR, RadialProfile, _sphere_measures
 
 
 @dataclass(frozen=True)
@@ -370,8 +370,7 @@ def kernel_l1_norm(
         mags.append(abs(v.value))
         eval_bound += v.tail_bound * (1.0 - float(q) ** (-n)) * float(q) ** (-k * n)
     mags_arr = np.array(mags)
-    ks = np.arange(kmin, kmax + 1, dtype=float)
-    smeas = (1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n)
+    smeas = _sphere_measures(params, kmin, kmax)
 
     outer_tail = (
         _power_envelope(params)

@@ -332,50 +332,64 @@ def fourier_multiplier_apply(
 # -- serialization -------------------------------------------------------------
 
 
+def _write_csv(fh, meta: dict, columns: str, rows) -> None:
+    """Write to a path or a handle: one ``# key=value`` line from ``meta``
+    (str of a float is its repr), the ``columns`` line, then one ``a,re,im``
+    line per (a, value) in ``rows``."""
+    out = open(fh, "w") if isinstance(fh, (str, bytes)) else fh
+    try:
+        head = " ".join(f"{k}={v}" for k, v in meta.items())
+        out.write(f"# {head}\n{columns}\n")
+        for a, v in rows:
+            out.write(f"{a},{float(v.real)!r},{float(v.imag)!r}\n")
+    finally:
+        if out is not fh:
+            out.close()
+
+
+def _read_csv(fh, what: str, columns: str, build):
+    """Read what :func:`_write_csv` wrote to a path or a handle.
+    ``build(meta)`` takes the header's ``key=value`` strings and returns
+    ``(lo, hi, make)``; row a lands at a - lo of a complex array (absent rows
+    are 0) and ``make(values)`` is returned.  A row outside [lo, hi] raises
+    ValueError."""
+    src = open(fh, "r") if isinstance(fh, (str, bytes)) else fh
+    try:
+        header = src.readline().strip()
+        if not header.startswith("#"):
+            raise ValueError(f"missing {what} header comment line")
+        lo, hi, make = build(dict(item.split("=", 1) for item in header[1:].split()))
+        vals = np.zeros(hi - lo + 1, dtype=complex)
+        for line in src:
+            line = line.strip()
+            if not line or line == columns:
+                continue
+            a, re, im = line.split(",")
+            if not lo <= int(a) <= hi:
+                raise ValueError(f"{what} row {line!r} lies outside [{lo}, {hi}]")
+            vals[int(a) - lo] = complex(float(re), float(im))
+        return make(vals)
+    finally:
+        if src is not fh:
+            src.close()
+
+
 def write_profile_csv(f: RadialProfile, fh) -> None:
     """Rows ``k,re,im`` after one comment line with the window metadata."""
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "w")
-        close = True
-    try:
-        p = f.params
-        fh.write(
-            f"# q={p.q} n={p.n} alpha={p.alpha!r} kmin={f.kmin} kmax={f.kmax} "
-            f"tail_re={f.tail.real!r} tail_im={f.tail.imag!r}\n"
-        )
-        fh.write("k,re,im\n")
-        for k, c in zip(f.crowns(), f.coeffs):
-            fh.write(f"{k},{float(c.real)!r},{float(c.imag)!r}\n")
-    finally:
-        if close:
-            fh.close()
+    p = f.params
+    meta = dict(q=p.q, n=p.n, alpha=p.alpha, kmin=f.kmin, kmax=f.kmax)
+    meta.update(tail_re=f.tail.real, tail_im=f.tail.imag)
+    _write_csv(fh, meta, "k,re,im", zip(f.crowns(), f.coeffs))
 
 
 def read_profile_csv(fh) -> RadialProfile:
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "r")
-        close = True
-    try:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing profile header comment line")
-        meta = dict(item.split("=", 1) for item in header[1:].split())
+    def build(meta):
         params = FieldParams(int(meta["q"]), int(meta["n"]), float(meta["alpha"]))
         kmin, kmax = int(meta["kmin"]), int(meta["kmax"])
         tail = complex(float(meta["tail_re"]), float(meta["tail_im"]))
-        coeffs = np.zeros(kmax - kmin + 1, dtype=complex)
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("k,"):
-                continue
-            kstr, re, im = line.split(",")
-            coeffs[int(kstr) - kmin] = complex(float(re), float(im))
-        return RadialProfile(params, kmin, kmax, coeffs, tail=tail)
-    finally:
-        if close:
-            fh.close()
+        return kmin, kmax, lambda c: RadialProfile(params, kmin, kmax, c, tail=tail)
+
+    return _read_csv(fh, "profile", "k,re,im", build)
 
 
 def profile_to_csv_string(f: RadialProfile) -> str:

@@ -115,14 +115,10 @@ def taibleson_hypersingular_lattice(
     if vals.shape != (lattice.size,):
         raise ValueError(f"expected {lattice.size} lattice values")
     norms = lattice.norms()
-    fx = vals[x_index]
-    shifted = np.empty_like(vals)
-    for u in range(lattice.size):
-        shifted[u] = vals[lattice.add(x_index, u)]
+    shifted = vals[lattice.add(x_index, np.arange(lattice.size))]
     mask = norms > 0
-    weights = np.zeros_like(norms)
-    weights[mask] = norms[mask] ** (-(alpha + n))
-    total = np.sum((shifted[mask] - fx) * weights[mask]) * float(lattice.coset_measure)
+    weights = norms[mask] ** (-(alpha + n))
+    total = np.sum((shifted[mask] - vals[x_index]) * weights) * float(lattice.coset_measure)
     return C * complex(total)
 
 

@@ -535,15 +535,13 @@ def verify_doob(instances: int = 500) -> dict:
 def _random_decreasing_radial(
     rng: np.random.Generator, lat: QuotientLattice
 ) -> vilenkin.QuotientFunction:
-    norms = lat.norms()
-    q = lat.params.q
     level = float(rng.uniform(0.5, 2.0))
-    vals = np.empty(lat.size, dtype=complex)
-    for k in range(-lat.M, lat.N):
-        vals[norms == float(q) ** (-k)] = level
+    crowns = []
+    for _ in range(-lat.M, lat.N):
+        crowns.append(level)
         level *= float(rng.uniform(0.3, 1.0))
-    vals[norms == 0.0] = level
-    return vilenkin.QuotientFunction(lat, vals)
+    profile = RadialProfile(lat.params, -lat.M, lat.N - 1, crowns, tail=level)
+    return vilenkin.lift_profile(profile, lat)
 
 
 def verify_domination(instances: int = 500) -> dict:

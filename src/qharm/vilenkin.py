@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import QuotientLattice
-from .radial import RadialProfile
+from .errors import LatticeWindowError
+from .field import FieldModel, FieldParams, QuotientLattice
+from .radial import RadialProfile, _read_csv, _write_csv, lp_norm, majorant
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,49 +125,27 @@ def doob_check_tuple(fs, p: float) -> tuple[float, float]:
 
 def is_radial(f: QuotientFunction, tol: float = 0.0) -> bool:
     """True when f is constant on every lattice crown (and on the 0 coset)."""
-    norms = f.lattice.norms()
-    for v in np.unique(norms):
-        vals = f.values[norms == v]
-        if np.max(np.abs(vals - vals[0])) > tol:
-            return False
-    return True
+    _, first, crown = np.unique(f.lattice.scales(), return_index=True, return_inverse=True)
+    return bool(np.max(np.abs(f.values - f.values[first][crown])) <= tol)
 
 
 def radial_crown_values(f: QuotientFunction) -> tuple[np.ndarray, np.ndarray, complex]:
     """(crown scale indices, crown values, zero-coset value) of a radial f."""
-    lat = f.lattice
-    norms = lat.norms()
-    ks = np.arange(-lat.M, lat.N)
-    vals = np.empty(ks.size, dtype=complex)
-    q = lat.params.q
-    for idx, k in enumerate(ks):
-        sel = norms == float(q) ** (-int(k))
-        if not np.any(sel):
-            raise ValueError(f"empty crown {k}")
-        vals[idx] = f.values[sel][0]
-    zero = complex(f.values[0])
-    return ks, vals, zero
+    ks, first = np.unique(f.lattice.scales(), return_index=True)  # ks = -M..N
+    vals = f.values[first]
+    return ks[:-1], vals[:-1], complex(vals[-1])
 
 
 def majorant_l1_lattice(phi: QuotientFunction) -> float:
-    """L^1 norm of the radially decreasing majorant of a radial phi.
-
-    Running max over enclosing crowns (outermost first), the zero coset
-    included innermost, times the exact crown measures.
-    """
+    """L^1 norm of the radially decreasing majorant of a radial phi; the
+    zero coset, the ball G_N, is the majorant's inner tail."""
     if not is_radial(phi):
         raise ValueError("majorant domination needs a radial phi")
     lat = phi.lattice
-    q, n = lat.params.q, lat.params.n
-    ks, vals, zero = radial_crown_values(phi)
-    total = 0.0
-    run = 0.0
-    for k, v in zip(ks, vals):
-        run = max(run, abs(v))
-        total += run * float(q) ** (-int(k) * n) * (1.0 - float(q) ** (-n))
-    run = max(run, abs(zero))
-    total += run * float(lat.coset_measure)  # zero coset = ball G_N
-    return total
+    _, vals, zero = radial_crown_values(phi)
+    # a zero crown outside G_{-M} keeps the window nonempty when M = N = 0
+    profile = RadialProfile(lat.params, -lat.M - 1, lat.N - 1, np.r_[0.0, vals], zero)
+    return lp_norm(majorant(profile), 1)
 
 
 def group_convolve(phi: QuotientFunction, f: QuotientFunction) -> QuotientFunction:
@@ -231,24 +210,25 @@ def group_dft(f: QuotientFunction, direction: str = "forward") -> QuotientFuncti
 
 
 def lift_profile(profile: RadialProfile, lattice: QuotientLattice) -> QuotientFunction:
-    """Sample a radial profile on the lattice crowns (tail on the 0 coset).
+    """Sample a radial profile on the lattice crowns.
 
-    Requires the profile window to fit inside the lattice crowns, so the
-    lattice truly represents the function.
+    The crowns k >= N, tail included, make up the zero coset G_N, so the
+    lattice represents the profile only when it starts inside G_{-M} and is
+    constant on those crowns; otherwise :class:`LatticeWindowError`.
     """
     if profile.params.q != lattice.params.q or profile.params.n != lattice.params.n:
         raise ValueError("profile and lattice field parameters disagree")
-    if profile.kmin < -lattice.M:
-        raise ValueError(
-            f"profile window starts at {profile.kmin}, outside G_{{-{lattice.M}}}"
+    M, N = lattice.M, lattice.N
+    if profile.kmin < -M:
+        raise LatticeWindowError(
+            f"profile window starts at {profile.kmin}, outside G_{{-{M}}}"
         )
-    norms = lattice.norms()
-    q = lattice.params.q
-    vals = np.empty(lattice.size, dtype=complex)
-    vals[norms == 0.0] = profile.tail if profile.kmax < lattice.N else 0.0
-    for k in range(-lattice.M, lattice.N):
-        vals[norms == float(q) ** (-k)] = profile.value_at(k)
-    return QuotientFunction(lattice, vals)
+    zero = profile.value_at(N)
+    inner = profile.coeffs[max(0, N + 1 - profile.kmin) :]  # window crowns k > N
+    if profile.tail != zero or np.any(inner != zero):
+        raise LatticeWindowError(f"profile is not constant on the zero coset G_{N}")
+    table = np.array([profile.value_at(k) for k in range(-M, N + 1)])
+    return QuotientFunction(lattice, table[lattice.scales() + M])
 
 
 # -- serialization -------------------------------------------------------------
@@ -260,46 +240,16 @@ def write_quotient_csv(f: QuotientFunction, fh) -> None:
     The index packs the per-coordinate digit strings little-endian in the
     digit position j (and little-endian across coordinates).
     """
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "w")
-        close = True
-    try:
-        lat = f.lattice
-        p = lat.params
-        fh.write(f"# q={p.q} n={p.n} alpha={p.alpha!r} M={lat.M} N={lat.N}\n")
-        fh.write("index,re,im\n")
-        for i, v in enumerate(f.values):
-            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
-    finally:
-        if close:
-            fh.close()
+    lat, p = f.lattice, f.lattice.params
+    meta = dict(q=p.q, n=p.n, alpha=p.alpha, M=lat.M, N=lat.N)
+    _write_csv(fh, meta, "index,re,im", enumerate(f.values))
 
 
 def read_quotient_csv(fh) -> QuotientFunction:
-    from .field import FieldModel, FieldParams
-
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "r")
-        close = True
-    try:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing lattice header comment line")
-        meta = dict(item.split("=", 1) for item in header[1:].split())
-        params = FieldParams(
-            int(meta["q"]), int(meta["n"]), float(meta["alpha"]), FieldModel.QADIC_QUOTIENT
-        )
+    def build(meta):
+        q, n, alpha = int(meta["q"]), int(meta["n"]), float(meta["alpha"])
+        params = FieldParams(q, n, alpha, FieldModel.QADIC_QUOTIENT)
         lat = QuotientLattice(params, int(meta["M"]), int(meta["N"]))
-        vals = np.zeros(lat.size, dtype=complex)
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("index,"):
-                continue
-            idx, re, im = line.split(",")
-            vals[int(idx)] = complex(float(re), float(im))
-        return QuotientFunction(lat, vals)
-    finally:
-        if close:
-            fh.close()
+        return 0, lat.size - 1, lambda vals: QuotientFunction(lat, vals)
+
+    return _read_csv(fh, "lattice", "index,re,im", build)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qharm.field import FieldModel, FieldParams
+from qharm.field import FieldModel, FieldParams, QuotientLattice
 from qharm.radial import RadialProfile
 
 
@@ -49,3 +49,19 @@ def profile_st(draw, max_window=60, with_tail=True):
 
 def quotient_params(q=2, n=1, alpha=1.0):
     return FieldParams(q, n, alpha, FieldModel.QADIC_QUOTIENT)
+
+
+# (q, n, M, N): the benchmark's twelve lattice shapes (64 to 6561 cosets) and
+# the one-coset lattices M = N = 0
+LATTICE_SPECS = (
+    (2, 1, 3, 3), (2, 1, 4, 5), (2, 1, 6, 6),
+    (2, 2, 1, 2), (2, 2, 2, 2), (2, 2, 3, 3),
+    (3, 1, 2, 2), (3, 1, 3, 3), (3, 1, 4, 4),
+    (3, 2, 1, 1), (3, 2, 1, 2), (3, 2, 2, 2),
+    (2, 1, 0, 0), (3, 2, 0, 0),
+)
+
+
+def spec_lattice(spec, alpha=1.0):
+    q, n, M, N = spec
+    return QuotientLattice(quotient_params(q, n, alpha), M, N)

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qharm.calculus import semigroup_apply
-from qharm.errors import WindowOverflowError
+from qharm.errors import ToleranceError, WindowOverflowError
 from qharm.evolution import (
     ForcingSignal,
     max_regularity_report,
@@ -78,6 +79,18 @@ class TestSolveMaster:
         y = solve_master(x0, fs, [1.0])[0]
         y4 = solve_master_rk4(x0, fs, 1.0, steps_per_interval=8192)
         assert lp_norm(y - y4, 2) <= 1e-8 * lp_norm(y, 2)
+
+    def test_rk4_unstable_step_refused(self):
+        """lam_max * h is about 244 here; RK4 is stable only below about 2.8."""
+        ones = RadialProfile(FieldParams(5, 2, 2.0), -3, 2, np.ones(6))
+        fs = ForcingSignal.constant(ones, 1.0)
+        with pytest.raises(ToleranceError, match=r"needs \d+") as err:
+            solve_master_rk4(ones, fs, 1.0, steps_per_interval=64)
+        need = int(str(err.value).rsplit(" ", 1)[1])
+        y = solve_master_rk4(ones, fs, 1.0, steps_per_interval=need)
+        assert np.all(np.isfinite(y.coeffs))
+        with pytest.raises(ToleranceError):
+            solve_master_rk4(ones, fs, 1.0, steps_per_interval=need - 1)
 
     def test_output_time_validation(self, rng):
         fs = ForcingSignal.constant(make_profile(rng, P21, -2, 2), 1.0)

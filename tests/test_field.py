@@ -15,12 +15,13 @@ from qharm.field import (
     character,
     character_value,
     fractional_part,
+    norm_exponent,
     qpow,
     sphere_character_integral,
     sphere_measure,
 )
 
-from conftest import quotient_params
+from conftest import LATTICE_SPECS, quotient_params, spec_lattice
 
 
 class TestFieldParams:
@@ -128,6 +129,43 @@ class TestLattice:
         arr = lat.norms()
         for idx in range(lat.size):
             assert arr[idx] == float(lat.norm(idx))
+
+
+def exact_norm(lat, index):
+    """max_i |x_i|_q of the canonical representative, valuation by division."""
+    q, best = lat.params.q, Fraction(0)
+    for x in lat.coords(index):
+        if x == 0:
+            continue
+        val, num, den = 0, x.numerator, x.denominator
+        while num % q == 0:
+            num, val = num // q, val + 1
+        while den % q == 0:
+            den, val = den // q, val - 1
+        best = max(best, qpow(q, -val))
+    return best
+
+
+class TestScales:
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_against_exact_norms(self, spec):
+        lat = spec_lattice(spec)
+        ks, arr = lat.scales(), lat.norms()
+        assert ks.shape == arr.shape == (lat.size,)
+        assert not ks.flags.writeable
+        for idx in range(lat.size):
+            ref = exact_norm(lat, idx)
+            assert ks[idx] == (lat.N if ref == 0 else -norm_exponent(lat.params.q, ref))
+            assert arr[idx] == float(ref)
+            assert lat.norm(idx) == ref
+        assert ks[0] == lat.N and np.count_nonzero(ks == lat.N) == 1
+
+    def test_index_arithmetic_broadcasts(self):
+        lat = spec_lattice((3, 2, 1, 2))
+        idx = np.arange(lat.size)
+        assert np.array_equal(lat.add(5, idx), [lat.add(5, int(i)) for i in idx])
+        assert np.array_equal(lat.sub(idx, 7), [lat.sub(int(i), 7) for i in idx])
+        assert np.array_equal(lat.index_of(lat.coord_values(idx)), idx)
 
 
 class TestCharacter:

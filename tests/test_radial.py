@@ -225,6 +225,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             profile_from_csv_string("k,re,im\n0,1.0,0.0\n")
 
+    @pytest.mark.parametrize("k", [-3, 3])
+    def test_row_outside_window_rejected(self, k):
+        """kmin - 1 used to land on crown kmax and kmax + 1 raised IndexError."""
+        s = profile_to_csv_string(RadialProfile(P21, -2, 2, np.ones(5)))
+        with pytest.raises(ValueError, match=f"row '{k},1.0,0.0'"):
+            profile_from_csv_string(s + f"{k},1.0,0.0\n")
+
 
 def test_window_validation():
     with pytest.raises(ValueError):

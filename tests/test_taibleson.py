@@ -19,7 +19,7 @@ from qharm.taibleson import (
 )
 from qharm.vilenkin import lift_profile
 
-from conftest import make_profile, quotient_params
+from conftest import LATTICE_SPECS, make_profile, quotient_params, spec_lattice
 
 P21 = FieldParams(2, 1, 1.0)
 
@@ -102,6 +102,21 @@ class TestLatticeRoute:
             got = taibleson_hypersingular_lattice(lifted.values, int(idxs[0]), lat)
             want = D_radial.value_at(k_x)
             assert abs(got - want) < 1e-10
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_against_scalar_shift_loop(self, rng, spec):
+        lat = spec_lattice(spec, alpha=0.7)
+        params = lat.params
+        vals = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        norms = lat.norms()
+        for x in rng.integers(0, lat.size, 2):
+            shifted = np.array([vals[lat.add(int(x), u)] for u in range(lat.size)])
+            total = 0.0 + 0.0j
+            for u in np.nonzero(norms > 0)[0]:
+                total += (shifted[u] - vals[x]) * norms[u] ** (-(params.alpha + params.n))
+            want = hypersingular_constant(params) * total * float(lat.coset_measure)
+            got = taibleson_hypersingular_lattice(vals, int(x), lat)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_radial_input_radial_output(self):
         params = quotient_params(3, 1)

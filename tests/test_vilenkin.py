@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qharm.errors import LatticeWindowError
 from qharm.field import QuotientLattice
 from qharm.radial import RadialProfile, radial_fourier
 from qharm.vilenkin import (
@@ -26,7 +27,7 @@ from qharm.vilenkin import (
     write_quotient_csv,
 )
 
-from conftest import quotient_params
+from conftest import LATTICE_SPECS, make_profile, quotient_params, spec_lattice
 
 
 def lattice(q=2, n=1, M=3, N=3, alpha=1.0):
@@ -139,6 +140,13 @@ class TestDoob:
         with pytest.raises(ValueError):
             doob_check(random_qf(rng, lattice()), 1.0)
 
+    @pytest.mark.parametrize("spec", [(2, 2, 2, 2), (3, 2, 1, 2)], ids=str)
+    def test_two_dimensional(self, rng, spec):
+        lat = spec_lattice(spec)
+        for p in (1.5, 2.0, 3.0):
+            lhs, rhs, ok = doob_check(random_qf(rng, lat), p)
+            assert ok, (lhs, rhs)
+
     def test_l2_tuple_variant(self, rng):
         lat = lattice()
         fs = [random_qf(rng, lat) for _ in range(5)]
@@ -186,6 +194,34 @@ class TestDomination:
         a = majorant_l1_lattice(phi)
         b = majorant_l1_lattice((3.0 + 0j) * phi)
         assert abs(b - 3.0 * a) < 1e-12
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_majorant_against_crown_loop(self, rng, spec):
+        lat = spec_lattice(spec)
+        q, n = lat.params.q, lat.params.n
+        crowns = rng.standard_normal(lat.M + lat.N + 1) + 1j * rng.standard_normal(
+            lat.M + lat.N + 1
+        )
+        phi = QuotientFunction(lat, crowns[lat.scales() + lat.M])
+        total, run = 0.0, 0.0
+        for k, v in zip(range(-lat.M, lat.N), crowns):
+            run = max(run, abs(v))
+            total += run * float(q) ** (-k * n) * (1.0 - float(q) ** (-n))
+        total += max(run, abs(crowns[-1])) * float(lat.coset_measure)
+        assert abs(majorant_l1_lattice(phi) - total) <= 1e-14 * total
+
+    @pytest.mark.parametrize("spec", [(2, 2, 2, 2), (3, 2, 1, 2)], ids=str)
+    def test_two_dimensional_against_direct_sum(self, rng, spec):
+        """Domination with the convolution taken as the exhaustive double sum."""
+        lat = spec_lattice(spec)
+        for _ in range(3):
+            levels = rng.uniform(0.5, 2.0) * np.cumprod(rng.uniform(0.3, 1.0, lat.M + lat.N))
+            prof = RadialProfile(lat.params, -lat.M, lat.N - 1, levels, tail=levels[-1] * 0.5)
+            phi, f = lift_profile(prof, lat), random_qf(rng, lat)
+            conv = group_convolve_direct(phi, f).values
+            bound = majorant_l1_lattice(phi) * maximal_M(f).values.real
+            assert np.max(np.abs(conv) - bound) <= 1e-12
+            assert domination_check(phi, f) <= 1e-12
 
     def test_nonradial_rejected(self, rng):
         lat = lattice()
@@ -292,6 +328,35 @@ class TestRadialLift:
         with pytest.raises(ValueError):
             lift_profile(prof, lat)
 
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_against_crown_masks(self, rng, spec):
+        """The gather equals per-crown mask assignment, the zero coset taking
+        the profile's value on the crowns k >= N."""
+        lat = spec_lattice(spec)
+        M, N = lat.M, lat.N
+        if M + N:
+            prof = make_profile(rng, lat.params, -M, N - 1, tail=0.3 - 0.2j)
+        else:
+            prof = RadialProfile(lat.params, 0, 2, np.full(3, 1.5j), tail=1.5j)
+        norms = lat.norms()
+        ref = np.empty(lat.size, dtype=complex)
+        for k in range(-M, N):
+            ref[norms == float(lat.params.q) ** (-k)] = prof.value_at(k)
+        ref[norms == 0.0] = prof.value_at(N)
+        assert np.array_equal(lift_profile(prof, lat).values, ref)
+
+    def test_zero_coset_takes_the_inner_value(self):
+        """A profile constant on the crowns k >= N lifts the same on any
+        window; one that is not cannot be represented and is refused."""
+        p = quotient_params(2, 1)
+        lat = lattice(M=1, N=1)
+        ball = RadialProfile.ball_indicator(p, 0)
+        for prof in (ball, ball.padded(0, 1), ball.padded(-1, 4)):
+            assert np.array_equal(lift_profile(prof, lat).values, [1, 0, 1, 0])
+        for prof in (RadialProfile.sphere_indicator(p, 3), RadialProfile.sphere_indicator(p, 1)):
+            with pytest.raises(LatticeWindowError):
+                lift_profile(prof, lat)
+
 
 class TestSerialization:
     def test_roundtrip(self, rng):
@@ -310,3 +375,11 @@ class TestSerialization:
         head = buf.getvalue().splitlines()[0]
         for token in ("q=2", "n=1", "M=3", "N=3"):
             assert token in head
+
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_row_outside_lattice_rejected(self, rng, index):
+        buf = io.StringIO()
+        write_quotient_csv(random_qf(rng, lattice()), buf)
+        text = buf.getvalue() + f"{index},1.0,0.0\n"
+        with pytest.raises(ValueError, match=f"row '{index},1.0,0.0'"):
+            read_quotient_csv(io.StringIO(text))
