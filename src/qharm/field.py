@@ -188,6 +188,7 @@ class QuotientLattice:
         self.coord_order = params.q ** (M + N)
         self.size = self.coord_order**params.n
         self._scales: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover
         p = self.params
@@ -256,9 +257,13 @@ class QuotientLattice:
         return Fraction(0) if k == self.N else qpow(self.params.q, -k)
 
     def norms(self) -> np.ndarray:
-        """Float norms q**(-k) of all elements, 0 on the zero coset."""
-        k = self.scales()
-        return np.where(k == self.N, 0.0, float(self.params.q) ** -k)
+        """Float norms q**(-k) of all elements, 0 on the zero coset, cached
+        read-only."""
+        if self._norms is None:
+            k = self.scales()
+            self._norms = np.where(k == self.N, 0.0, float(self.params.q) ** -k)
+            self._norms.flags.writeable = False
+        return self._norms
 
     # -- characters ----------------------------------------------------------
 

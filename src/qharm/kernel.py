@@ -10,21 +10,25 @@ Three independent evaluators are provided for x != 0:
   with ||x|| = q**n0.  Truncation tail after K terms is bounded by
   q**(-(n0+K) n) because |exp(-z q**(-k alpha))| <= 1.
 
-* ``kernel_exp_form``: the telescoped exponential-difference series
-      sum_{l >= 0} q**(-l n) ||x||**(-n)
-          * (exp(-q**(-l alpha) w) - exp(-q**((1-l) alpha) w)),
-  w = z ||x||**(-alpha); term l is bounded by
-  q**(-l n) ||x||**(-n) min(2, |w| q**(-l alpha) (q**alpha - 1)).
-  Unconditionally stable (all exponents have negative real part); this is
-  the production evaluator.
+* ``kernel_exp_form``: the radial Fourier transform as a suffix sum,
+      sum_{j >= -k_x} q**(-j n) (exp(-z lam_j) - exp(-z lam_{j-1})),
+  lam_j = q**(-j alpha), ||x|| = q**(-k_x).  Term j is at most q**(-j n)
+  |z| lam_j (q**alpha - 1), so the terms from J on sum to at most
+  E |z| q**(-J (n+alpha)), E = (q**alpha - 1) / (1 - q**(-alpha-n)).  The
+  sum stops at the first J where that is below tol times the least of 1,
+  the far-field envelope E |z| / ||x||**(alpha+n) at the outermost crown
+  and a one-term lower bound of K_{Re z}(0): the bound is below tol both
+  absolutely and relative to the kernel's size.  A crown window is one
+  cancellation-free reversed cumsum from the inner end; this is the
+  production evaluator.
 
 * ``kernel_series``: the factorial series
       sum_{k >= 1} (-z)**k / k! * Gamma_q^{(n)}(k alpha + n) / ||x||**(k alpha + n),
   guarded against catastrophic cancellation and demoted to a cross-check.
 
 Every evaluator returns the value together with a rigorous bound on the
-truncation (plus, for the series, roundoff) error; comparisons should use
-value +- bound.
+truncation (plus, for the series and the crown sum, roundoff) error;
+comparisons should use value +- bound.
 """
 
 from __future__ import annotations
@@ -49,15 +53,14 @@ class ComplexTime:
     z: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z", complex(self.z))
-        if not self.z.real > 0:
-            raise ValueError(f"complex time needs Re z > 0, got {self.z}")
+        object.__setattr__(self, "z", _as_time(self.z))
 
 
 def _as_time(z) -> complex:
-    if isinstance(z, ComplexTime):
-        return z.z
-    return ComplexTime(z).z
+    z = z.z if isinstance(z, ComplexTime) else complex(z)
+    if not z.real > 0:
+        raise ValueError(f"complex time needs Re z > 0, got {z}")
+    return z
 
 
 @dataclass(frozen=True)
@@ -90,45 +93,51 @@ def _cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 without cancellation for small |w| (complex expm1)."""
-    if abs(w) < 1e-4:
-        return w * (1.0 + w / 2.0 * (1.0 + w / 3.0 * (1.0 + w / 4.0)))
-    if w.real < LOG_FLOOR:
-        return -1.0 + 0.0j
-    return cmath.exp(w) - 1.0
+def _exp_form_block(
+    z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
+) -> tuple[np.ndarray, float]:
+    """K_z on the crowns kmin..kmax as one reversed cumsum, and the tail
+    bound they share.  The terms start at the first j with -Re z lam_j above
+    LOG_FLOOR (a clamped exponential flushes every term further out to 0);
+    K_{Re z}(0) >= (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m
+    with t lam_m <= n / alpha gives the inner scale."""
+    q, n, alpha, t = params.q, params.n, params.alpha, z.real
+    lnq = math.log(q)
+    rate = (n + alpha) * lnq
+    m = math.ceil(math.log(alpha * t / n) / (alpha * lnq))
+    log_k0 = math.log1p(-float(q) ** -n) - t * float(q) ** (-m * alpha) - m * n * lnq
+    # the terms from J on sum to at most exp(log_tail0 - J rate); the factor
+    # 1 + 2**-36 covers the rounding in evaluating this bound
+    log_tail0 = math.log(_power_envelope(params) * abs(z)) + 2.0**-36
+    log_scale = min(0.0, log_tail0 + kmin * rate, log_k0)
+    J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
+    j_first = math.ceil(math.log(t / -LOG_FLOOR) / (alpha * lnq))
+    if J - max(-kmin, j_first) > cfg.tail_budget:
+        msg = f"{cfg.tail_budget} terms (crowns [{kmin}, {kmax}], z={z})"
+        raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
+    j0 = max(-kmax, j_first)
+    J = max(J, j0 + 1, 1 - kmin)
+    # q**(-j n) and w = -z lam_j for j = J - 1 down to j0, the inner end first
+    weights = float(q**n) ** np.arange(1 - J, 1 - j0, dtype=float)
+    w = weights ** (alpha / n) * -z
+    # D_j = -exp(w) expm1(w (q**alpha - 1)), cancellation-free
+    terms = np.exp(w) * np.expm1(w * (float(q) ** alpha - 1.0))
+    terms *= weights
+    # S[i] sums the i + 1 innermost terms; crown k sums the j >= max(-k, j0)
+    S = terms.cumsum()
+    vals = S[J + kmin - 1 : J + kmax]
+    if vals.size <= kmax - kmin:
+        vals = np.concatenate((vals, np.full(kmax - kmin + 1 - vals.size, S[-1])))
+    # 0.0 - vals, not -vals: a real time gets +0.0 imaginary parts
+    return 0.0 - vals, math.exp(log_tail0 - J * rate)
 
 
 def kernel_exp_form(
     z, k_x: int, params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> EvalResult:
-    """Exponential-difference evaluator at ||x|| = q**(-k_x)."""
-    z = _as_time(z)
-    q, n, alpha = params.q, params.n, params.alpha
-    xnorm = float(q) ** (-k_x)
-    w = z * xnorm ** (-alpha)
-    qa = float(q) ** alpha
-    rn = float(q) ** (-n)
-    ra = float(q) ** (-alpha)
-    xn = xnorm ** (-n)
-    geo = 1.0 / (1.0 - rn * ra)
-
-    acc = 0.0 + 0.0j
-    wl = w  # q**(-l*alpha) * w
-    scale = xn  # q**(-l*n) * ||x||**(-n)
-    for _l in range(cfg.tail_budget):
-        # exp(-wl) - exp(-wl*qa) = -exp(-wl) * expm1(-wl*(qa-1)), cancellation-free
-        acc -= scale * _cexp(-wl) * _cexpm1(-wl * (qa - 1.0))
-        wl *= ra
-        scale *= rn
-        # remaining tail: sum_{l' > l} scale' * min(2, |w_l'|(q**alpha - 1))
-        bound = scale * min(2.0, abs(wl) * (qa - 1.0)) * geo
-        if bound < cfg.tol:
-            return EvalResult(acc, bound)
-    raise ToleranceError(
-        f"kernel exp-form did not reach tol={cfg.tol} within "
-        f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
-    )
+    """Suffix-sum evaluator at ||x|| = q**(-k_x), the 1x1 case of the block."""
+    vals, tail = _exp_form_block(_as_time(z), k_x, k_x, params, cfg)
+    return EvalResult(complex(vals[0]), tail)
 
 
 def kernel_crown_sum(
@@ -149,7 +158,11 @@ def kernel_crown_sum(
         if bound * (1.0 - rn) < cfg.tol:  # tail of (1-q**-n) * sum
             xnorm = float(q) ** n0
             corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
-            return EvalResult((1.0 - rn) * acc - corr, bound * (1.0 - rn))
+            # |(1-q**-n) * acc| and |corr| are at most ||x||**(-n); summing
+            # k - n0 terms and subtracting rounds by at most k - n0 + 6 units
+            # of 2**-53 times that
+            roundoff = 2.0**-53 * (k - n0 + 6) * xnorm ** (-n)
+            return EvalResult((1.0 - rn) * acc - corr, bound * (1.0 - rn) + roundoff)
     raise ToleranceError(
         f"kernel crown sum did not reach tol={cfg.tol} within "
         f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
@@ -273,41 +286,30 @@ def kernel_ball_integral(
     raise ToleranceError("kernel ball integral: tail budget exhausted")
 
 
-def _crown_cfg(cfg: KernelEvalConfig, k: int, params: FieldParams) -> KernelEvalConfig:
-    """Tighten the absolute tolerance at outer crowns so that the
-    measure-weighted truncation error q**(-k*n) * tol stays below cfg.tol."""
-    scale = min(1.0, float(params.q) ** (k * params.n))
-    if scale == 1.0:
-        return cfg
-    return KernelEvalConfig(cfg.tail_budget, cfg.tol * scale, cfg.series_switch)
-
-
 def kernel_profile(
     z,
     window: tuple[int, int],
     params: FieldParams,
     cfg: KernelEvalConfig = DEFAULT_CFG,
-    evaluator=kernel_exp_form,
+    evaluator=None,
 ) -> RadialProfile:
     """Kernel values on a crown window as a radial profile.
 
-    Per-crown tolerances are scaled by the sphere measure, so the window sum
-    of |error| * mu(S_k) stays near cfg.tol per crown.  The inner tail is
-    left at zero: the truncation it introduces is bounded by
-    sup |K_z| * mu(G_{kmax+1}) and can be recovered exactly through
-    :func:`kernel_ball_integral`.  K_z(0) itself is available separately via
+    One exp-form block by default, whose error is below cfg.tol relative to
+    the far-field envelope on every crown, so the window sum of |error| *
+    mu(S_k) stays near cfg.tol; any other ``evaluator`` is called crown by
+    crown.  The inner tail is left at zero: the truncation it introduces is
+    bounded by sup |K_z| * mu(G_{kmax+1}) and can be recovered exactly
+    through :func:`kernel_ball_integral`, and K_z(0) through
     :func:`kernel_at_zero`.
     """
     z = _as_time(z)
     kmin, kmax = window
-    vals = np.array(
-        [
-            evaluator(z, k, params, _crown_cfg(cfg, k, params)).value
-            for k in range(kmin, kmax + 1)
-        ],
-        dtype=complex,
-    )
-    return RadialProfile(params, kmin, kmax, vals)
+    if evaluator is None:
+        vals = _exp_form_block(z, kmin, kmax, params, cfg)[0]
+    else:
+        vals = [evaluator(z, k, params, cfg).value for k in range(kmin, kmax + 1)]
+    return RadialProfile(params, kmin, kmax, np.asarray(vals, dtype=complex))
 
 
 def _power_envelope(params: FieldParams) -> float:
@@ -324,19 +326,20 @@ def default_mass_window(z, params: FieldParams, tol: float = 1e-12) -> tuple[int
     q**(-alpha)); inner side from |K_z| <= K_{Re z}(0) and the ball measure.
     """
     z = _as_time(z)
+    return _mass_window(z, params, tol, kernel_at_zero(z.real + 0j, params).value.real)[:2]
+
+
+def _mass_window(z: complex, params: FieldParams, tol: float, sup: float):
+    """:func:`default_mass_window` given sup = K_{Re z}(0), and the C with
+    mass(K_z outside G_k) <= C q**((k-1) alpha)."""
     q, n, alpha = params.q, params.n, params.alpha
     lnq = math.log(q)
-    # sum_{j <= J} E |z| q**(j alpha) (1 - q**-n) <= tol
-    outer = (
-        _power_envelope(params)
-        * abs(z)
-        * (1.0 - q ** float(-n))
-        / (1.0 - float(q) ** (-alpha))
-    )
+    # sum_{j < k} E |z| q**(j alpha) (1 - q**-n) = C q**((k-1) alpha)
+    outer = _power_envelope(params) * abs(z) * (1.0 - q ** float(-n))
+    outer /= 1.0 - float(q) ** (-alpha)
     kmin = math.floor(math.log(tol / max(outer, 1e-300)) / (alpha * lnq)) - 1
-    sup = kernel_at_zero(z.real + 0j, params).value.real
     kmax = math.ceil(math.log(max(sup, 1.0) / tol) / (n * lnq)) + 1
-    return min(kmin, 0), max(kmax, 1)
+    return min(kmin, 0), max(kmax, 1), outer
 
 
 class KernelL1(NamedTuple):
@@ -351,39 +354,26 @@ def kernel_l1_norm(
 ) -> KernelL1:
     """L^1 norms of K_z and of its radially decreasing majorant.
 
-    Crown moduli are summed over an adaptive window; the outer tail uses the
-    power envelope |K_z(x)| <= |z| / ||x||**(alpha+n), the inner tail the
-    flat bound sup |K_z| <= K_{Re z}(0).  The majorant value is the running
-    sup of |K_z| from the outside in, with the inner ball contributing
-    max(running sup, flat bound) * mu(ball) to the upper estimate.
+    Crown moduli come from one exp-form block over an adaptive window; the
+    outer tail uses the power envelope |K_z(x)| <= E |z| / ||x||**(alpha+n),
+    the inner tail the flat bound sup |K_z| <= K_{Re z}(0).  The majorant
+    value is the running sup of |K_z| from the outside in, with the inner
+    ball contributing max(running sup, flat bound) * mu(ball) to the upper
+    estimate.
     """
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
-    tol = cfg.tol
-    kmin, kmax = default_mass_window(z, params, tol=tol)
     sup_bound = kernel_at_zero(z.real + 0j, params, cfg).value.real
-
-    mags = []
-    eval_bound = 0.0
-    for k in range(kmin, kmax + 1):
-        v = kernel_exp_form(z, k, params, _crown_cfg(cfg, k, params))
-        mags.append(abs(v.value))
-        eval_bound += v.tail_bound * (1.0 - float(q) ** (-n)) * float(q) ** (-k * n)
-    mags_arr = np.array(mags)
+    kmin, kmax, outer = _mass_window(z, params, cfg.tol, sup_bound)
+    vals, tail = _exp_form_block(z, kmin, kmax, params, cfg)
+    mags_arr = np.abs(vals)
     smeas = _sphere_measures(params, kmin, kmax)
-
-    outer_tail = (
-        _power_envelope(params)
-        * abs(z)
-        * (1.0 - float(q) ** (-n))
-        * float(q) ** ((kmin - 1) * alpha)
-        / (1.0 - float(q) ** (-alpha))
-    )
+    eval_bound = tail * float(np.sum(smeas))
+    outer_tail = outer * float(q) ** ((kmin - 1) * alpha)
     ball_in = float(q) ** (-(kmax + 1) * n)
-    inner_tail = sup_bound * ball_in
 
     l1 = float(np.sum(mags_arr * smeas))
-    l1_bound = outer_tail + inner_tail + eval_bound
+    l1_bound = outer_tail + sup_bound * ball_in + eval_bound
 
     run = np.maximum.accumulate(mags_arr)
     maj_inner = max(float(run[-1]), sup_bound) * ball_in
@@ -393,12 +383,19 @@ def kernel_l1_norm(
     return KernelL1(l1, l1_bound, maj, maj_bound)
 
 
+def _bound_ratios(
+    z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """|K_z| on the crowns kmin..kmax from one block, and the ratios of
+    :func:`bound_ratio`."""
+    q, n, alpha = params.q, params.n, params.alpha
+    mags = np.abs(_exp_form_block(z, kmin, kmax, params, cfg)[0])
+    xnorm = float(q) ** -np.arange(kmin, kmax + 1, dtype=float)
+    return mags, mags * (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n) / abs(z)
+
+
 def bound_ratio(
     z, k_x: int, params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> float:
     """|K_z(x)| * ((Re z)**(1/alpha) + ||x||)**(alpha+n) / |z|."""
-    z = _as_time(z)
-    q, n, alpha = params.q, params.n, params.alpha
-    xnorm = float(q) ** (-k_x)
-    val = abs(kernel_exp_form(z, k_x, params, cfg).value)
-    return val * (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n) / abs(z)
+    return float(_bound_ratios(_as_time(z), k_x, k_x, params, cfg)[1][0])

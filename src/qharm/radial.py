@@ -351,14 +351,22 @@ def _read_csv(fh, what: str, columns: str, build):
     """Read what :func:`_write_csv` wrote to a path or a handle.
     ``build(meta)`` takes the header's ``key=value`` strings and returns
     ``(lo, hi, make)``; row a lands at a - lo of a complex array (absent rows
-    are 0) and ``make(values)`` is returned.  A row outside [lo, hi] raises
-    ValueError."""
+    are 0) and ``make(values)`` is returned.  A header token without ``=``, a
+    key ``build`` needs but the header lacks, or a row outside [lo, hi]
+    raises ValueError."""
     src = open(fh, "r") if isinstance(fh, (str, bytes)) else fh
     try:
         header = src.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"missing {what} header comment line")
-        lo, hi, make = build(dict(item.split("=", 1) for item in header[1:].split()))
+        tokens = header[1:].split()
+        bad = [t for t in tokens if "=" not in t]
+        if bad:
+            raise ValueError(f"{what} header token {bad[0]!r} is not key=value")
+        try:
+            lo, hi, make = build(dict(t.split("=", 1) for t in tokens))
+        except KeyError as e:
+            raise ValueError(f"{what} header lacks the key {e.args[0]!r}") from None
         vals = np.zeros(hi - lo + 1, dtype=complex)
         for line in src:
             line = line.strip()

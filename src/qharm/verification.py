@@ -316,10 +316,8 @@ def verify_kernel_bounds(update: bool = False) -> dict:
                     max_maj = max(max_maj, res.majorant_l1 * z.real / abs(z))
                     if res.majorant_l1 < res.l1 - 1e-12:
                         ok = False  # the majorant must dominate
-                    for k_x in range(-2, 3):
-                        max_bound = max(
-                            max_bound, kernel.bound_ratio(z, k_x, params)
-                        )
+                    ratios = kernel._bound_ratios(z, -2, 2, params, kernel.DEFAULT_CFG)[1]
+                    max_bound = max(max_bound, *ratios.tolist())
                 if not all(map(math.isfinite, (max_bound, max_l1, max_maj))):
                     ok = False
                 ok_b, ref_b = _check_baseline(
@@ -665,20 +663,11 @@ def kernel_sweep_rows(params: FieldParams) -> list[dict]:
     for z in _sector_zs():
         l1 = kernel.kernel_l1_norm(z, params)
         l1_ratio = l1.l1 * z.real / abs(z)
-        for k_x in range(-2, 3):
-            val = kernel.kernel_exp_form(z, k_x, params)
+        mags, ratios = kernel._bound_ratios(z, -2, 2, params, kernel.DEFAULT_CFG)
+        for k_x, mag, ratio in zip(range(-2, 3), mags.tolist(), ratios.tolist()):
             rows.append(
-                {
-                    "q": params.q,
-                    "n": params.n,
-                    "alpha": params.alpha,
-                    "re_z": z.real,
-                    "im_z": z.imag,
-                    "k_x": k_x,
-                    "abs_K": abs(val.value),
-                    "bound_ratio": kernel.bound_ratio(z, k_x, params),
-                    "l1_ratio": l1_ratio,
-                }
+                dict(q=params.q, n=params.n, alpha=params.alpha, re_z=z.real, im_z=z.imag,
+                     k_x=k_x, abs_K=mag, bound_ratio=ratio, l1_ratio=l1_ratio)
             )
     return rows
 

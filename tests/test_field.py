@@ -130,6 +130,15 @@ class TestLattice:
         for idx in range(lat.size):
             assert arr[idx] == float(lat.norm(idx))
 
+    def test_norms_cached_read_only(self):
+        lat = QuotientLattice(quotient_params(3, 2), 1, 1)
+        arr = lat.norms()
+        assert lat.norms() is arr
+        k = lat.scales()
+        assert np.array_equal(arr, np.where(k == lat.N, 0.0, 3.0 ** -k))
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
 
 def exact_norm(lat, index):
     """max_i |x_i|_q of the canonical representative, valuation by division."""

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qharm.radial import (
     profile_from_csv_string,
     profile_to_csv_string,
     radial_fourier,
+    read_profile_csv,
 )
 
 from conftest import make_profile, profile_st
@@ -224,6 +226,18 @@ class TestSerialization:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             profile_from_csv_string("k,re,im\n0,1.0,0.0\n")
+
+    def test_missing_header_key_rejected(self):
+        """A header without alpha used to raise a bare KeyError('alpha')."""
+        s = "# q=2 n=1 kmin=0 kmax=0 tail_re=0.0 tail_im=0.0\nk,re,im\n0,1.0,0.0\n"
+        with pytest.raises(ValueError, match="profile header lacks the key 'alpha'"):
+            read_profile_csv(io.StringIO(s))
+
+    def test_header_token_without_equals_rejected(self):
+        s = profile_to_csv_string(RadialProfile.ball_indicator(P21, 0))
+        head, rest = s.split("\n", 1)
+        with pytest.raises(ValueError, match="profile header token 'junk' is not key=value"):
+            read_profile_csv(io.StringIO(f"{head} junk\n{rest}"))
 
     @pytest.mark.parametrize("k", [-3, 3])
     def test_row_outside_window_rejected(self, k):

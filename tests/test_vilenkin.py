@@ -376,6 +376,19 @@ class TestSerialization:
         for token in ("q=2", "n=1", "M=3", "N=3"):
             assert token in head
 
+    def test_missing_header_key_rejected(self):
+        text = "# q=2 n=1 alpha=1.0 M=1\nindex,re,im\n0,1.0,0.0\n"
+        with pytest.raises(ValueError, match="lattice header lacks the key 'N'"):
+            read_quotient_csv(io.StringIO(text))
+
+    def test_header_token_without_equals_rejected(self, rng):
+        buf = io.StringIO()
+        write_quotient_csv(random_qf(rng, lattice()), buf)
+        head, rest = buf.getvalue().split("\n", 1)
+        text = f"{head} junk\n{rest}"
+        with pytest.raises(ValueError, match="lattice header token 'junk' is not key=value"):
+            read_quotient_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("index", [-1, 64])
     def test_row_outside_lattice_rejected(self, rng, index):
         buf = io.StringIO()
