@@ -35,6 +35,7 @@ from .kernel import (
     ComplexTime,
     KernelEvalConfig,
     bound_ratio,
+    bound_ratios,
     kernel_at_zero,
     kernel_ball_integral,
     kernel_crown_sum,

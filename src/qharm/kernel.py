@@ -149,19 +149,21 @@ def kernel_crown_sum(
     n0 = -k_x  # ||x|| = q**n0
     rn = float(q) ** (-n)
     acc = 0.0 + 0.0j
+    mag = 0.0  # sum of the terms' moduli
     k = n0
     for _ in range(cfg.tail_budget):
-        acc += _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
+        term = _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
+        acc += term
+        mag += abs(term)
         k += 1
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
         bound = float(q) ** (-k * n) / (1.0 - rn)
         if bound * (1.0 - rn) < cfg.tol:  # tail of (1-q**-n) * sum
             xnorm = float(q) ** n0
             corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
-            # |(1-q**-n) * acc| and |corr| are at most ||x||**(-n); summing
-            # k - n0 terms and subtracting rounds by at most k - n0 + 6 units
-            # of 2**-53 times that
-            roundoff = 2.0**-53 * (k - n0 + 6) * xnorm ** (-n)
+            # summing k - n0 terms and subtracting corr rounds by at most
+            # k - n0 + 6 units of 2**-53 times the moduli summed
+            roundoff = 2.0**-53 * (k - n0 + 6) * ((1.0 - rn) * mag + abs(corr))
             return EvalResult((1.0 - rn) * acc - corr, bound * (1.0 - rn) + roundoff)
     raise ToleranceError(
         f"kernel crown sum did not reach tol={cfg.tol} within "
@@ -326,20 +328,25 @@ def default_mass_window(z, params: FieldParams, tol: float = 1e-12) -> tuple[int
     q**(-alpha)); inner side from |K_z| <= K_{Re z}(0) and the ball measure.
     """
     z = _as_time(z)
-    return _mass_window(z, params, tol, kernel_at_zero(z.real + 0j, params).value.real)[:2]
+    return _mass_window(z, params, tol, kernel_at_zero(z.real + 0j, params).value.real)
+
+
+def _outer_mass(z: complex, params: FieldParams) -> float:
+    """C with mass(K_z outside G_k) <= C q**((k-1) alpha): the sum over
+    j < k of E |z| q**(j alpha) (1 - q**-n)."""
+    q, n, alpha = params.q, params.n, params.alpha
+    outer = _power_envelope(params) * abs(z) * (1.0 - q ** float(-n))
+    return outer / (1.0 - float(q) ** (-alpha))
 
 
 def _mass_window(z: complex, params: FieldParams, tol: float, sup: float):
-    """:func:`default_mass_window` given sup = K_{Re z}(0), and the C with
-    mass(K_z outside G_k) <= C q**((k-1) alpha)."""
+    """:func:`default_mass_window` given sup = K_{Re z}(0)."""
     q, n, alpha = params.q, params.n, params.alpha
     lnq = math.log(q)
-    # sum_{j < k} E |z| q**(j alpha) (1 - q**-n) = C q**((k-1) alpha)
-    outer = _power_envelope(params) * abs(z) * (1.0 - q ** float(-n))
-    outer /= 1.0 - float(q) ** (-alpha)
-    kmin = math.floor(math.log(tol / max(outer, 1e-300)) / (alpha * lnq)) - 1
+    outer = max(_outer_mass(z, params), 1e-300)
+    kmin = math.floor(math.log(tol / outer) / (alpha * lnq)) - 1
     kmax = math.ceil(math.log(max(sup, 1.0) / tol) / (n * lnq)) + 1
-    return min(kmin, 0), max(kmax, 1), outer
+    return min(kmin, 0), max(kmax, 1)
 
 
 class KernelL1(NamedTuple):
@@ -364,12 +371,12 @@ def kernel_l1_norm(
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
     sup_bound = kernel_at_zero(z.real + 0j, params, cfg).value.real
-    kmin, kmax, outer = _mass_window(z, params, cfg.tol, sup_bound)
+    kmin, kmax = _mass_window(z, params, cfg.tol, sup_bound)
     vals, tail = _exp_form_block(z, kmin, kmax, params, cfg)
     mags_arr = np.abs(vals)
     smeas = _sphere_measures(params, kmin, kmax)
     eval_bound = tail * float(np.sum(smeas))
-    outer_tail = outer * float(q) ** ((kmin - 1) * alpha)
+    outer_tail = _outer_mass(z, params) * float(q) ** ((kmin - 1) * alpha)
     ball_in = float(q) ** (-(kmax + 1) * n)
 
     l1 = float(np.sum(mags_arr * smeas))
@@ -383,12 +390,14 @@ def kernel_l1_norm(
     return KernelL1(l1, l1_bound, maj, maj_bound)
 
 
-def _bound_ratios(
-    z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
+def bound_ratios(
+    z, window: tuple[int, int], params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|K_z| on the crowns kmin..kmax from one block, and the ratios of
-    :func:`bound_ratio`."""
+    """|K_z| and :func:`bound_ratio` on every crown of a window, from one
+    exp-form block."""
+    z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
+    kmin, kmax = window
     mags = np.abs(_exp_form_block(z, kmin, kmax, params, cfg)[0])
     xnorm = float(q) ** -np.arange(kmin, kmax + 1, dtype=float)
     return mags, mags * (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n) / abs(z)
@@ -398,4 +407,4 @@ def bound_ratio(
     z, k_x: int, params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> float:
     """|K_z(x)| * ((Re z)**(1/alpha) + ||x||)**(alpha+n) / |z|."""
-    return float(_bound_ratios(_as_time(z), k_x, k_x, params, cfg)[1][0])
+    return float(bound_ratios(z, (k_x, k_x), params, cfg)[1][0])

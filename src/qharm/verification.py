@@ -316,7 +316,7 @@ def verify_kernel_bounds(update: bool = False) -> dict:
                     max_maj = max(max_maj, res.majorant_l1 * z.real / abs(z))
                     if res.majorant_l1 < res.l1 - 1e-12:
                         ok = False  # the majorant must dominate
-                    ratios = kernel._bound_ratios(z, -2, 2, params, kernel.DEFAULT_CFG)[1]
+                    ratios = kernel.bound_ratios(z, (-2, 2), params)[1]
                     max_bound = max(max_bound, *ratios.tolist())
                 if not all(map(math.isfinite, (max_bound, max_l1, max_maj))):
                     ok = False
@@ -663,11 +663,20 @@ def kernel_sweep_rows(params: FieldParams) -> list[dict]:
     for z in _sector_zs():
         l1 = kernel.kernel_l1_norm(z, params)
         l1_ratio = l1.l1 * z.real / abs(z)
-        mags, ratios = kernel._bound_ratios(z, -2, 2, params, kernel.DEFAULT_CFG)
+        mags, ratios = kernel.bound_ratios(z, (-2, 2), params)
         for k_x, mag, ratio in zip(range(-2, 3), mags.tolist(), ratios.tolist()):
             rows.append(
-                dict(q=params.q, n=params.n, alpha=params.alpha, re_z=z.real, im_z=z.imag,
-                     k_x=k_x, abs_K=mag, bound_ratio=ratio, l1_ratio=l1_ratio)
+                {
+                    "q": params.q,
+                    "n": params.n,
+                    "alpha": params.alpha,
+                    "re_z": z.real,
+                    "im_z": z.imag,
+                    "k_x": k_x,
+                    "abs_K": mag,
+                    "bound_ratio": ratio,
+                    "l1_ratio": l1_ratio,
+                }
             )
     return rows
 

@@ -1,4 +1,5 @@
-"""The exp-form kernel against a 60-digit mpmath reference for k_x in [-30, 30].
+"""The exp-form kernel and the crown-sum oracle against a 60-digit mpmath
+reference for k_x in [-30, 30].
 
 The reference is the crown-sum closed form (see :mod:`qharm.kernel`), summed
 exactly; its cancellation in the far field costs at most about 30 of the 60
@@ -14,7 +15,13 @@ import pytest
 
 from qharm import kernel
 from qharm.field import FieldParams
-from qharm.kernel import DEFAULT_CFG, _exp_form_block, kernel_exp_form, kernel_profile
+from qharm.kernel import (
+    DEFAULT_CFG,
+    KernelEvalConfig,
+    kernel_crown_sum,
+    kernel_exp_form,
+    kernel_profile,
+)
 from qharm.verification import TOL_KERNEL_AGREE
 
 KXS = range(-30, 31)
@@ -25,6 +32,7 @@ PARAMS = [
 ]
 DIGITS = 60
 ROUNDOFF = 2.0**-40  # relative allowance for double rounding, about 9e-13
+AGREE_CFG = KernelEvalConfig(tail_budget=256, tol=1e-15)  # the kernel-agree suite's
 
 
 def _crown_reference(z, params, kxs):
@@ -96,11 +104,34 @@ def test_far_field_against_mpmath(params):
 
 @pytest.mark.parametrize("params", [PARAMS[0], PARAMS[-1]], ids=["q2-n1-a0.5", "q3-n2-a2.0"])
 def test_window_block_matches_single_crowns(params):
-    """One block over [-30, 30] agrees with each 1x1 call within the sum of
-    the two tail bounds plus roundoff."""
+    """One block over [-30, 30] (kernel_profile) agrees with each 1x1 call
+    within the sum of the two tail bounds plus roundoff.  The block cuts at
+    the scale of its outermost crown, the least over the window, so its
+    bound is at most the 1x1 bound on every crown of the window."""
     for z in ZS:
-        vals, tail = _exp_form_block(z, min(KXS), max(KXS), params, DEFAULT_CFG)
-        for k_x, v in zip(KXS, vals.tolist()):
+        prof = kernel_profile(z, (min(KXS), max(KXS)), params)
+        for k_x, v in zip(KXS, prof.coeffs.tolist()):
             one = kernel_exp_form(z, k_x, params)
-            budget = tail + one.tail_bound + ROUNDOFF * abs(one.value)
+            budget = 2.0 * one.tail_bound + ROUNDOFF * abs(one.value)
             assert abs(v - one.value) <= budget, f"z={z}, k_x={k_x}"
+
+
+@pytest.mark.parametrize(
+    "params", PARAMS, ids=lambda p: f"q{p.q}-n{p.n}-a{p.alpha}"
+)
+def test_crown_sum_bound(params):
+    """The crown sum's bound (truncation plus roundoff) covers its error,
+    which in the far field is mostly cancellation; near the origin, where
+    little cancels, the roundoff share stays below TOL_KERNEL_AGREE / 10 of
+    the value, so it cannot hide a disagreement."""
+    with mpmath.workdps(DIGITS):
+        for z in ZS:
+            ref = _crown_reference(z, params, KXS)
+            for k_x in KXS:
+                res = kernel_crown_sum(z, k_x, params, AGREE_CFG)
+                r = complex(ref[k_x])
+                where = f"z={z}, k_x={k_x}"
+                assert abs(res.value - r) <= res.tail_bound + ROUNDOFF * abs(r), where
+                if k_x >= 0:
+                    limit = AGREE_CFG.tol + TOL_KERNEL_AGREE / 10 * abs(r)
+                    assert res.tail_bound <= limit, where
