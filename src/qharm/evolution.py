@@ -15,7 +15,8 @@ T lam from its limit and a Duhamel factor by at most T**2 lam.  The
 maximal-regularity report integrates ||D^alpha y(t)||_{q_space} over time
 with the trapezoid rule on a grid that contains every forcing breakpoint.
 The exact solver and the report take their times as the rows of one
-transform block (the report in chunks of ``BLOCK_ELEMENTS``); RK4 steps.
+transform block (the report in chunks of ``BLOCK_ELEMENTS``).  RK4 raises
+its affine one-step map per crown to the step count by binary powering.
 """
 
 from __future__ import annotations
@@ -107,6 +108,17 @@ def _fourier_window(
     return xh, fhs, radial._eigenvalues(params, kmin, ext_to)
 
 
+def _check_times(x0: RadialProfile, forcing: ForcingSignal | None, times) -> None:
+    """Raise ValueError unless every time lies in [0, T] of a forcing on x0's field."""
+    if any(t < 0 for t in times):
+        raise ValueError("output times must be nonnegative")
+    if forcing is not None:
+        if forcing.params != x0.params:
+            raise ValueError("forcing and initial state field parameters disagree")
+        if any(t > forcing.T + 1e-12 for t in times):
+            raise ValueError("output times must lie in [0, T]")
+
+
 def solve_master(
     x0: RadialProfile,
     forcing: ForcingSignal | None,
@@ -120,13 +132,7 @@ def solve_master(
     """
     params = x0.params
     out_times = [float(t) for t in out_times]
-    if any(t < 0 for t in out_times):
-        raise ValueError("output times must be nonnegative")
-    if forcing is not None:
-        if forcing.params != params:
-            raise ValueError("forcing and initial state field parameters disagree")
-        if any(t > forcing.T + 1e-12 for t in out_times):
-            raise ValueError("output times must lie in [0, T]")
+    _check_times(x0, forcing, out_times)
 
     t_top = max(out_times) if out_times else 0.0
     profiles = forcing.profiles if forcing is not None else ()
@@ -159,10 +165,17 @@ def solve_master_rk4(
 
     Integrates yhat' = -lam yhat + fhat(t) per Fourier crown with fixed
     steps inside each forcing interval; independent of the closed-form
-    exponential route.  Raises :class:`ToleranceError`, with the steps the
-    interval needs, when a step is unstable for the stiffest crown, i.e.
-    RK4's amplification factor R(-lam_max * h) exceeds 1.
+    exponential route: one step is y -> y + (d y + e), d = R(-x) - 1 = -x P,
+    e = h P fhat, P = 1 - x/2 + x**2/6 - x**3/24 at x = lam * h, and binary
+    powers of that map, (d, e) -> (d (2 + d), e (2 + d)), take all of an
+    interval's steps at once.  Raises :class:`ToleranceError`, with the steps
+    the interval needs, when a step is unstable for the stiffest crown, i.e.
+    RK4's amplification factor R(-lam_max * h) exceeds 1; ValueError for a
+    t_end outside [0, T], disagreeing fields or steps_per_interval < 1.
     """
+    _check_times(x0, forcing, [t_end])
+    if steps_per_interval < 1:
+        raise ValueError("steps_per_interval must be positive")
     xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
     lam_max = float(lams.max())
     y = xh.coeffs.copy()
@@ -184,17 +197,16 @@ def solve_master_rk4(
                 f"RK4 unstable on [{a}, {b_eff}]: lam_max*h = {span / nsteps:.4g} with "
                 f"{nsteps} steps, needs {need}"
             )
-        fc = fh.coeffs
-
-        def rhs(v):
-            return -lams * v + fc
-
-        for _ in range(nsteps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = lams * h
+        poly = 1.0 + x * (-0.5 + x * (1.0 / 6.0 - x / 24.0))
+        d, e = -x * poly, h * poly * fh.coeffs
+        while True:  # apply the step's nsteps-th power, one bit at a time
+            if nsteps & 1:
+                y = y + (d * y + e)
+            nsteps >>= 1
+            if not nsteps:
+                break
+            d, e = d * (2.0 + d), e * (2.0 + d)  # the map composed with itself
         tail = tail + fh.tail * (b_eff - a)  # lam = 0 branch integrates f directly
 
     prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)

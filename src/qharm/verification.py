@@ -217,6 +217,7 @@ def kernel_grid():
 def verify_kernel_agreement() -> dict:
     cfg = kernel.KernelEvalConfig(tail_budget=256, tol=1e-15)
     worst = 0.0
+    worst_ratio = 0.0  # largest gap / budget: how close the evaluators come to it
     points = 0
     series_points = 0
     ok = True
@@ -239,6 +240,7 @@ def verify_kernel_agreement() -> dict:
                 gap = abs(a.value - b.value)
                 budget = TOL_KERNEL_AGREE * den + a.tail_bound + b.tail_bound
                 worst = max(worst, (gap - a.tail_bound - b.tail_bound) / den)
+                worst_ratio = max(worst_ratio, gap / budget)
                 if gap > budget:
                     ok = False
     return {
@@ -246,6 +248,7 @@ def verify_kernel_agreement() -> dict:
         "points": points,
         "series_points": series_points,
         "max_rel_disagreement": max(worst, 0.0),
+        "max_gap_over_budget": worst_ratio,
         "tol": TOL_KERNEL_AGREE,
         "pass": ok,
     }

@@ -36,8 +36,14 @@ def test_criterion_03_levy_khinchin():
 
 
 def test_criterion_04_kernel_three_way():
-    r = _run(4, V.verify_kernel_agreement, 30, ("points", "max_rel_disagreement"))
+    r = _run(
+        4,
+        V.verify_kernel_agreement,
+        30,
+        ("points", "max_rel_disagreement", "max_gap_over_budget"),
+    )
     assert r["points"] >= 500
+    assert 0.0 < r["max_gap_over_budget"] <= 1.0
 
 
 def test_criterion_05_mass_and_semigroup():

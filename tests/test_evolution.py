@@ -7,6 +7,8 @@ from qharm.calculus import semigroup_apply
 from qharm.errors import ToleranceError, WindowOverflowError
 from qharm.evolution import (
     ForcingSignal,
+    _fourier_window,
+    _rk4_gain,
     max_regularity_report,
     solve_master,
     solve_master_rk4,
@@ -21,6 +23,46 @@ P21 = FieldParams(2, 1, 1.0)
 
 def eigenlayer(params, m0):
     return radial_fourier(RadialProfile(params, m0, m0, [1.0]), "inverse")
+
+
+def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
+    """Reference: solve_master_rk4 as one RK4 step per loop iteration."""
+    xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
+    lam_max = float(lams.max())
+    y = xh.coeffs.copy()
+    tail = xh.tail
+
+    for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
+        if a >= t_end:
+            break
+        b_eff = min(b, t_end)
+        nsteps = max(1, int(math.ceil(steps_per_interval * (b_eff - a) / forcing.T)))
+        h = (b_eff - a) / nsteps
+        span = lam_max * (b_eff - a)
+        if _rk4_gain(span / nsteps) > 1:
+            need, hi = nsteps, max(nsteps, math.ceil(span))
+            while need < hi:
+                mid = (need + hi) // 2
+                need, hi = (mid + 1, hi) if _rk4_gain(span / mid) > 1 else (need, mid)
+            raise ToleranceError(
+                f"RK4 unstable on [{a}, {b_eff}]: lam_max*h = {span / nsteps:.4g} with "
+                f"{nsteps} steps, needs {need}"
+            )
+        fc = fh.coeffs
+
+        def rhs(v):
+            return -lams * v + fc
+
+        for _ in range(nsteps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tail = tail + fh.tail * (b_eff - a)
+
+    prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)
+    return radial_fourier(prof, direction="inverse")
 
 
 class TestForcingSignal:
@@ -97,6 +139,55 @@ class TestSolveMaster:
         x0 = RadialProfile.zeros(P21, -2, 2)
         with pytest.raises(ValueError):
             solve_master(x0, fs, [1.5])
+
+
+class TestRK4Oracle:
+    FIELDS = [(2, 1, 1.0), (3, 2, 0.5), (2, 2, 2.0), (5, 2, 2.0), (2, 1, 0.25)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_propagator_matches_stepping_loop(self, field, rng):
+        params = FieldParams(*field)
+        profs = tuple(make_profile(rng, params, -2, 2, tail=0.5) for _ in range(3))
+        fs = ForcingSignal((0.0, 0.3, 0.7, 1.0), profs)
+        x0 = make_profile(rng, params, -2, 2, tail=-0.25)
+        for steps in (1, 7, 64, 1000, 8192, 30000):
+            try:
+                ref = rk4_stepping_loop(x0, fs, 1.0, steps)
+            except ToleranceError as err:
+                with pytest.raises(ToleranceError) as got:
+                    solve_master_rk4(x0, fs, 1.0, steps)
+                assert str(got.value) == str(err)
+                continue
+            y = solve_master_rk4(x0, fs, 1.0, steps)
+            assert lp_norm(y - ref, 2) <= 1e-13 * lp_norm(ref, 2), steps
+
+    @pytest.mark.parametrize("field", [(2, 1, 1.0), (3, 2, 0.5), (2, 2, 2.0)], ids=str)
+    def test_fourth_order(self, field, rng):
+        """Doubling the steps cuts the error by about 2**4: still RK4, not
+        the closed form."""
+        params = FieldParams(*field)
+        profs = tuple(make_profile(rng, params, -2, 2) for _ in range(2))
+        fs = ForcingSignal((0.0, 0.5, 1.0), profs)
+        x0 = make_profile(rng, params, -2, 2)
+        exact = solve_master(x0, fs, [1.0])[0]
+        errs = [lp_norm(solve_master_rk4(x0, fs, 1.0, s) - exact, 2) for s in (64, 128, 256, 512)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 14.0 <= coarse / fine <= 20.0, errs
+
+    def test_input_validation(self, rng):
+        fs = ForcingSignal.constant(make_profile(rng, P21, -2, 2), 1.0)
+        x0 = make_profile(rng, P21, -2, 2)
+        with pytest.raises(ValueError, match=r"lie in \[0, T\]"):
+            solve_master_rk4(x0, fs, 2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_master_rk4(x0, fs, -0.5)
+        with pytest.raises(ValueError, match="disagree"):
+            solve_master_rk4(RadialProfile.zeros(FieldParams(3, 1, 1.0), -2, 2), fs, 1.0)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="steps_per_interval"):
+                solve_master_rk4(x0, fs, 1.0, steps)
+        y = solve_master_rk4(x0, fs, 1.0 + 1e-13)  # the same slack as solve_master
+        assert lp_norm(y - solve_master_rk4(x0, fs, 1.0), 2) <= 1e-12
 
 
 class TestMildSolution:
