@@ -17,27 +17,13 @@ import sys
 import numpy as np
 
 from . import calculus, evolution, gamma, kernel, verification
-from .errors import (
-    CancellationError,
-    LatticeWindowError,
-    PoleError,
-    QuadratureError,
-    SpectrumError,
-    ToleranceError,
-    WindowOverflowError,
-)
+from .errors import CancellationError, QuadratureError, ToleranceError, WindowOverflowError
 from .field import FieldParams
 from .radial import RadialProfile
 
+# PoleError, SpectrumError and LatticeWindowError are ValueErrors
 _NUMERIC_ERRORS = (
-    PoleError,
-    SpectrumError,
-    CancellationError,
-    ToleranceError,
-    LatticeWindowError,
-    WindowOverflowError,
-    QuadratureError,
-    ValueError,
+    CancellationError, QuadratureError, ToleranceError, WindowOverflowError, ValueError
 )
 
 SWEEP_HEADER = "q,n,alpha,re_z,im_z,k_x,abs_K,bound_ratio,l1_ratio"
@@ -192,14 +178,27 @@ def _cmd_verify(args) -> int:
     return 0 if result["pass"] else 2
 
 
+def _floats(section: str, key: str, raw: str, sizes=None) -> list[float]:
+    """The space-separated numbers of one config value; text that is not a
+    number, or a count not in ``sizes``, raises UsageError."""
+    parts = raw.split()
+    try:
+        if sizes is None or len(parts) in sizes:
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    want = "numbers" if sizes is None else "RE or RE IM"
+    raise UsageError(f"[{section}] {key} = {raw!r}: expected {want}")
+
+
 def _profile_from_section(
-    section, params: FieldParams, kmin: int, kmax: int
+    cp: configparser.ConfigParser, name: str, params: FieldParams, kmin: int, kmax: int
 ) -> RadialProfile:
+    """The profile that config section ``name`` gives; zero when there is none."""
     coeffs = np.zeros(kmax - kmin + 1, dtype=complex)
     tail = 0.0 + 0.0j
-    for key, raw in section.items():
-        parts = raw.split()
-        val = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    for key, raw in cp.items(name) if cp.has_section(name) else ():
+        val = complex(*_floats(name, key, raw, (1, 2)))
         if key == "tail":
             tail = val
             continue
@@ -213,7 +212,7 @@ def _profile_from_section(
 
 
 def _cmd_evolve(args) -> int:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     read = cp.read(args.config)
     if not read:
         raise UsageError(f"config file {args.config!r} not found")
@@ -225,19 +224,13 @@ def _cmd_evolve(args) -> int:
         )
         kmin = cp.getint("window", "kmin")
         kmax = cp.getint("window", "kmax")
-        breakpoints = tuple(float(t) for t in cp.get("forcing", "breakpoints").split())
+        breakpoints = tuple(_floats("forcing", "breakpoints", cp.get("forcing", "breakpoints")))
         profiles = tuple(
-            _profile_from_section(cp[f"forcing.{j}"], params, kmin, kmax)
-            if cp.has_section(f"forcing.{j}")
-            else RadialProfile.zeros(params, kmin, kmax)
+            _profile_from_section(cp, f"forcing.{j}", params, kmin, kmax)
             for j in range(len(breakpoints) - 1)
         )
-        x0 = (
-            _profile_from_section(cp["initial"], params, kmin, kmax)
-            if cp.has_section("initial")
-            else RadialProfile.zeros(params, kmin, kmax)
-        )
-        times = [float(t) for t in cp.get("output", "times").split()]
+        x0 = _profile_from_section(cp, "initial", params, kmin, kmax)
+        times = _floats("output", "times", cp.get("output", "times"))
         out_path = cp.get("output", "file", fallback=None)
     except (configparser.Error, KeyError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
@@ -246,9 +239,9 @@ def _cmd_evolve(args) -> int:
     outs = evolution.solve_master(x0, forcing, times)
     lines = ["t,k,re,im"]
     for t, prof in zip(times, outs):
-        for k in range(prof.kmin, prof.kmax + 1):
-            v = prof.value_at(k)
-            lines.append(f"{t!r},{k},{v.real!r},{v.imag!r}")
+        ts, c = repr(t), prof.coeffs
+        rows = zip(range(prof.kmin, prof.kmax + 1), c.real.tolist(), c.imag.tolist())
+        lines += [f"{ts},{k},{re!r},{im!r}" for k, re, im in rows]
     text = "\n".join(lines)
     if out_path:
         with open(out_path, "w") as fh:
@@ -282,21 +275,20 @@ def _cmd_rbound(args) -> int:
     return 0 if passed else 2
 
 
+_COMMANDS = {
+    "gamma": _cmd_gamma,
+    "kernel": _cmd_kernel,
+    "verify": _cmd_verify,
+    "evolve": _cmd_evolve,
+    "rbound": _cmd_rbound,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gamma":
-            return _cmd_gamma(args)
-        if args.command == "kernel":
-            return _cmd_kernel(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "rbound":
-            return _cmd_rbound(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

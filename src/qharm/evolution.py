@@ -109,7 +109,9 @@ def _fourier_window(
 
 
 def _check_times(x0: RadialProfile, forcing: ForcingSignal | None, times) -> None:
-    """Raise ValueError unless every time lies in [0, T] of a forcing on x0's field."""
+    """Raise ValueError unless every time is finite and in [0, T] of a forcing on x0's field."""
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("output times must be finite")
     if any(t < 0 for t in times):
         raise ValueError("output times must be nonnegative")
     if forcing is not None:
@@ -164,14 +166,16 @@ def solve_master_rk4(
     """Classical fourth-order Runge-Kutta oracle on the diagonal system.
 
     Integrates yhat' = -lam yhat + fhat(t) per Fourier crown with fixed
-    steps inside each forcing interval; independent of the closed-form
+    steps inside each forcing interval; ``steps_per_interval`` is a budget
+    over [0, T], shared out by interval length.  Independent of the closed-form
     exponential route: one step is y -> y + (d y + e), d = R(-x) - 1 = -x P,
     e = h P fhat, P = 1 - x/2 + x**2/6 - x**3/24 at x = lam * h, and binary
     powers of that map, (d, e) -> (d (2 + d), e (2 + d)), take all of an
     interval's steps at once.  Raises :class:`ToleranceError`, with the steps
     the interval needs, when a step is unstable for the stiffest crown, i.e.
     RK4's amplification factor R(-lam_max * h) exceeds 1; ValueError for a
-    t_end outside [0, T], disagreeing fields or steps_per_interval < 1.
+    t_end not finite or outside [0, T], disagreeing fields or
+    steps_per_interval < 1.
     """
     _check_times(x0, forcing, [t_end])
     if steps_per_interval < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import WindowOverflowError
 from .field import FieldParams, QuotientLattice
 from .gamma import gamma_qn
 from .radial import RadialProfile, fourier_multiplier_apply
@@ -46,13 +47,24 @@ def taibleson_fourier(f: RadialProfile, params: FieldParams | None = None) -> Ra
     return fourier_multiplier_apply(f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0))
 
 
-def _suffix_integral(f: RadialProfile, k: int) -> complex:
-    """sum_{m > k} f_m mu(S_m) including the closed-form inner tail."""
-    q, n = f.params.q, f.params.n
-    total = f.tail * float(q) ** (-max(k + 1, f.kmax + 1) * n)
-    for m in range(max(k + 1, f.kmin), f.kmax + 1):
-        total += f.value_at(m) * (1.0 - float(q) ** (-n)) * float(q) ** (-m * n)
-    return total
+def _qpow(q: int, e: float) -> float:
+    """float(q) ** e; a power past the float range raises WindowOverflowError."""
+    try:
+        return float(q) ** e
+    except OverflowError:
+        raise WindowOverflowError(f"crown weight {q}**{e!r} is no finite float") from None
+
+
+def _qpowers(q: int, lo: int, hi: int, c: float) -> np.ndarray:
+    """float(q) ** (k * c), k in [lo, hi), as one np.power, the larger end checked by _qpow."""
+    if lo < hi:
+        _qpow(q, max(lo * c, (hi - 1) * c))
+    return np.power(float(q), np.arange(lo, hi) * c)
+
+
+def _loop_sum(start: complex, terms: np.ndarray) -> complex:
+    """start + terms[0] + terms[1] + ... in a loop's order (np.sum would add pairwise)."""
+    return complex(np.concatenate(((start,), terms)).cumsum()[-1])
 
 
 def taibleson_hypersingular(
@@ -64,6 +76,7 @@ def taibleson_hypersingular(
     than ||x|| the integrand is f(crown) - f(x); strictly smaller crowns
     vanish; on the equal crown u + x sweeps G_{k_x} minus one coset of
     G_{k_x+1}.  Outer and inner tails are geometric series in closed form.
+    A crown weight past the float range raises :class:`WindowOverflowError`.
     """
     params = f.params if params is None else params
     if params != f.params:
@@ -72,29 +85,23 @@ def taibleson_hypersingular(
     w = 1.0 - float(q) ** (-n)
     C = hypersingular_constant(params)
 
-    if k_x is None:
-        fx = f.tail  # f is locally constant near 0 by construction
-        # sum_j (f_j - fx) q**(j(alpha+n)) mu(S_j); zero for j > kmax
-        total = 0.0 + 0.0j
-        for j in range(f.kmin, f.kmax + 1):
-            total += (f.value_at(j) - fx) * float(q) ** (j * alpha) * w
-        # outer tail j < kmin: f_j = 0
-        total -= fx * w * float(q) ** ((f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
-        return C * total
-
-    fx = f.value_at(k_x)
-    total = 0.0 + 0.0j
-    # u-crowns strictly below k_x (||u|| > ||x||): integrand f_j - fx there;
-    # window crowns explicitly, crowns beyond kmax carry f_j = tail = fx
-    for j in range(f.kmin, min(k_x, f.kmax + 1)):
-        total += (f.value_at(j) - fx) * float(q) ** (j * alpha) * w
+    fx = f.tail if k_x is None else f.value_at(k_x)  # f is the tail near 0
+    # u-crowns j < k_x (||u|| > ||x||), all window crowns when x = 0: the
+    # integrand is f_j - fx; crowns beyond kmax carry f_j = tail = fx
+    top = f.kmax + 1 if k_x is None else max(f.kmin, min(k_x, f.kmax + 1))
+    crowns = f.coeffs[: top - f.kmin] - fx
+    total = _loop_sum(0j, crowns * _qpowers(q, f.kmin, top, alpha) * w)
     # outer tail j < kmin: f_j = 0
-    total -= fx * w * float(q) ** ((f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
+    total -= fx * w * _qpow(q, (f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
+    if k_x is None:
+        return C * total
     # u-crowns above k_x (||u|| < ||x||): ||x+u|| = ||x||, integrand vanishes
-    # equal crown: q**(k_x(alpha+n)) * (sum_{m>k_x} f_m mu(S_m) - fx mu(G_{k_x+1}))
-    total += float(q) ** (k_x * (alpha + n)) * (
-        _suffix_integral(f, k_x) - fx * float(q) ** (-(k_x + 1) * n)
-    )
+    # equal crown: q**(k_x(alpha+n)) * (sum_{m>k_x} f_m mu(S_m) - fx mu(G_{k_x+1})),
+    # the suffix sum over crowns m > k_x with the inner tail in closed form
+    lo = max(k_x + 1, f.kmin)
+    inner = f.tail * _qpow(q, -max(k_x + 1, f.kmax + 1) * n)
+    inner = _loop_sum(inner, f.coeffs[lo - f.kmin :] * w * _qpowers(q, lo, f.kmax + 1, -n))
+    total += _qpow(q, k_x * (alpha + n)) * (inner - fx * _qpow(q, -(k_x + 1) * n))
     return C * total
 
 
@@ -115,7 +122,10 @@ def taibleson_hypersingular_lattice(
     if vals.shape != (lattice.size,):
         raise ValueError(f"expected {lattice.size} lattice values")
     norms = lattice.norms()
-    shifted = vals[lattice.add(x_index, np.arange(lattice.size))]
+    # shifted[u] = f(x + u): a mod-Q roll of the (Q,)*n grid (axis i is coordinate n-1-i)
+    shift = [-u for u in reversed(lattice.coord_values(x_index))]
+    grid = vals.reshape((lattice.coord_order,) * n)
+    shifted = np.roll(grid, shift, axis=tuple(range(n))).ravel()
     mask = norms > 0
     weights = norms[mask] ** (-(alpha + n))
     total = np.sum((shifted[mask] - vals[x_index]) * weights) * float(lattice.coset_measure)
@@ -148,9 +158,7 @@ def levy_khinchin_check(
     if mode == "closed_form":
         S = w * float(q) ** ((n0 - 1) * alpha) / (1.0 - float(q) ** (-alpha)) + boundary
     else:
-        S = boundary
-        for k in range(n0 - budget, n0):
-            S += w * float(q) ** (k * alpha)
+        S = _loop_sum(boundary, w * _qpowers(q, n0 - budget, n0, alpha)).real
     g = gamma_qn(-params.alpha, params)
     rhs = -S / g.real
     return (xa, rhs)

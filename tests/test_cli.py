@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qharm.cli import SWEEP_HEADER, main
 
 
@@ -156,3 +158,42 @@ times = 0.25 1.0
         _, out1, _ = run_cli(capsys, "evolve", "--config", str(cfg))
         _, out2, _ = run_cli(capsys, "evolve", "--config", str(cfg))
         assert out1 == out2
+
+    @pytest.mark.parametrize("value", ["", "abc 0", "1 2 3", "1%", "50%% 0"])
+    def test_bad_profile_value_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("c_0 = 1.0 0.0", f"c_0 = {value}"))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: [initial] c_0 = ")
+        assert repr(value) in err
+
+    @pytest.mark.parametrize(
+        "line,section",
+        [("breakpoints = 0.0 half 1.0", "forcing"), ("times = 0.25 x", "output")],
+    )
+    def test_bad_time_list_is_usage_error(self, capsys, tmp_path, line, section):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "run.ini"
+        text = "\n".join(line if s.startswith(key + " =") else s for s in self.CONFIG.splitlines())
+        cfg.write_text(text + "\n")
+        code, _, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"usage error: [{section}] {key} = ")
+
+    @pytest.mark.parametrize("times", ["nan", "0.25 inf"])
+    def test_non_finite_time_exits_1(self, capsys, tmp_path, times):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("times = 0.25 1.0", f"times = {times}"))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.strip() == "ValueError: output times must be finite"
+
+
+class TestVerifyOverflow:
+    def test_taibleson_weight_past_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "taibleson", "--q", "5", "--n", "3", "--alpha", "100"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("WindowOverflowError: crown weight 5**")

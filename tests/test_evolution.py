@@ -140,6 +140,15 @@ class TestSolveMaster:
         with pytest.raises(ValueError):
             solve_master(x0, fs, [1.5])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_time_refused(self, rng, t):
+        fs = ForcingSignal.constant(make_profile(rng, P21, -2, 2), 1.0)
+        x0 = make_profile(rng, P21, -2, 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_master(x0, fs, [0.5, t])
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_master(x0, None, [t])
+
 
 class TestRK4Oracle:
     FIELDS = [(2, 1, 1.0), (3, 2, 0.5), (2, 2, 2.0), (5, 2, 2.0), (2, 1, 0.25)]
@@ -181,6 +190,9 @@ class TestRK4Oracle:
             solve_master_rk4(x0, fs, 2.0)
         with pytest.raises(ValueError, match="nonnegative"):
             solve_master_rk4(x0, fs, -0.5)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve_master_rk4(x0, fs, t)
         with pytest.raises(ValueError, match="disagree"):
             solve_master_rk4(RadialProfile.zeros(FieldParams(3, 1, 1.0), -2, 2), fs, 1.0)
         for steps in (0, -3):

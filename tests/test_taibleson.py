@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,32 @@ from qharm.vilenkin import lift_profile
 from conftest import LATTICE_SPECS, make_profile, quotient_params, spec_lattice
 
 P21 = FieldParams(2, 1, 1.0)
+# the benchmark's wide-window fields, and one with n = 2
+WIDE_FIELDS = [(2, 1, 0.25), (2, 1, 0.5), (3, 1, 0.25), (3, 1, 0.5), (3, 2, 0.5)]
+
+
+def hypersingular_crown_loop(f, k_x):
+    """Reference: taibleson_hypersingular as one Python step per crown."""
+    q, n, alpha = f.params.q, f.params.n, f.params.alpha
+    w = 1.0 - float(q) ** (-n)
+    C = hypersingular_constant(f.params)
+    if k_x is None:
+        fx = f.tail
+        total = 0.0 + 0.0j
+        for j in range(f.kmin, f.kmax + 1):
+            total += (f.value_at(j) - fx) * float(q) ** (j * alpha) * w
+        total -= fx * w * float(q) ** ((f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
+        return C * total
+    fx = f.value_at(k_x)
+    total = 0.0 + 0.0j
+    for j in range(f.kmin, min(k_x, f.kmax + 1)):
+        total += (f.value_at(j) - fx) * float(q) ** (j * alpha) * w
+    total -= fx * w * float(q) ** ((f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
+    suffix = f.tail * float(q) ** (-max(k_x + 1, f.kmax + 1) * n)
+    for m in range(max(k_x + 1, f.kmin), f.kmax + 1):
+        suffix += f.value_at(m) * (1.0 - float(q) ** (-n)) * float(q) ** (-m * n)
+    total += float(q) ** (k_x * (alpha + n)) * (suffix - fx * float(q) ** (-(k_x + 1) * n))
+    return C * total
 
 
 class TestFourierRoute:
@@ -79,6 +106,62 @@ class TestOracleEquivalence:
         assert abs(taibleson_hypersingular(f, None) - 2.0 / 3.0) < 1e-13
 
 
+class TestHypersingularRoute:
+    @pytest.mark.parametrize("field", WIDE_FIELDS, ids=str)
+    @pytest.mark.parametrize("length", [190, 550, 910])
+    def test_matches_crown_loop(self, rng, field, length):
+        """The array route against the per-crown loop on wide windows whose
+        crown weights stay finite (q**(n |k|) <= 1e140, as in the benchmark)."""
+        params = FieldParams(*field)
+        kabs = math.floor(140.0 / (params.n * math.log10(params.q)))
+        length = min(length, 2 * kabs - 40)
+        kmin = -(length // 2) + int(rng.integers(-10, 11))
+        tail = complex(*rng.standard_normal(2))
+        f = make_profile(rng, params, kmin, kmin + length - 1, tail=tail)
+        points = [int(k) for k in rng.choice(np.arange(kmin - 2, f.kmax + 3), 24, replace=False)]
+        for k_x in [kmin - 1, kmin, f.kmax, f.kmax + 1, *points, None]:
+            ref = hypersingular_crown_loop(f, k_x)
+            got = taibleson_hypersingular(f, k_x)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), k_x
+
+    @pytest.mark.parametrize(
+        "q,n,alpha,k", [(3, 1, 0.5, -300), (2, 1, 0.25, -400), (2, 2, 1.0, -150)]
+    )
+    def test_far_field_ball(self, q, n, alpha, k):
+        """Deep inside a large ball only the outer tail beyond it is felt:
+        D 1_{G_k}(x) = -C (1 - q**-n) q**((k-1) alpha) / (1 - q**-alpha)."""
+        params = FieldParams(q, n, alpha)
+        want = (
+            -hypersingular_constant(params) * (1.0 - float(q) ** -n)
+            * float(q) ** ((k - 1) * alpha) / (1.0 - float(q) ** -alpha)
+        )
+        got = taibleson_hypersingular(RadialProfile.ball_indicator(params, k), -k)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "params,f,k_x",
+        [
+            # q**(k_x (alpha + n)) = 5**515 on the equal crown
+            (FieldParams(5, 3, 100.0), "sphere", 5),
+            # window weights q**(j alpha) up to 2**1100
+            (P21, "ones_out", None),
+            # inner crown measures q**(-m n) up to 2**1100
+            (P21, "ones_in", -1101),
+        ],
+        ids=["equal_crown", "window", "suffix"],
+    )
+    def test_weight_past_float_range(self, params, f, k_x):
+        prof = {
+            "sphere": lambda: RadialProfile.sphere_indicator(params, 0),
+            "ones_out": lambda: RadialProfile(params, 0, 1100, np.ones(1101)),
+            "ones_in": lambda: RadialProfile(params, -1100, 0, np.ones(1101)),
+        }[f]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WindowOverflowError, match="no finite float"):
+                taibleson_hypersingular(prof, k_x)
+
+
 class TestLatticeRoute:
     def test_annihilates_constants(self):
         lat = QuotientLattice(quotient_params(2, 1), 3, 3)
@@ -117,6 +200,22 @@ class TestLatticeRoute:
             want = hypersingular_constant(params) * total * float(lat.coset_measure)
             got = taibleson_hypersingular_lattice(vals, int(x), lat)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_roll_equals_index_gather(self, rng, spec):
+        """The mod-Q roll gives the broadcast ``lattice.add`` gather's result
+        bit for bit."""
+        lat = spec_lattice(spec, alpha=0.7)
+        params = lat.params
+        vals = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        norms = lat.norms()
+        mask = norms > 0
+        weights = norms[mask] ** (-(params.alpha + params.n))
+        for x in {0, lat.size - 1, *(int(i) for i in rng.integers(0, lat.size, 3))}:
+            shifted = vals[lat.add(x, np.arange(lat.size))]
+            total = np.sum((shifted[mask] - vals[x]) * weights) * float(lat.coset_measure)
+            want = hypersingular_constant(params) * complex(total)
+            assert taibleson_hypersingular_lattice(vals, x, lat) == want
 
     def test_radial_input_radial_output(self):
         params = quotient_params(3, 1)
