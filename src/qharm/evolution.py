@@ -45,6 +45,8 @@ class ForcingSignal:
         bp = tuple(float(t) for t in self.breakpoints)
         if len(bp) < 2 or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0 and bound each interval")
+        if not all(math.isfinite(t) for t in bp):
+            raise ValueError("breakpoints must be finite")
         if any(b <= a for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.profiles) != len(bp) - 1:
@@ -214,7 +216,7 @@ def solve_master_rk4(
         tail = tail + fh.tail * (b_eff - a)  # lam = 0 branch integrates f directly
 
     prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)
-    return radial_fourier(prof, direction="inverse")
+    return radial_fourier(prof)
 
 
 def max_regularity_report(

@@ -1,41 +1,36 @@
 """Complex-time heat kernel of the Taibleson semigroup on K^n.
 
-K_z is the Fourier transform of xi -> exp(-z * ||xi||**alpha), Re z > 0.
-Three independent evaluators are provided for x != 0:
+K_z is the Fourier transform of xi -> exp(-z * ||xi||**alpha), Re z > 0.  With
+lam_j = q**(-j alpha), its production form at ||x|| = q**(-k_x) is the suffix sum
+    K_z(x) = sum_{j >= -k_x} q**(-j n) D_j,   D_j = exp(-z lam_j) - exp(-z lam_{j-1}).
 
-* ``kernel_crown_sum``: the partial closed form obtained by integrating the
-  Fourier integral crown by crown,
+Term j is at most q**(-j n) |z| lam_j (q**alpha - 1), so the terms from J on
+sum to at most E |z| q**(-J (n+alpha)), E = (q**alpha - 1) / (1 - q**(-alpha-n)).
+``_exp_form_block`` sums a crown window as one cancellation-free reversed
+cumsum from the inner end, cut at the first J where that bound is below tol
+times the least of 1, the far-field envelope E |z| / ||x||**(alpha+n) at the
+outermost crown and a lower bound of K_{Re z}(0).  ``kernel_exp_form`` is its
+1x1 case, ``kernel_at_zero`` its crown past which every term flushes to 0 and
+``kernel_ball_integral`` a summation by parts of one crown.  Two oracles:
+
+* ``kernel_crown_sum``: the Fourier integral crown by crown,
       (1 - q**-n) * sum_{k >= n0} exp(-z q**(-k alpha)) q**(-k n)
           - exp(-z q**alpha / ||x||**alpha) * ||x||**(-n),
-  with ||x|| = q**n0.  Truncation tail after K terms is bounded by
-  q**(-(n0+K) n) because |exp(-z q**(-k alpha))| <= 1.
-
-* ``kernel_exp_form``: the radial Fourier transform as a suffix sum,
-      sum_{j >= -k_x} q**(-j n) (exp(-z lam_j) - exp(-z lam_{j-1})),
-  lam_j = q**(-j alpha), ||x|| = q**(-k_x).  Term j is at most q**(-j n)
-  |z| lam_j (q**alpha - 1), so the terms from J on sum to at most
-  E |z| q**(-J (n+alpha)), E = (q**alpha - 1) / (1 - q**(-alpha-n)).  The
-  sum stops at the first J where that is below tol times the least of 1,
-  the far-field envelope E |z| / ||x||**(alpha+n) at the outermost crown
-  and a one-term lower bound of K_{Re z}(0): the bound is below tol both
-  absolutely and relative to the kernel's size.  A crown window is one
-  cancellation-free reversed cumsum from the inner end; this is the
-  production evaluator.
-
+  ||x|| = q**n0, whose tail after K terms is at most q**(-(n0+K) n).
 * ``kernel_series``: the factorial series
       sum_{k >= 1} (-z)**k / k! * Gamma_q^{(n)}(k alpha + n) / ||x||**(k alpha + n),
-  guarded against catastrophic cancellation and demoted to a cross-check.
+  guarded against catastrophic cancellation.
 
-Every evaluator returns the value together with a rigorous bound on the
-truncation (plus, for the series and the crown sum, roundoff) error;
-comparisons should use value +- bound.
+Every evaluator returns the value and a rigorous bound on its truncation
+error, plus roundoff for the oracles and the ball integral; compare with
+value +- bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -93,14 +88,18 @@ def _cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
+def _first_term(t: float, params: FieldParams) -> int:
+    """The first j with -t lam_j >= LOG_FLOOR; exp(-z lam_j) flushes before it."""
+    return math.ceil(math.log(t / -LOG_FLOOR) / (params.alpha * math.log(params.q)))
+
+
 def _exp_form_block(
     z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
 ) -> tuple[np.ndarray, float]:
-    """K_z on the crowns kmin..kmax as one reversed cumsum, and the tail
-    bound they share.  The terms start at the first j with -Re z lam_j above
-    LOG_FLOOR (a clamped exponential flushes every term further out to 0);
-    K_{Re z}(0) >= (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m
-    with t lam_m <= n / alpha gives the inner scale."""
+    """K_z on the crowns kmin..kmax as one reversed cumsum from
+    :func:`_first_term` on, and the tail bound they share.  K_{Re z}(0) >=
+    (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m with
+    t lam_m <= n / alpha gives the inner scale."""
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
     lnq = math.log(q)
     rate = (n + alpha) * lnq
@@ -111,12 +110,13 @@ def _exp_form_block(
     log_tail0 = math.log(_power_envelope(params) * abs(z)) + 2.0**-36
     log_scale = min(0.0, log_tail0 + kmin * rate, log_k0)
     J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
-    j_first = math.ceil(math.log(t / -LOG_FLOOR) / (alpha * lnq))
+    j_first = _first_term(t, params)
     if J - max(-kmin, j_first) > cfg.tail_budget:
         msg = f"{cfg.tail_budget} terms (crowns [{kmin}, {kmax}], z={z})"
         raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
     j0 = max(-kmax, j_first)
     J = max(J, j0 + 1, 1 - kmin)
+    float(q**n) ** -j0  # a weight past the float range raises OverflowError, not inf
     # q**(-j n) and w = -z lam_j for j = J - 1 down to j0, the inner end first
     weights = float(q**n) ** np.arange(1 - J, 1 - j0, dtype=float)
     w = weights ** (alpha / n) * -z
@@ -224,68 +224,28 @@ def kernel_series(
 def kernel_at_zero(
     z, params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> EvalResult:
-    """K_z(0) = (1 - q**-n) * sum_{k in Z} exp(-z q**(-k alpha)) q**(-k n).
-
-    Two-sided truncation: the k -> +infinity tail is geometric in q**(-n),
-    the k -> -infinity tail decays doubly exponentially.
-    """
-    z = _as_time(z)
-    q, n, alpha = params.q, params.n, params.alpha
-    rn = float(q) ** (-n)
-    acc = 0.0 + 0.0j
-    bound = 0.0
-
-    k = 0
-    for _ in range(cfg.tail_budget):
-        acc += _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
-        k += 1
-        tail = float(q) ** (-k * n) / (1.0 - rn)
-        if tail * (1.0 - rn) < cfg.tol / 2:
-            bound += tail * (1.0 - rn)
-            break
-    else:
-        raise ToleranceError("kernel_at_zero: inner tail budget exhausted")
-
-    lnq = math.log(q)
-    k = -1
-    for _ in range(cfg.tail_budget):
-        # log term magnitudes; the outward step ratio is monotone decreasing,
-        # so one step ratio < 1/2 certifies a geometric tail
-        logmag = -z.real * float(q) ** (-k * alpha) - k * n * lnq
-        lognxt = -z.real * float(q) ** (-(k - 1) * alpha) - (k - 1) * n * lnq
-        if logmag < math.log(cfg.tol / 4) and lognxt < logmag - math.log(2.0):
-            bound += 2.0 * math.exp(max(LOG_FLOOR, logmag)) * (1.0 - rn)
-            break
-        acc += _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
-        k -= 1
-    else:
-        raise ToleranceError("kernel_at_zero: outer tail budget exhausted")
-
-    return EvalResult((1.0 - rn) * acc, bound)
+    """K_z(0) = sum_{j in Z} q**(-j n) D_j: the block value and tail bound at
+    the crown -j_first, which sums every term that does not flush to 0.  Its
+    terms run both ways from j = 0, so the budget is doubled, one per side."""
+    z, cfg = _as_time(z), replace(cfg, tail_budget=2 * cfg.tail_budget)
+    return kernel_exp_form(z, -_first_term(z.real, params), params, cfg)
 
 
 def kernel_ball_integral(
     z, k: int, params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> EvalResult:
-    """Exact-form integral of K_z over the ball G_k.
-
-    Pairing the kernel against the ball indicator moves the integral to the
-    Fourier side: q**(-k n) (1 - q**-n) sum_{j >= -k} exp(-z q**(-j alpha))
-    q**(-j n), truncated with the geometric tail.
-    """
+    """Integral of K_z over the ball G_k.  On the Fourier side it is
+    q**(-k n) (1 - q**-n) sum_{j >= -k} exp(-z lam_j) q**(-j n), which
+    summation by parts turns into q**(-k n) K_z(k) + exp(-z lam_{-k-1}).  The
+    bound is q**(-k n) times the tail bound, plus the final sum's roundoff."""
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
-    rn = float(q) ** (-n)
     pref = float(q) ** (-k * n)
-    acc = 0.0 + 0.0j
-    j = -k
-    for _ in range(cfg.tail_budget):
-        acc += _cexp(-z * float(q) ** (-j * alpha)) * float(q) ** (-j * n)
-        j += 1
-        tail = pref * float(q) ** (-j * n) / (1.0 - rn) * (1.0 - rn)
-        if tail < cfg.tol:
-            return EvalResult(pref * (1.0 - rn) * acc, tail)
-    raise ToleranceError("kernel ball integral: tail budget exhausted")
+    res = kernel_exp_form(z, k, params, cfg)
+    edge = _cexp(-z * float(q) ** ((k + 1) * alpha))
+    # scaling and adding round by at most 4 units of 2**-53 of the moduli
+    roundoff = 2.0**-53 * 4 * (pref * abs(res.value) + abs(edge))
+    return EvalResult(pref * res.value + edge, pref * res.tail_bound + roundoff)
 
 
 def kernel_profile(
@@ -295,15 +255,9 @@ def kernel_profile(
     cfg: KernelEvalConfig = DEFAULT_CFG,
     evaluator=None,
 ) -> RadialProfile:
-    """Kernel values on a crown window as a radial profile.
-
-    One exp-form block by default, whose error is below cfg.tol relative to
-    the far-field envelope on every crown, so the window sum of |error| *
-    mu(S_k) stays near cfg.tol; any other ``evaluator`` is called crown by
-    crown.  The inner tail is left at zero: the truncation it introduces is
-    bounded by sup |K_z| * mu(G_{kmax+1}) and can be recovered exactly
-    through :func:`kernel_ball_integral`, and K_z(0) through
-    :func:`kernel_at_zero`.
+    """Kernel values on a crown window as a radial profile: one exp-form
+    block by default, else ``evaluator`` crown by crown.  The inner tail is
+    left at zero; :func:`kernel_ball_integral` recovers its mass exactly.
     """
     z = _as_time(z)
     kmin, kmax = window

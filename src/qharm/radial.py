@@ -196,10 +196,9 @@ def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tai
     return out_kmin, out_kmax, OUT, T[:, 0]
 
 
-def radial_fourier(f: RadialProfile, direction: str = "forward") -> RadialProfile:
-    """Radial Fourier transform via suffix sums; an involution on profiles."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction}")
+def radial_fourier(f: RadialProfile) -> RadialProfile:
+    """Radial Fourier transform via suffix sums; an involution on profiles,
+    so it is its own inverse."""
     kmin, kmax, out, tails = _fourier_block(
         f.params, f.kmin, f.kmax, f.coeffs[None, :], np.array([f.tail])
     )
@@ -212,7 +211,7 @@ def convolve(g: RadialProfile, f: RadialProfile) -> RadialProfile:
     prod = RadialProfile(
         gh.params, gh.kmin, gh.kmax, gh.coeffs * fh.coeffs, tail=gh.tail * fh.tail
     )
-    return radial_fourier(prod, direction="inverse")
+    return radial_fourier(prod)
 
 
 def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
@@ -326,7 +325,7 @@ def fourier_multiplier_apply(
         fhat.coeffs * vals,
         tail=fhat.tail * complex(limit_at_zero),
     )
-    return radial_fourier(out, direction="inverse")
+    return radial_fourier(out)
 
 
 # -- serialization -------------------------------------------------------------

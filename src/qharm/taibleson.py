@@ -55,11 +55,11 @@ def _qpow(q: int, e: float) -> float:
         raise WindowOverflowError(f"crown weight {q}**{e!r} is no finite float") from None
 
 
-def _qpowers(q: int, lo: int, hi: int, c: float) -> np.ndarray:
-    """float(q) ** (k * c), k in [lo, hi), as one np.power, the larger end checked by _qpow."""
-    if lo < hi:
-        _qpow(q, max(lo * c, (hi - 1) * c))
-    return np.power(float(q), np.arange(lo, hi) * c)
+def _qpowers(q: int, exps: np.ndarray) -> np.ndarray:
+    """float(q) ** exps as one np.power, the largest exponent checked by _qpow."""
+    if exps.size:
+        _qpow(q, float(exps.max()))
+    return np.power(float(q), exps)
 
 
 def _loop_sum(start: complex, terms: np.ndarray) -> complex:
@@ -90,18 +90,22 @@ def taibleson_hypersingular(
     # integrand is f_j - fx; crowns beyond kmax carry f_j = tail = fx
     top = f.kmax + 1 if k_x is None else max(f.kmin, min(k_x, f.kmax + 1))
     crowns = f.coeffs[: top - f.kmin] - fx
-    total = _loop_sum(0j, crowns * _qpowers(q, f.kmin, top, alpha) * w)
+    total = _loop_sum(0j, crowns * _qpowers(q, np.arange(f.kmin, top) * alpha) * w)
     # outer tail j < kmin: f_j = 0
     total -= fx * w * _qpow(q, (f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
     if k_x is None:
         return C * total
     # u-crowns above k_x (||u|| < ||x||): ||x+u|| = ||x||, integrand vanishes
-    # equal crown: q**(k_x(alpha+n)) * (sum_{m>k_x} f_m mu(S_m) - fx mu(G_{k_x+1})),
-    # the suffix sum over crowns m > k_x with the inner tail in closed form
-    lo = max(k_x + 1, f.kmin)
-    inner = f.tail * _qpow(q, -max(k_x + 1, f.kmax + 1) * n)
-    inner = _loop_sum(inner, f.coeffs[lo - f.kmin :] * w * _qpowers(q, lo, f.kmax + 1, -n))
-    total += _qpow(q, k_x * (alpha + n)) * (inner - fx * _qpow(q, -(k_x + 1) * n))
+    # equal crown: q**(k_x(alpha+n)) * sum_{m>k_x} (f_m - fx) mu(S_m), the suffix
+    # sum over crowns m > k_x with the inner tail in closed form (f_m = 0 = fx
+    # outside the window); the weight goes into every exponent, so no term
+    # underflows where the sum is huge, and a locally constant f cancels exactly
+    lo, e = max(k_x + 1, f.kmin), k_x * (alpha + n)
+    if lo <= f.kmax:  # the crown measures q**(-m n) themselves stay floats
+        _qpow(q, -lo * n)
+    inner = (f.tail - fx) * _qpow(q, e - max(k_x + 1, f.kmax + 1) * n)
+    weights = _qpowers(q, e - np.arange(lo, f.kmax + 1) * n)
+    total += _loop_sum(inner, (f.coeffs[lo - f.kmin :] - fx) * w * weights)
     return C * total
 
 
@@ -158,7 +162,7 @@ def levy_khinchin_check(
     if mode == "closed_form":
         S = w * float(q) ** ((n0 - 1) * alpha) / (1.0 - float(q) ** (-alpha)) + boundary
     else:
-        S = _loop_sum(boundary, w * _qpowers(q, n0 - budget, n0, alpha)).real
+        S = _loop_sum(boundary, w * _qpowers(q, np.arange(n0 - budget, n0) * alpha)).real
     g = gamma_qn(-params.alpha, params)
     rhs = -S / g.real
     return (xa, rhs)

@@ -613,7 +613,7 @@ def verify_maxreg(update: bool = False) -> dict:
 
     # single-mode forcing: one Fourier crown
     delta_hat = RadialProfile(params, 1, 1, [1.0])
-    mode = radial.radial_fourier(delta_hat, direction="inverse")
+    mode = radial.radial_fourier(delta_hat)
     single = evolution.ForcingSignal((0.0, 0.5, 1.0), (mode, -0.7 * mode))
     ratios = [evolution.max_regularity_report(single, 2.0, 2.0, n_time=4097)]
     for _ in range(10):

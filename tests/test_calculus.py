@@ -51,7 +51,7 @@ class TestSymbolFunction:
 class TestResolvent:
     def test_eigenlayer_scaling(self):
         m0 = 1
-        e = radial_fourier(RadialProfile(P21, m0, m0, [1.0]), "inverse")
+        e = radial_fourier(RadialProfile(P21, m0, m0, [1.0]))
         z = -2.0 + 0.5j
         lam = 2.0 ** (-m0)
         out = resolvent_apply(z, e)

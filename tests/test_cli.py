@@ -190,6 +190,14 @@ times = 0.25 1.0
         assert err.strip() == "ValueError: output times must be finite"
 
 
+    def test_nan_breakpoint_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("0.0 0.5 1.0", "0.0 nan 1.0"))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.strip() == "ValueError: breakpoints must be finite"
+
+
 class TestVerifyOverflow:
     def test_taibleson_weight_past_float_range(self, capsys):
         code, out, err = run_cli(

@@ -22,7 +22,7 @@ P21 = FieldParams(2, 1, 1.0)
 
 
 def eigenlayer(params, m0):
-    return radial_fourier(RadialProfile(params, m0, m0, [1.0]), "inverse")
+    return radial_fourier(RadialProfile(params, m0, m0, [1.0]))
 
 
 def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
@@ -62,7 +62,7 @@ def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
         tail = tail + fh.tail * (b_eff - a)
 
     prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)
-    return radial_fourier(prof, direction="inverse")
+    return radial_fourier(prof)
 
 
 class TestForcingSignal:
@@ -78,6 +78,15 @@ class TestForcingSignal:
             ForcingSignal(
                 (0.0, 0.5, 1.0), (prof, RadialProfile.zeros(P21, -1, 2))
             )  # window mismatch
+
+    @pytest.mark.parametrize(
+        "breakpoints", [(0.0, math.nan, 1.0), (0.0, 0.5, math.inf), (0.0, math.nan)]
+    )
+    def test_non_finite_breakpoint(self, breakpoints):
+        """NaN compares false, so the increasing check alone would pass it."""
+        profs = (RadialProfile.zeros(P21, -2, 2),) * (len(breakpoints) - 1)
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            ForcingSignal(breakpoints, profs)
 
 
 class TestSolveMaster:

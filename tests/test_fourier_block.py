@@ -76,7 +76,7 @@ def square_function_loop(g, phi, p):
     for t in grid:
         factors = np.array([phi.fn(t * lam) for lam in lams], dtype=complex)
         prof = radial_fourier(
-            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors), "inverse"
+            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors)
         )
         acc = acc + np.abs(prof.coeffs) ** 2 * dlog
         acc_tail += abs(prof.tail) ** 2 * dlog
@@ -125,7 +125,7 @@ def solve_master_loop(x0, forcing, times):
             coef = coef + fh.coeffs * duhamel_scalar(lams, t, a, b)
             tail = tail + fh.tail * max(0.0, min(b, t) - a)
         prof = RadialProfile(x0.params, xh.kmin, xh.kmax, coef, tail=tail)
-        outs.append(radial_fourier(prof, "inverse"))
+        outs.append(radial_fourier(prof))
     return outs
 
 
@@ -142,7 +142,7 @@ def max_regularity_loop(forcing, p, q_space, n_time):
         for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
             coef += fh.coeffs * duhamel_scalar(lams, float(t), a, b)
         dhat = RadialProfile(forcing.params, fhs[0].kmin, fhs[0].kmax, coef * lams)
-        norms.append(lp_norm(radial_fourier(dhat, "inverse"), q_space))
+        norms.append(lp_norm(radial_fourier(dhat), q_space))
     return float(np.trapezoid(np.array(norms) ** p, grid)) ** (1.0 / p) / den
 
 

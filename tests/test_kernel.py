@@ -123,6 +123,17 @@ class TestKernelAtZero:
     def test_real_time_real_output(self):
         assert abs(kernel_at_zero(3.0 + 0j, P31).value.imag) < 1e-14
 
+    def test_small_alpha(self):
+        """At alpha = 0.05 the terms run some 200 crowns out past j = 0 before
+        they flush to 0, and both sides fit the budget; where the weights
+        leave the float range the call raises instead of returning NaN."""
+        params, z = FieldParams(2, 1, 0.05), 0.8 + 0.4j
+        a = kernel_at_zero(2.0**0.05 * z, params).value
+        b = kernel_at_zero(z, params).value / 2
+        assert abs(a - b) <= 1e-12 * abs(b)
+        with pytest.raises(OverflowError):
+            kernel_at_zero(1e-3, FieldParams(5, 3, 0.05))
+
 
 class TestMassAndL1:
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])

@@ -1,5 +1,6 @@
 """The exp-form kernel and the crown-sum oracle against a 60-digit mpmath
-reference for k_x in [-30, 30].
+reference for k_x in [-30, 30], and K_z(0) and the ball integrals over G_k,
+k in [-8, 8], against the same suffix sums.
 
 The reference is the crown-sum closed form (see :mod:`qharm.kernel`), summed
 exactly; its cancellation in the far field costs at most about 30 of the 60
@@ -18,6 +19,8 @@ from qharm.field import FieldParams
 from qharm.kernel import (
     DEFAULT_CFG,
     KernelEvalConfig,
+    kernel_at_zero,
+    kernel_ball_integral,
     kernel_crown_sum,
     kernel_exp_form,
     kernel_profile,
@@ -25,6 +28,7 @@ from qharm.kernel import (
 from qharm.verification import TOL_KERNEL_AGREE
 
 KXS = range(-30, 31)
+KS = range(-8, 9)
 ARGS = (0.0, math.pi / 3, -math.pi / 3)
 ZS = [mod * cmath.exp(1j * arg) for mod in (0.01, 1.0, 100.0) for arg in ARGS]
 PARAMS = [
@@ -35,6 +39,17 @@ ROUNDOFF = 2.0**-40  # relative allowance for double rounding, about 9e-13
 AGREE_CFG = KernelEvalConfig(tail_budget=256, tol=1e-15)  # the kernel-agree suite's
 
 
+def _crown_suffix(z, params, k_lo, k_hi):
+    """sum_{k'=k}^{k_hi} exp(-z q**(-k' alpha)) q**(-k' n) for k in [k_lo, k_hi]."""
+    q, n = mpmath.mpf(params.q), params.n
+    a, zz = mpmath.mpf(params.alpha), mpmath.mpc(z)
+    suffix, acc = {}, mpmath.mpc(0)
+    for k in range(k_hi, k_lo - 1, -1):
+        acc += mpmath.exp(-zz * q ** (-k * a)) * q ** (-k * n)
+        suffix[k] = acc
+    return suffix
+
+
 def _crown_reference(z, params, kxs):
     """K_z at ||x|| = q**(-k_x) from the crown sum, by suffix sums of
     exp(-z q**(-k alpha)) q**(-k n) over k >= -k_x."""
@@ -43,12 +58,8 @@ def _crown_reference(z, params, kxs):
     # the terms past k_hi sum below 10**-DIGITS times 0.01 q**(-30 (n + alpha)),
     # the far-field size at |z| = 0.01
     lq = math.log10(params.q)
-    k_lo = -max(kxs)
     k_hi = math.ceil((-min(kxs) * (n + params.alpha) * lq + DIGITS + 2) / (n * lq))
-    suffix, acc = {}, mpmath.mpc(0)
-    for k in range(k_hi, k_lo - 1, -1):
-        acc += mpmath.exp(-zz * q ** (-k * a)) * q ** (-k * n)
-        suffix[k] = acc
+    suffix = _crown_suffix(z, params, -max(kxs), k_hi)
     out = {}
     for k_x in kxs:
         corr = mpmath.exp(-zz * q**a * q ** (k_x * a)) * q ** (k_x * n)
@@ -135,3 +146,35 @@ def test_crown_sum_bound(params):
                 if k_x >= 0:
                     limit = AGREE_CFG.tol + TOL_KERNEL_AGREE / 10 * abs(r)
                     assert res.tail_bound <= limit, where
+
+
+@pytest.mark.parametrize(
+    "params", PARAMS, ids=lambda p: f"q{p.q}-n{p.n}-a{p.alpha}"
+)
+def test_at_zero_and_ball_integral_against_mpmath(params):
+    """K_z(0) = (1 - q**-n) sum_{k in Z} exp(-z lam_k) q**(-k n) and the
+    integral over G_k, q**(-k n) (1 - q**-n) sum_{j >= -k} of the same terms.
+    The crown sum runs out to the first k where the term's modulus is below
+    10**-(DIGITS + 10), past which the terms fall doubly exponentially, and
+    in until its geometric tail is below 10**-(DIGITS + 30) q**(-8 n), far
+    under every value here (the least, over G_8 at z = 100, is 2.3e-15)."""
+    q, n, alpha = params.q, params.n, params.alpha
+    lnq, log_cut = math.log(q), (DIGITS + 10) * math.log(10)
+    k_hi = max(KS) + math.ceil((DIGITS + 30) / (n * math.log10(q)))
+    with mpmath.workdps(DIGITS):
+        w = 1 - mpmath.mpf(q) ** -n
+        for z in ZS:
+            k_lo = -max(KS)
+            while z.real * float(q) ** (-k_lo * alpha) < -k_lo * n * lnq + log_cut:
+                k_lo -= 1
+            suffix = _crown_suffix(z, params, k_lo, k_hi)
+            cases = [("K(0)", kernel_at_zero(z, params), w * suffix[k_lo])]
+            for k in KS:
+                ref = mpmath.mpf(q) ** (-k * n) * w * suffix[-k]
+                cases.append((f"ball k={k}", kernel_ball_integral(z, k, params), ref))
+            for what, res, ref in cases:
+                r, where = complex(ref), f"{what}, z={z}"
+                assert abs(res.value - r) <= TOL_KERNEL_AGREE * abs(r), where
+                # the bound covers the truncation; the value is within it plus
+                # roundoff of the exact sum
+                assert abs(res.value - r) <= res.tail_bound + ROUNDOFF * abs(r), where

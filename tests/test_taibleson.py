@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,7 +66,7 @@ class TestFourierRoute:
         """Fourier mass on one crown scales by the single multiplier value."""
         params = FieldParams(3, 2, 0.5)
         m0 = -2
-        e = radial_fourier(RadialProfile(params, m0, m0, [1.0]), "inverse")
+        e = radial_fourier(RadialProfile(params, m0, m0, [1.0]))
         D = taibleson_fourier(e)
         lam = 3.0 ** (-m0 * 0.5)
         assert lp_norm(D - lam * e, 2) < 1e-12 * lam
@@ -137,6 +138,26 @@ class TestHypersingularRoute:
         )
         got = taibleson_hypersingular(RadialProfile.ball_indicator(params, k), -k)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("k_x", [-301, -300, 0, 100, 299, 300, 301])
+    def test_wide_ball_every_crown(self, k_x):
+        """An all-ones profile with tail 1 on [-300, 300] is 1_{G_-300}.  Outside
+        it only the equal crown is felt, D f(x) = C q**(300 n) ||x||**(-alpha-n),
+        about 1e-73 at k_x = -301 where the crown weight alone underflows;
+        inside, the equal crown cancels exactly and the far-field ball value is
+        left.  Both against 50-digit mpmath."""
+        params = FieldParams(3, 2, 0.5)
+        f = RadialProfile(params, -300, 300, np.ones(601), tail=1.0)
+        with mpmath.workdps(50):
+            q, a, n = mpmath.mpf(3), mpmath.mpf("0.5"), 2
+            C = (1 - q**a) / (1 - q ** (-a - n))
+            if k_x < -300:
+                want = C * q ** (300 * n) * q ** (k_x * (a + n))
+            else:
+                want = -C * (1 - q**-n) * q ** (-301 * a) / (1 - q**-a)
+            want = complex(want)
+        got = taibleson_hypersingular(f, k_x)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize(
         "params,f,k_x",
