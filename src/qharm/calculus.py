@@ -17,6 +17,7 @@ by the symbol's decay certificate.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from . import radial
 from .errors import QuadratureError, SpectrumError
 from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
+
+_BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,21 @@ class ContourResult(NamedTuple):
 def _contour_factors(
     lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig
 ) -> np.ndarray:
-    """Quadrature of (1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays."""
+    """Quadrature of (1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays.
+
+    A node z = r e^{-+i nu} of trapezoid weight w in u = log r carries
+    w f(z) z / (z - lam), as dz = z du.  With t = lam / r,
+    z / (z - lam) = 1 / (1 - t e^{+-i nu}) = (1 - t e^{-+i nu}) E, where
+    E = 1 / |1 - t e^{i nu}|**2 = 1 / ((t - cos nu)**2 + sin(nu)**2) is the
+    same on both rays and at most 1 / sin(nu)**2; its sum of squares cannot
+    cancel.  With cm, cp = w f(z) outward along -nu and inward along +nu, the
+    integral at lam_j is
+    sum_i ((cm - cp)_i - lam_j ((cm e^{-i nu} - cp e^{i nu}) / r)_i) E_ij,
+    one real (4 x nodes) @ (nodes x eigenvalues) product.  Where the square
+    overflows, E is 0 and its true value is below the float range.
+    """
     r0, r1 = contour.radius_range
-    decades = math.log10(r1 / r0)
+    decades = math.log10(r1) - math.log10(r0)
     nnode = max(2, int(math.ceil(decades * contour.nodes_per_decade)) + 1)
     u = np.linspace(math.log(r0), math.log(r1), nnode)
     h = u[1] - u[0]
@@ -190,14 +205,14 @@ def _contour_factors(
     w[0] = w[-1] = h / 2.0
     r = np.exp(u)
 
-    total = np.zeros(lams.size, dtype=complex)
-    for sign, orient in ((-1.0, +1.0), (+1.0, -1.0)):
-        zs = r * np.exp(1j * sign * contour.nu)
-        fv = sym.fn(zs)
-        # int f(z) R(z, lam) dz over the ray, dz = e * r du
-        integ = (w * fv * zs)[:, None] / (zs[:, None] - lams[None, :])
-        total += orient * integ.sum(axis=0)
-    return total / (2j * math.pi)
+    nu, rot = contour.nu, cmath.exp(-1j * contour.nu)
+    cm, cp = w * np.broadcast_to(sym.fn(r * np.array([[rot], [rot.conjugate()]])), (2, nnode))
+    a, b = cm - cp, (cm * rot - cp * rot.conjugate()) / r
+    with np.errstate(over="ignore"):
+        E = (lams / r[:, None] - math.cos(nu)) ** 2 + math.sin(nu) ** 2
+    np.reciprocal(E, out=E)
+    R = np.stack((a.real, a.imag, b.real, b.imag)) @ E
+    return ((R[0] + 1j * R[1]) - lams * (R[2] + 1j * R[3])) / (2j * math.pi)
 
 
 def hinf_apply_contour(
@@ -228,17 +243,16 @@ def hinf_apply_contour(
     fine = ContourConfig(contour.nu, 2 * contour.nodes_per_decade, contour.radius_range)
     hats = ghat.coeffs * np.stack([_contour_factors(lams, sym, c) for c in (fine, contour)])
     kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
-    prof_fine, prof_coarse = (
-        RadialProfile(g.params, kmin, kmax, row, tail=t) for row, t in zip(out, tails)
-    )
-    diff = lp_norm(prof_fine - prof_coarse, 2)
-    scale = max(lp_norm(prof_fine, 2), 1e-300)
+    prof = RadialProfile(g.params, kmin, kmax, out[0], tail=tails[0])
+    rows = np.stack((out[0] - out[1], out[0]))
+    diff, scale = radial._lp_norms(g.params, kmin, kmax, rows, [tails[0] - tails[1], tails[0]], 2)
+    scale = max(scale, 1e-300)
     if diff > tol * scale:
         raise QuadratureError(
             f"contour quadrature not converged: node doubling moved the "
             f"result by {diff / scale:.3e} (tol {tol})"
         )
-    return ContourResult(prof_fine, diff / scale)
+    return ContourResult(prof, diff / scale)
 
 
 def geometric_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.ndarray:
@@ -253,15 +267,16 @@ def square_function(
     g: RadialProfile,
     phi: SymbolFunction,
     grid: np.ndarray | None = None,
-    p: float = 2.0,
+    p: float | tuple[float, ...] = 2.0,
     per_decade: int = 12,
     pad_decades: float = 7.0,
-) -> float:
+) -> float | list[float]:
     """L^p norm of the discrete square function of g through phi.
 
     Discretizes int_0^infty |phi(t A) g|^2 dt/t on a geometric grid with the
     log-midpoint rule, takes the pointwise square root and returns its L^p
-    norm.  When ``grid`` is omitted it is sized so that u = t * lam covers
+    norm, or for a tuple ``p`` the list of its norms, one per p.  When
+    ``grid`` is omitted it is sized so that u = t * lam covers
     [10**-pad, 10**pad] for every eigenvalue carrying non-negligible mass;
     a warning fires when the boundary terms exceed 1% of the sum.  The grid
     times are the rows of one transform block.
@@ -293,7 +308,9 @@ def square_function(
             stacklevel=2,
         )
     root = np.sqrt(acc)
-    return radial._lp_norms(g.params, kmin, kmax, root[None, :-1], root[-1:], p)[0]
+    ps = p if isinstance(p, tuple) else (p,)
+    norms = [radial._lp_norms(g.params, kmin, kmax, root[None, :-1], root[-1:], e)[0] for e in ps]
+    return norms if isinstance(p, tuple) else norms[0]
 
 
 def rademacher_ratio(
@@ -309,35 +326,45 @@ def rademacher_ratio(
     Each trial draws one sign vector and one tuple of random profiles and
     computes ||sum_j eps_j (cos arg z_j) T_{z_j} g_j||_p /
     ||sum_j eps_j g_j||_p; the maximum over trials is returned.
-    Deterministic given the seed.  A trial is one transform block, a row per
-    z, on the Fourier window the largest row extension needs.
+    Deterministic given the seed, drawn trial by trial.  Up to
+    ``_BLOCK_ROWS // len(family)`` trials are one transform block, a row per
+    (trial, z) and one factor row exp(-z lam) per z, on the Fourier window of
+    the deepest row extension: every decay is (1, |z|), so that of the row
+    with the largest |z| |tail| / max(1, |tail|).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    kmin, kmax = window
+    if trials < 1 or kmin > kmax:
+        raise ValueError(f"need at least one trial and a crown window, got {trials}, {window}")
     zs = [complex(z) for z in family]
-    if any(not z.real > 0 for z in zs):
-        raise ValueError("all family points need Re z > 0")
+    if not zs or any(not z.real > 0 for z in zs):
+        raise ValueError("need a nonempty family with Re z > 0 at every point")
     coss = np.array([z.real / abs(z) for z in zs])
-    decays = [_semigroup_decay(z) for z in zs]
+    mods = np.array([_semigroup_decay(z)[1] for z in zs])
     zcol = np.array(zs)[:, None]
     rng = np.random.default_rng(seed)
-    kmin, kmax = window
+    nz, m = len(zs), kmax - kmin + 1
+    chunk = max(1, _BLOCK_ROWS // nz)
     best = 0.0
-    for _ in range(trials):
-        eps = (rng.integers(0, 2, size=len(zs)) * 2 - 1).astype(float)
-        draws = rng.standard_normal((len(zs), 2, kmax - kmin + 1))  # re, im parts
-        gs = draws[:, 0] + 1j * draws[:, 1]
-        hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs)
-        sizes = [abs(t) for t in htails.tolist()]
-        top = max(radial._hat_depth(params, hkmax, t, d) for t, d in zip(sizes, decays))
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        eps, draws = np.empty((count, nz)), np.empty((count, nz, 2, m))  # re, im parts
+        for i in range(count):
+            eps[i] = rng.integers(0, 2, size=nz) * 2 - 1
+            rng.standard_normal(out=draws[i])
+        gs = draws[:, :, 0] + 1j * draws[:, :, 1]
+        hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs.reshape(-1, m))
+        sizes = np.abs(htails).reshape(count, nz)
+        k = int(np.argmax(mods * sizes / np.maximum(1.0, sizes)))
+        top = radial._hat_depth(params, hkmax, float(sizes.flat[k]), _semigroup_decay(zs[k % nz]))
         hats = np.column_stack((hats, np.repeat(htails[:, None], top - hkmax, axis=1)))
-        hats *= _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
+        factors = _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
+        hats *= np.tile(factors, (count, 1))
         okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
         # rows summed in order, the inner tails riding in the last column
-        num = ((eps * coss)[:, None] * np.column_stack((outs, otails))).sum(axis=0)
-        den = (eps[:, None] * np.column_stack((gs, 0.0 * eps))).sum(axis=0)
-        dval = radial._lp_norms(params, kmin, kmax, den[None, :-1], den[-1:], p)[0]
-        nval = radial._lp_norms(params, okmin, okmax, num[None, :-1], num[-1:], p)[0]
-        if dval > 0:
-            best = max(best, nval / dval)
+        outs = np.column_stack((outs, otails)).reshape(count, nz, -1)
+        num = ((eps * coss)[:, :, None] * outs).sum(axis=1)
+        den = (eps[:, :, None] * gs).sum(axis=1)
+        dvals = radial._lp_norms(params, kmin, kmax, den, np.zeros(count), p)
+        nvals = radial._lp_norms(params, okmin, okmax, num[:, :-1], num[:, -1], p)
+        best = max([best] + [nv / dv for nv, dv in zip(nvals, dvals) if dv > 0])
     return best

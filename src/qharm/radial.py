@@ -29,13 +29,15 @@ moves from its lam -> 0 limit by at most lip * lam**s, the window is
 extended to the first crown with lam <= (eps / lip)**(1/s), so the residual
 beyond it is below eps (1e-16, times the tail when that exceeds 1 on the
 multiplier routes).  An extension past ``MAX_EXT`` crowns, or a cut-off
-eigenvalue that underflows to 0, raises :class:`WindowOverflowError`.
+eigenvalue that underflows to 0 or below the normal float range, raises
+:class:`WindowOverflowError`.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,9 +274,9 @@ def _extension_depth(
         lam_cut = (eps / lip) ** (1.0 / s)
     except OverflowError:  # the cut-off lies above every eigenvalue
         return kmax
-    if lam_cut == 0.0:
+    if lam_cut < sys.float_info.min:  # 0 or subnormal: 1 / lam_cut overflows
         raise WindowOverflowError(
-            f"tail cut-off eigenvalue underflows to 0 (decay exponent {s})"
+            f"tail cut-off eigenvalue {lam_cut} underflows (decay exponent {s})"
         )
     m_cut = math.ceil(math.log(1.0 / lam_cut) / (params.alpha * math.log(params.q)))
     ext_to = max(kmax, m_cut)

@@ -459,11 +459,10 @@ def verify_squarefn(update: bool = False) -> dict:
         g = RadialProfile(
             params, kmin, kmax, rng.standard_normal(m) + 1j * rng.standard_normal(m)
         )
-        worst_l2 = max(
-            worst_l2, abs(calculus.square_function(g, phi, p=2.0) / lp_norm(g, 2) - target)
-        )
-        for p in (1.5, 3.0):
-            ratios[p].append(calculus.square_function(g, phi, p=p) / lp_norm(g, p))
+        s2, *others = calculus.square_function(g, phi, p=(2.0, 1.5, 3.0))
+        worst_l2 = max(worst_l2, abs(s2 / lp_norm(g, 2) - target))
+        for p, s in zip((1.5, 3.0), others):
+            ratios[p].append(s / lp_norm(g, p))
     ok = worst_l2 <= TOL_SQUAREFN_L2
     bands = {}
     for p in (1.5, 3.0):

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qharm import radial
 from qharm.calculus import (
     ContourConfig,
     SymbolFunction,
+    _contour_factors,
+    _semigroup_decay,
+    _semigroup_factors,
     hinf_apply_contour,
     hinf_apply_direct,
     rademacher_ratio,
@@ -18,6 +22,13 @@ from qharm.errors import QuadratureError, SpectrumError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import default_mass_window, kernel_profile
 from qharm.radial import RadialProfile, convolve, lp_norm, radial_fourier
+from qharm.verification import (
+    RBOUND_FAMILY,
+    SEED_RBOUND,
+    TOL_CONTOUR,
+    rbound_family,
+    standard_symbols,
+)
 
 from conftest import make_profile
 
@@ -28,12 +39,67 @@ ROOT = SymbolFunction(lambda t: np.sqrt(t) / (1 + t), (0.5, 1.2), 1.4)
 NARROW = SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0)
 # decay exponent 0.03: the cut-off eigenvalue (1e-16 / C)**(1/s) underflows
 SLOW = SymbolFunction(lambda t: t**0.03 / (1 + t**0.06), (0.03, 1.1), 1.0)
+# on ONES the padded contour radius range spans about 10**363, past the float
+# ratio r1 / r0; at s = 0.05 the cut-off eigenvalue is 1e-320, subnormal
+DECAY_01 = SymbolFunction(lambda t: t**0.1 / (1 + t) ** 0.2, (0.1, 2.0), 1.4)
+DECAY_005 = SymbolFunction(lambda t: t**0.05 / (1 + t) ** 0.1, (0.05, 1.0), 1.4)
+ONES = RadialProfile(P21, -3, 2, np.ones(6))
 
 ROUTES = {
     "direct": hinf_apply_direct,
     "squarefn": lambda sym, g: square_function(g, sym),
     "contour": hinf_apply_contour,
 }
+
+
+# -- references ------------------------------------------------------------------
+
+
+def contour_factors_rays(lams, sym, contour):
+    """The quadrature as one complex division per ray, summed ray by ray."""
+    r0, r1 = contour.radius_range
+    decades = math.log10(r1 / r0)
+    nnode = max(2, int(math.ceil(decades * contour.nodes_per_decade)) + 1)
+    u = np.linspace(math.log(r0), math.log(r1), nnode)
+    h = u[1] - u[0]
+    w = np.full(nnode, h)
+    w[0] = w[-1] = h / 2.0
+    r = np.exp(u)
+    total = np.zeros(lams.size, dtype=complex)
+    for sign, orient in ((-1.0, +1.0), (+1.0, -1.0)):
+        zs = r * np.exp(1j * sign * contour.nu)
+        integ = (w * sym.fn(zs) * zs)[:, None] / (zs[:, None] - lams[None, :])
+        total += orient * integ.sum(axis=0)
+    return total / (2j * math.pi)
+
+
+def rademacher_trial_loop(family, p, trials, seed, params, window=(-4, 4)):
+    """The Rademacher ratio as one transform block per trial."""
+    zs = [complex(z) for z in family]
+    coss = np.array([z.real / abs(z) for z in zs])
+    decays = [_semigroup_decay(z) for z in zs]
+    zcol = np.array(zs)[:, None]
+    rng = np.random.default_rng(seed)
+    kmin, kmax = window
+    best = 0.0
+    for _ in range(trials):
+        eps = (rng.integers(0, 2, size=len(zs)) * 2 - 1).astype(float)
+        draws = rng.standard_normal((len(zs), 2, kmax - kmin + 1))
+        gs = draws[:, 0] + 1j * draws[:, 1]
+        hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs)
+        top = max(
+            radial._hat_depth(params, hkmax, abs(t), d) for t, d in zip(htails.tolist(), decays)
+        )
+        hats = np.column_stack((hats, np.repeat(htails[:, None], top - hkmax, axis=1)))
+        hats *= _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
+        okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
+        num = ((eps * coss)[:, None] * np.column_stack((outs, otails))).sum(axis=0)
+        den = (eps[:, None] * np.column_stack((gs, 0.0 * eps))).sum(axis=0)
+        dval = radial._lp_norms(params, kmin, kmax, den[None, :-1], den[-1:], p)[0]
+        nval = radial._lp_norms(params, okmin, okmax, num[None, :-1], num[-1:], p)[0]
+        if dval > 0:
+            best = max(best, nval / dval)
+    return best
 
 
 class TestSymbolFunction:
@@ -144,6 +210,26 @@ class TestContourCalculus:
         with pytest.raises(ValueError):
             hinf_apply_contour(NARROW, g, ContourConfig(nu=1.2))
 
+    @pytest.mark.parametrize(
+        "sym",
+        [*standard_symbols(), SymbolFunction(lambda t: t**0.2 / (1 + t) ** 0.4, (0.2, 1.0), 1.4)],
+        ids=["s1", "s0.5", "s1narrow", "s0.2"],
+    )
+    def test_factors_match_per_ray_division(self, sym, rng):
+        g = make_profile(rng, P21, -3, 4, tail=0.25)
+        _ghat, lams = radial._extended_hat(g, sym.decay)
+        coarse = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
+        fine = ContourConfig(coarse.nu, 2 * coarse.nodes_per_decade, coarse.radius_range)
+        for contour in (coarse, fine):
+            ref = contour_factors_rays(lams, sym, contour)
+            err = np.max(np.abs(_contour_factors(lams, sym, contour) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
+
+    def test_radius_range_past_the_float_ratio(self):
+        res = hinf_apply_contour(DECAY_01, ONES)
+        direct = hinf_apply_direct(DECAY_01, ONES)
+        assert lp_norm(res.profile - direct, 2) <= TOL_CONTOUR * lp_norm(direct, 2)
+
     def test_nonconvergence_detected(self, rng):
         g = make_profile(rng, P21, -2, 2)
         bad = ContourConfig(nu=0.5, nodes_per_decade=2, radius_range=(1e-3, 1e3))
@@ -195,6 +281,11 @@ class TestSquareFunction:
         with pytest.warns(UserWarning):
             square_function(g, PHI, grid=np.logspace(-1, 1, 10), p=2.0)
 
+    def test_several_p_from_one_block(self, rng):
+        g = make_profile(rng, P21, -4, 3, tail=0.3)
+        ps = (2.0, 1.5, 3.0, math.inf)
+        assert square_function(g, PHI, p=ps) == [square_function(g, PHI, p=p) for p in ps]
+
     def test_empty_grid_rejected(self, rng):
         with pytest.raises(ValueError):
             square_function(make_profile(rng, P21, -2, 2), PHI, grid=[])
@@ -209,6 +300,11 @@ class TestWindowExtension:
         g = RadialProfile.ball_indicator(P21, 0)
         with pytest.raises(WindowOverflowError):
             ROUTES[route](SLOW, g)
+
+    @pytest.mark.parametrize("route", ["direct", "squarefn", "contour"])
+    def test_subnormal_cutoff_refused(self, route):
+        with pytest.raises(WindowOverflowError, match="underflows"):
+            ROUTES[route](DECAY_005, ONES)
 
     @pytest.mark.parametrize("route", ["direct", "contour"])
     def test_extension_cap(self, route):
@@ -244,3 +340,29 @@ class TestRademacher:
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             rademacher_ratio([-1.0 + 0j], 2.0, 10, 0, P21)
+
+    def test_rejects_empty_family_trials_or_window(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            rademacher_ratio([], 2.0, 10, 0, P21)
+        for trials, window in ((0, (-4, 4)), (10, (0, -1))):
+            with pytest.raises(ValueError, match="trial and a crown window"):
+                rademacher_ratio([1.0 + 0j], 2.0, trials, 0, P21, window)
+
+    @pytest.mark.parametrize("seed", [SEED_RBOUND, SEED_RBOUND + 7])
+    def test_suite_family_equals_trial_loop(self, seed):
+        p, theta, points = RBOUND_FAMILY
+        fam = rbound_family(theta, points)
+        assert rademacher_ratio(fam, p, 200, seed, P21) == rademacher_trial_loop(
+            fam, p, 200, seed, P21
+        )
+
+    @pytest.mark.parametrize(
+        "params, window",
+        [(FieldParams(3, 2, 0.5), (-2, 3)), (FieldParams(2, 2, 2.0), (1, 4)), (P21, (3, 8))],
+        ids=["q3n2", "q2n2-small-tails", "q2n1-small-tails"],
+    )
+    def test_other_fields_match_trial_loop(self, params, window):
+        # 40 trials of 16 rows run as three blocks
+        fam = rbound_family(1.2, 16)
+        ref = rademacher_trial_loop(fam, 3.0, 40, 11, params, window)
+        assert abs(rademacher_ratio(fam, 3.0, 40, 11, params, window) - ref) <= 1e-14 * ref
