@@ -9,8 +9,9 @@ integral
 
 (counterclockwise, log-radius trapezoid quadrature on both rays) are
 verifiable redundancy: they exercise the machinery an infinite-dimensional
-setting needs, against the diagonal oracle.  Discrete square functions and
-a seeded empirical Rademacher-ratio witness round out the toolbox.  Every
+setting needs, against the diagonal oracle.  Square functions, as exact
+quadratic forms in one Toeplitz kernel on the diagonal, and a seeded
+empirical Rademacher-ratio witness round out the toolbox.  Every
 route extends the Fourier window by the rule in :mod:`qharm.radial`, sized
 by the symbol's decay certificate.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -31,6 +32,8 @@ from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
 
 _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
+_BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
+_G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
 
 
 @dataclass(frozen=True)
@@ -113,22 +116,16 @@ def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
     if abs(z) == 0:
         return 0.0
     t = math.log(abs(z)) / (alpha * math.log(q))
-    cands = [0.0] + [
-        float(q) ** (alpha * m) for m in (math.floor(t), math.ceil(t), round(t))
-    ]
+    cands = [0.0] + [float(q) ** (alpha * m) for m in (math.floor(t), math.ceil(t))]
     return min(cands, key=lambda lam: abs(z - lam))
 
 
-def resolvent_apply(
-    z: complex, f: RadialProfile, standoff_rel: float = 1e-6
-) -> RadialProfile:
+def resolvent_apply(z: complex, f: RadialProfile, standoff_rel: float = 1e-6) -> RadialProfile:
     """R(z, A) f = (z - A)^{-1} f on the Fourier diagonal."""
     lam_star = nearest_eigenvalue(z, f.params)
-    dist = abs(z - lam_star)
-    if dist < standoff_rel * max(abs(z), lam_star, 1e-300):
+    if abs(z - lam_star) < standoff_rel * max(abs(z), lam_star, 1e-300):
         raise SpectrumError(
-            f"z={z} is within relative {standoff_rel} of the spectrum point "
-            f"{lam_star}"
+            f"z={z} is within relative {standoff_rel} of the spectrum point {lam_star}"
         )
     # |1/(z-lam) - 1/z| = lam / (|z| |z-lam|) <= 2 lam / |z|**2 for lam <= |z|/2
     decay = (1.0, 2.0 / abs(z) ** 2)
@@ -146,9 +143,7 @@ def hinf_apply_direct(sym, g: RadialProfile, value_at_zero: complex = 0.0) -> Ra
     """
     if isinstance(sym, SymbolFunction):
         return fourier_multiplier_apply(g, sym.fn, limit_at_zero=0.0, decay=sym.decay)
-    return fourier_multiplier_apply(
-        g, sym, limit_at_zero=value_at_zero, decay=(1.0, 1.0)
-    )
+    return fourier_multiplier_apply(g, sym, limit_at_zero=value_at_zero, decay=(1.0, 1.0))
 
 
 def _semigroup_factors(z, lams: np.ndarray) -> np.ndarray:
@@ -168,10 +163,7 @@ def semigroup_apply(z, g: RadialProfile) -> RadialProfile:
     if not zc.real > 0 and zc != 0:
         raise ValueError(f"semigroup time needs Re z > 0 (or z = 0), got {z}")
     return fourier_multiplier_apply(
-        g,
-        lambda lams: _semigroup_factors(zc, lams),
-        limit_at_zero=1.0,
-        decay=_semigroup_decay(zc),
+        g, lambda lams: _semigroup_factors(zc, lams), 1.0, _semigroup_decay(zc)
     )
 
 
@@ -255,61 +247,68 @@ def hinf_apply_contour(
     return ContourResult(prof, diff / scale)
 
 
-def geometric_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.ndarray:
-    """Log-midpoint grid on [t_min, t_max]; pairs with weight dlog t."""
-    decades = math.log10(t_max / t_min)
-    nn = max(1, int(math.ceil(decades * per_decade)))
-    edges = np.linspace(math.log(t_min), math.log(t_max), nn + 1)
-    return np.exp((edges[:-1] + edges[1:]) / 2.0)
+def _toeplitz_kernel(phi: SymbolFunction, step: float, m: int) -> tuple[np.ndarray, float]:
+    """G(d) = int_0^oo phi(u) conj(phi(u e**(-d step))) du/u for d = 0..m,
+    and one bound on every error.  G(d) = h sum_i v_i conj(v_{i-dK}), summed
+    by halving, of v_i = phi(e**(i h)) on |i h| < S + h, h = step / K.  With
+    (s, C) the decay certificate and eps = _G_EPS, the bound adds
+    - discretisation: on |Im log u| < a = 0.99 sector_angle the integrand is
+      below C**2 min(|u|**s, |u|**-s), so the trapezoid rule errs by at most
+      (4 C**2 / s) / (e**(2 pi a / h) - 1) <= eps, K being the least with
+      h <= 2 pi a / ln(4 C**2 / (s eps) + 1) (Trefethen and Weideman, SIAM
+      Review 56, 2014);
+    - truncation: each dropped term has a factor past |log u| = S =
+      ln(2 C**2 / (s eps)) / s, so they sum to at most eps (all of G(d) when
+      d step > 2 S, where it is 0);
+    - roundoff: (log2(width) + 8) units of 2**-53 of G(0), which bounds
+      h sum |v_i v_{i-dK}| (Cauchy-Schwarz).
+    A node e**(+-S) past the normal floats raises :class:`QuadratureError`.
+    """
+    s, C = phi.decay
+    a = 0.99 * phi.sector_angle
+    K = math.ceil(step * math.log(4 * C * C / (s * _G_EPS) + 1) / (2 * math.pi * a))
+    h, S = step / K, math.log(2 * C * C / (s * _G_EPS)) / s
+    half = math.ceil(S / h)
+    if half * h >= -math.log(sys.float_info.min):
+        raise QuadratureError(f"square-function nodes e**(+-{half * h:.1f}) leave the float range")
+    v = np.zeros(1 << (2 * half).bit_length(), dtype=complex)  # zero past the nodes
+    v[: 2 * half + 1] = phi.fn(np.exp(h * np.arange(-half, half + 1)))
+    D, rows = min(m, 2 * half // K), max(1, _BLOCK_ELEMS // v.size)
+    lagged = np.lib.stride_tricks.sliding_window_view(np.pad(v, (0, D * K)), v.size)[::K]
+    G = np.zeros(m + 1, dtype=complex)
+    for d in range(0, D + 1, rows):
+        P = lagged[d : d + rows] * v.conj()
+        while P.shape[1] > 1:
+            P = P[:, : P.shape[1] // 2] + P[:, P.shape[1] // 2 :]
+        G[d : d + len(P)] = h * P[:, 0]
+    return G, 2.0**-53 * (math.log2(v.size) + 8) * G[0].real + 2 * _G_EPS
 
 
 def square_function(
-    g: RadialProfile,
-    phi: SymbolFunction,
-    grid: np.ndarray | None = None,
-    p: float | tuple[float, ...] = 2.0,
-    per_decade: int = 12,
-    pad_decades: float = 7.0,
+    g: RadialProfile, phi: SymbolFunction, p: float | tuple[float, ...] = 2.0
 ) -> float | list[float]:
-    """L^p norm of the discrete square function of g through phi.
+    """L^p norm of the square function (int_0^oo |phi(t A) g|**2 dt/t)**(1/2)
+    of g, or for a tuple ``p`` the list of its norms, one per p.
 
-    Discretizes int_0^infty |phi(t A) g|^2 dt/t on a geometric grid with the
-    log-midpoint rule, takes the pointwise square root and returns its L^p
-    norm, or for a tuple ``p`` the list of its norms, one per p.  When
-    ``grid`` is omitted it is sized so that u = t * lam covers
-    [10**-pad, 10**pad] for every eigenvalue carrying non-negligible mass;
-    a warning fires when the boundary terms exceed 1% of the sum.  The grid
-    times are the rows of one transform block.
+    On the extended Fourier window [K0, K1], with b_k = mu(S_k) ghat_k and
+    e_s = -q**(-n s) ghat_{s-1} = b_{s-1} / (1 - q**n), the output crown
+    j = -s is sum_{k >= s} b_k phi(t lam_k) + e_s phi(t lam_{s-1}); the inner
+    tail equals the crown -K0.  Its energy is thus exact up to the bound of
+    the Toeplitz kernel G (:func:`_toeplitz_kernel`): with Q_{K1+1} = 0,
+    v_s = sum_{l > s} G(l - s) conj(b_l) and Q_s = Q_{s+1} + |b_s|**2 G(0) +
+    2 Re(b_s v_s), it is Q_s + 2 Re(e_s v_{s-1}) + |e_s|**2 G(0).
     """
-    ghat, lams = radial._extended_hat(g, phi.decay)
-
-    if grid is None:
-        grid = geometric_time_grid(
-            10.0 ** (-pad_decades) / float(lams.max()),
-            10.0**pad_decades / float(lams.min()),
-            per_decade,
-        )
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"time grid must be nonempty and 1-d, got shape {grid.shape}")
-    dlog = float(np.mean(np.diff(np.log(grid)))) if grid.size > 1 else 1.0
-
-    hats = ghat.coeffs * phi.fn(grid[:, None] * lams)
-    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
-    # the inner tail rides in the last column; sum(axis=0) adds rows in grid order
-    contrib = np.abs(np.column_stack((out, tails))) ** 2 * dlog
-    acc = contrib.sum(axis=0)
-    peak = float(np.max(acc[:-1]))
-    edge = float(max(np.max(contrib[0, :-1]), np.max(contrib[-1, :-1])))
-    if peak > 0 and edge > 0.01 * peak:
-        warnings.warn(
-            "square-function grid may not cover the spectrum window: "
-            f"boundary contribution {edge / peak:.2%} of the peak",
-            stacklevel=2,
-        )
-    root = np.sqrt(acc)
+    ghat = radial._extended_hat(g, phi.decay)[0]
+    K0, K1, params, m = ghat.kmin, ghat.kmax, g.params, ghat.coeffs.size
+    G = _toeplitz_kernel(phi, params.alpha * math.log(params.q), m)[0]
+    b = ghat.coeffs * radial._sphere_measures(params, K0, K1)
+    # v[i] = v_s and e[i] = e_{s+1} for s = K0 - 1 + i; e_{K0} = 0
+    v = np.append(np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :], 0.0)
+    e = np.append(0.0, b / (1.0 - float(params.q) ** params.n))
+    Q = np.append(np.cumsum((np.abs(b) ** 2 * G[0] + 2.0 * b * v[1:]).real[::-1])[::-1], 0.0)
+    root = np.sqrt(np.maximum(Q + (2.0 * e * v + np.abs(e) ** 2 * G[0]).real, 0.0))
     ps = p if isinstance(p, tuple) else (p,)
-    norms = [radial._lp_norms(g.params, kmin, kmax, root[None, :-1], root[-1:], e)[0] for e in ps]
+    norms = [radial._lp_norms(params, -K1 - 1, -K0, root[None, ::-1], root[:1], x)[0] for x in ps]
     return norms if isinstance(p, tuple) else norms[0]
 
 

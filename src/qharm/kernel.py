@@ -112,8 +112,14 @@ def _exp_form_block(
     J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
     j_first = _first_term(t, params)
     if J - max(-kmin, j_first) > cfg.tail_budget:
-        msg = f"{cfg.tail_budget} terms (crowns [{kmin}, {kmax}], z={z})"
-        raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
+        # count from the first term whose bound 2 exp(-t lam_j) q**(-j n) reaches
+        # tol * scale; that bound is log-concave in j and peaks at m - 1 or m
+        js = np.arange(max(-kmin, j_first), max(-kmin, j_first, m) + 1)
+        logs = math.log(2.0) - np.exp(math.log(t) - alpha * lnq * js) - n * lnq * js
+        big = js[logs >= math.log(cfg.tol) + log_scale]
+        if big.size and J - big[0] > cfg.tail_budget:
+            msg = f"{cfg.tail_budget} terms (crowns [{kmin}, {kmax}], z={z})"
+            raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
     j0 = max(-kmax, j_first)
     J = max(J, j0 + 1, 1 - kmin)
     float(q**n) ** -j0  # a weight past the float range raises OverflowError, not inf

@@ -35,15 +35,13 @@ def hypersingular_constant(params: FieldParams) -> float:
     return (1.0 - float(q) ** alpha) / (1.0 - float(q) ** (-alpha - n))
 
 
-def taibleson_fourier(f: RadialProfile, params: FieldParams | None = None) -> RadialProfile:
+def taibleson_fourier(f: RadialProfile) -> RadialProfile:
     """D^alpha f through the Fourier side: multiply by ||xi||**alpha.
 
     The multiplier value on the Fourier crown m is q**(-m*alpha), vanishing
     as m -> infinity, so the constant Fourier tail is damped below the float
     floor by window extension (decay exponent 1 in the eigenvalue).
     """
-    if params is not None and params != f.params:
-        raise ValueError("params disagree with the profile's field")
     return fourier_multiplier_apply(f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0))
 
 
@@ -67,9 +65,7 @@ def _loop_sum(start: complex, terms: np.ndarray) -> complex:
     return complex(np.concatenate(((start,), terms)).cumsum()[-1])
 
 
-def taibleson_hypersingular(
-    f: RadialProfile, k_x: int | None, params: FieldParams | None = None
-) -> complex:
+def taibleson_hypersingular(f: RadialProfile, k_x: int | None) -> complex:
     """D^alpha f at a point of the crown S_{k_x} (k_x = None means x = 0).
 
     All sphere integrals are exact: for u = y - x on a crown strictly larger
@@ -78,12 +74,9 @@ def taibleson_hypersingular(
     G_{k_x+1}.  Outer and inner tails are geometric series in closed form.
     A crown weight past the float range raises :class:`WindowOverflowError`.
     """
-    params = f.params if params is None else params
-    if params != f.params:
-        raise ValueError("params disagree with the profile's field")
-    q, n, alpha = params.q, params.n, params.alpha
+    q, n, alpha = f.params.q, f.params.n, f.params.alpha
     w = 1.0 - float(q) ** (-n)
-    C = hypersingular_constant(params)
+    C = hypersingular_constant(f.params)
 
     fx = f.tail if k_x is None else f.value_at(k_x)  # f is the tail near 0
     # u-crowns j < k_x (||u|| > ||x||), all window crowns when x = 0: the

@@ -532,9 +532,11 @@ def verify_doob(instances: int = 500) -> dict:
     }
 
 
-def _random_decreasing_radial(
+def _random_radial_growing_outward(
     rng: np.random.Generator, lat: QuotientLattice
 ) -> vilenkin.QuotientFunction:
+    """Crown values falling as k rises, so growing away from the origin (majorant
+    v_{-M}): uniform [0.3, 1) steps from a uniform [0.5, 2) start, the tail the last."""
     level = float(rng.uniform(0.5, 2.0))
     crowns = []
     for _ in range(-lat.M, lat.N):
@@ -551,7 +553,7 @@ def verify_domination(instances: int = 500) -> dict:
         params = FieldParams(q, 1, 1.0, FieldModel.QADIC_QUOTIENT)
         lat = QuotientLattice(params, 3, 3)
         for _ in range(instances):
-            phi = _random_decreasing_radial(rng, lat)
+            phi = _random_radial_growing_outward(rng, lat)
             f = vilenkin.QuotientFunction(
                 lat,
                 rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size),

@@ -1,6 +1,8 @@
 import cmath
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qharm.calculus import (
     _contour_factors,
     _semigroup_decay,
     _semigroup_factors,
+    _toeplitz_kernel,
     hinf_apply_contour,
     hinf_apply_direct,
     rademacher_ratio,
@@ -44,6 +47,17 @@ SLOW = SymbolFunction(lambda t: t**0.03 / (1 + t**0.06), (0.03, 1.1), 1.0)
 DECAY_01 = SymbolFunction(lambda t: t**0.1 / (1 + t) ** 0.2, (0.1, 2.0), 1.4)
 DECAY_005 = SymbolFunction(lambda t: t**0.05 / (1 + t) ** 0.1, (0.05, 1.0), 1.4)
 ONES = RadialProfile(P21, -3, 2, np.ones(6))
+
+# the field triples of the benchmark's diagonal workload
+DIAG = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0))
+DIAG_IDS = ["q2n1a1", "q3n2a0.5", "q2n2a2"]
+# standard_symbols() in mpmath arithmetic, and their G(0) = int_0^oo |phi(u)|**2 du/u
+MP_SYMBOLS = (
+    lambda t: t / (1 + t) ** 2,
+    lambda t: mpmath.sqrt(t) / (1 + t),
+    lambda t: t / (1 + t * t),
+)
+G0 = (Fraction(1, 6), Fraction(1), Fraction(1, 2))
 
 ROUTES = {
     "direct": hinf_apply_direct,
@@ -276,19 +290,41 @@ class TestSquareFunction:
             ratio = square_function(g, PHI, p=2.0) / lp_norm(g, 2)
             assert abs(ratio - target) <= 1e-5
 
-    def test_explicit_grid_and_coverage_warning(self, rng):
-        g = make_profile(rng, P21, -2, 2)
-        with pytest.warns(UserWarning):
-            square_function(g, PHI, grid=np.logspace(-1, 1, 10), p=2.0)
-
     def test_several_p_from_one_block(self, rng):
         g = make_profile(rng, P21, -4, 3, tail=0.3)
         ps = (2.0, 1.5, 3.0, math.inf)
         assert square_function(g, PHI, p=ps) == [square_function(g, PHI, p=p) for p in ps]
 
-    def test_empty_grid_rejected(self, rng):
-        with pytest.raises(ValueError):
-            square_function(make_profile(rng, P21, -2, 2), PHI, grid=[])
+    @pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+    def test_toeplitz_kernel_against_mpmath(self, params):
+        """G(0..8) against 30-digit quadrature, within the returned bound, and
+        that bound below 1e-14 G(0)."""
+        step = params.alpha * math.log(params.q)
+        for sym, mp_fn, g0 in zip(standard_symbols(), MP_SYMBOLS, G0):
+            G, bound = _toeplitz_kernel(sym, step, 8)
+            assert bound <= 1e-14 * G[0].real
+            with mpmath.workdps(30):
+                for d in range(9):
+                    c = mpmath.exp(-d * mpmath.mpf(step))
+                    ref = mpmath.quad(lambda u: mp_fn(u) * mp_fn(u * c) / u, [0, c, 1, mpmath.inf])
+                    assert abs(G[d] - complex(ref)) <= bound
+                    if d == 0:
+                        assert abs(ref - mpmath.mpf(g0.numerator) / g0.denominator) <= 1e-25
+
+    @pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+    def test_parseval(self, params, rng):
+        """||Sg||_2 = sqrt(G(0)) ||g||_2, the inner tail included."""
+        for sym, g0 in zip(standard_symbols(), G0):
+            for tail in (0.3, -0.7 + 0.2j):
+                g = make_profile(rng, params, -4, 3, tail=tail)
+                want = math.sqrt(float(g0)) * lp_norm(g, 2)
+                assert abs(square_function(g, sym, p=2.0) - want) <= 1e-13 * want
+
+    def test_nodes_past_float_range_refused(self):
+        # at s = 0.0535 the nodes reach e**(+-S), S = ln(2 C**2 / (s 1e-17)) / s ~ 800
+        sym = SymbolFunction(lambda t: t**0.0535 / (1 + t) ** 0.107, (0.0535, 1.0), 1.4)
+        with pytest.raises(QuadratureError, match="float range"):
+            square_function(ONES, sym)
 
 
 class TestWindowExtension:
@@ -306,7 +342,7 @@ class TestWindowExtension:
         with pytest.raises(WindowOverflowError, match="underflows"):
             ROUTES[route](DECAY_005, ONES)
 
-    @pytest.mark.parametrize("route", ["direct", "contour"])
+    @pytest.mark.parametrize("route", ["direct", "squarefn", "contour"])
     def test_extension_cap(self, route):
         g = RadialProfile.ball_indicator(FieldParams(2, 1, 0.002), 0)
         with pytest.raises(WindowOverflowError):  # about 26,600 crowns needed

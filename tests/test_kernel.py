@@ -123,6 +123,15 @@ class TestKernelAtZero:
     def test_real_time_real_output(self):
         assert abs(kernel_at_zero(3.0 + 0j, P31).value.imag) < 1e-14
 
+    @pytest.mark.parametrize("k_x", [150, 200, 400])
+    def test_small_alpha_near_origin(self, k_x):
+        """Near the origin at alpha = 0.05 the point value is K_1(0): the
+        budget counts from the first term that can reach tol, not through the
+        terms below it."""
+        params = FieldParams(2, 1, 0.05)
+        ref = kernel_at_zero(1.0 + 0j, params).value
+        assert abs(kernel_exp_form(1.0 + 0j, k_x, params).value - ref) <= 1e-13 * abs(ref)
+
     def test_small_alpha(self):
         """At alpha = 0.05 the terms run some 200 crowns out past j = 0 before
         they flush to 0, and both sides fit the budget; where the weights
