@@ -19,6 +19,7 @@ by the symbol's decay certificate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
 _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
 _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
 _G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
+_G_CACHE = 32  # (symbol, step) pairs whose Toeplitz kernel G is kept
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class SymbolFunction:
     route calls it once per batch.  ``decay = (s, C)`` certifies
     |fn(z)| <= C * min(|z|**s, |z|**(-s)) on the working sector of
     half-angle ``sector_angle``; one array call spot checks it on the sector
-    boundary at construction.
+    boundary at construction.  ``fn`` must be pure: G of :func:`square_function`
+    is memoised per symbol and field step (a fresh lambda is a fresh entry).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -53,6 +56,7 @@ class SymbolFunction:
     sector_angle: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "decay", tuple(self.decay))  # hashable, as a memo key
         s, C = self.decay
         if not (s > 0 and C > 0):
             raise ValueError(f"decay certificate needs s, C > 0, got {self.decay}")
@@ -172,9 +176,7 @@ class ContourResult(NamedTuple):
     error_estimate: float
 
 
-def _contour_factors(
-    lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig
-) -> np.ndarray:
+def _contour_factors(lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig) -> np.ndarray:
     """Quadrature of (1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays.
 
     A node z = r e^{-+i nu} of trapezoid weight w in u = log r carries
@@ -208,10 +210,7 @@ def _contour_factors(
 
 
 def hinf_apply_contour(
-    sym: SymbolFunction,
-    g: RadialProfile,
-    contour: ContourConfig | None = None,
-    tol: float = 1e-6,
+    sym: SymbolFunction, g: RadialProfile, contour: ContourConfig | None = None, tol: float = 1e-6
 ) -> ContourResult:
     """f(A) g by sector-contour quadrature of resolvents.
 
@@ -228,8 +227,7 @@ def hinf_apply_contour(
         contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
     if not 0 < contour.nu < sym.sector_angle:
         raise ValueError(
-            f"contour angle {contour.nu} must lie inside the symbol sector "
-            f"(0, {sym.sector_angle})"
+            f"contour angle {contour.nu} must lie inside the symbol sector (0, {sym.sector_angle})"
         )
 
     fine = ContourConfig(contour.nu, 2 * contour.nodes_per_decade, contour.radius_range)
@@ -247,11 +245,13 @@ def hinf_apply_contour(
     return ContourResult(prof, diff / scale)
 
 
-def _toeplitz_kernel(phi: SymbolFunction, step: float, m: int) -> tuple[np.ndarray, float]:
-    """G(d) = int_0^oo phi(u) conj(phi(u e**(-d step))) du/u for d = 0..m,
-    and one bound on every error.  G(d) = h sum_i v_i conj(v_{i-dK}), summed
-    by halving, of v_i = phi(e**(i h)) on |i h| < S + h, h = step / K.  With
-    (s, C) the decay certificate and eps = _G_EPS, the bound adds
+@functools.lru_cache(maxsize=_G_CACHE)
+def _toeplitz_kernel(phi: SymbolFunction, step: float) -> tuple[np.ndarray, float]:
+    """G(d) = int_0^oo phi(u) conj(phi(u e**(-d step))) du/u, read-only, on
+    every lag that can be nonzero, d = 0..2 half // K (past it G is 0), and
+    one bound on every error.  G(d) = h sum_i v_i conj(v_{i-dK}), summed by
+    halving, of v_i = phi(e**(i h)), |i| <= half = ceil(S / h), h = step / K.
+    With (s, C) the decay certificate and eps = _G_EPS, the bound adds
     - discretisation: on |Im log u| < a = 0.99 sector_angle the integrand is
       below C**2 min(|u|**s, |u|**-s), so the trapezoid rule errs by at most
       (4 C**2 / s) / (e**(2 pi a / h) - 1) <= eps, K being the least with
@@ -273,43 +273,48 @@ def _toeplitz_kernel(phi: SymbolFunction, step: float, m: int) -> tuple[np.ndarr
         raise QuadratureError(f"square-function nodes e**(+-{half * h:.1f}) leave the float range")
     v = np.zeros(1 << (2 * half).bit_length(), dtype=complex)  # zero past the nodes
     v[: 2 * half + 1] = phi.fn(np.exp(h * np.arange(-half, half + 1)))
-    D, rows = min(m, 2 * half // K), max(1, _BLOCK_ELEMS // v.size)
+    D, rows = 2 * half // K, max(1, _BLOCK_ELEMS // v.size)
     lagged = np.lib.stride_tricks.sliding_window_view(np.pad(v, (0, D * K)), v.size)[::K]
-    G = np.zeros(m + 1, dtype=complex)
+    G = np.zeros(D + 1, dtype=complex)
     for d in range(0, D + 1, rows):
         P = lagged[d : d + rows] * v.conj()
         while P.shape[1] > 1:
             P = P[:, : P.shape[1] // 2] + P[:, P.shape[1] // 2 :]
         G[d : d + len(P)] = h * P[:, 0]
+    G.flags.writeable = False
     return G, 2.0**-53 * (math.log2(v.size) + 8) * G[0].real + 2 * _G_EPS
 
 
 def square_function(
-    g: RadialProfile, phi: SymbolFunction, p: float | tuple[float, ...] = 2.0
+    g: RadialProfile, phi: SymbolFunction, p: float | Sequence[float] = 2.0
 ) -> float | list[float]:
     """L^p norm of the square function (int_0^oo |phi(t A) g|**2 dt/t)**(1/2)
-    of g, or for a tuple ``p`` the list of its norms, one per p.
+    of g, or for a tuple, list or array ``p`` the list of its norms; each p >= 1.
 
     On the extended Fourier window [K0, K1], with b_k = mu(S_k) ghat_k and
     e_s = -q**(-n s) ghat_{s-1} = b_{s-1} / (1 - q**n), the output crown
     j = -s is sum_{k >= s} b_k phi(t lam_k) + e_s phi(t lam_{s-1}); the inner
     tail equals the crown -K0.  Its energy is thus exact up to the bound of
-    the Toeplitz kernel G (:func:`_toeplitz_kernel`): with Q_{K1+1} = 0,
+    the Toeplitz kernel G (memoised, :func:`_toeplitz_kernel`): with Q_{K1+1} = 0,
     v_s = sum_{l > s} G(l - s) conj(b_l) and Q_s = Q_{s+1} + |b_s|**2 G(0) +
     2 Re(b_s v_s), it is Q_s + 2 Re(e_s v_{s-1}) + |e_s|**2 G(0).
     """
+    seq = isinstance(p, (tuple, list, np.ndarray))
+    ps = [float(x) for x in p] if seq else [float(p)]
+    if not ps or not all(x >= 1 for x in ps):
+        raise ValueError(f"p must be one value >= 1 or a nonempty sequence of them, got {p!r}")
     ghat = radial._extended_hat(g, phi.decay)[0]
     K0, K1, params, m = ghat.kmin, ghat.kmax, g.params, ghat.coeffs.size
-    G = _toeplitz_kernel(phi, params.alpha * math.log(params.q), m)[0]
+    G = _toeplitz_kernel(phi, params.alpha * math.log(params.q))[0][: m + 1]
+    G = np.pad(G, (0, m + 1 - G.size))
     b = ghat.coeffs * radial._sphere_measures(params, K0, K1)
     # v[i] = v_s and e[i] = e_{s+1} for s = K0 - 1 + i; e_{K0} = 0
     v = np.append(np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :], 0.0)
     e = np.append(0.0, b / (1.0 - float(params.q) ** params.n))
     Q = np.append(np.cumsum((np.abs(b) ** 2 * G[0] + 2.0 * b * v[1:]).real[::-1])[::-1], 0.0)
     root = np.sqrt(np.maximum(Q + (2.0 * e * v + np.abs(e) ** 2 * G[0]).real, 0.0))
-    ps = p if isinstance(p, tuple) else (p,)
     norms = [radial._lp_norms(params, -K1 - 1, -K0, root[None, ::-1], root[:1], x)[0] for x in ps]
-    return norms if isinstance(p, tuple) else norms[0]
+    return norms if seq else norms[0]
 
 
 def rademacher_ratio(

@@ -168,7 +168,7 @@ def _lp_norms(
     tails = np.asarray(tails).tolist()
     if p == math.inf:
         return [max(float(s), abs(t)) for s, t in zip(np.max(np.abs(C), axis=-1), tails)]
-    if p < 1:
+    if not p >= 1:  # a NaN p too
         raise ValueError(f"p must be >= 1, got {p}")
     totals = (np.abs(C) ** p * _sphere_measures(params, kmin, kmax)).sum(axis=-1)
     ball = float(ball_measure(kmax + 1, params))

@@ -6,8 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qharm import radial
+from qharm import radial, verification
 from qharm.calculus import (
+    _BLOCK_ELEMS,
+    _G_EPS,
     ContourConfig,
     SymbolFunction,
     _contour_factors,
@@ -85,6 +87,27 @@ def contour_factors_rays(lams, sym, contour):
         integ = (w * sym.fn(zs) * zs)[:, None] / (zs[:, None] - lams[None, :])
         total += orient * integ.sum(axis=0)
     return total / (2j * math.pi)
+
+
+def toeplitz_kernel_lags(phi, step, m):
+    """G(0..m) and its bound, summed for the m + 1 lags asked for only: the
+    per-call kernel that the memoised one replaced."""
+    s, C = phi.decay
+    a = 0.99 * phi.sector_angle
+    K = math.ceil(step * math.log(4 * C * C / (s * _G_EPS) + 1) / (2 * math.pi * a))
+    h, S = step / K, math.log(2 * C * C / (s * _G_EPS)) / s
+    half = math.ceil(S / h)
+    v = np.zeros(1 << (2 * half).bit_length(), dtype=complex)
+    v[: 2 * half + 1] = phi.fn(np.exp(h * np.arange(-half, half + 1)))
+    D, rows = min(m, 2 * half // K), max(1, _BLOCK_ELEMS // v.size)
+    lagged = np.lib.stride_tricks.sliding_window_view(np.pad(v, (0, D * K)), v.size)[::K]
+    G = np.zeros(m + 1, dtype=complex)
+    for d in range(0, D + 1, rows):
+        P = lagged[d : d + rows] * v.conj()
+        while P.shape[1] > 1:
+            P = P[:, : P.shape[1] // 2] + P[:, P.shape[1] // 2 :]
+        G[d : d + len(P)] = h * P[:, 0]
+    return G, 2.0**-53 * (math.log2(v.size) + 8) * G[0].real + 2 * _G_EPS
 
 
 def rademacher_trial_loop(family, p, trials, seed, params, window=(-4, 4)):
@@ -301,7 +324,7 @@ class TestSquareFunction:
         that bound below 1e-14 G(0)."""
         step = params.alpha * math.log(params.q)
         for sym, mp_fn, g0 in zip(standard_symbols(), MP_SYMBOLS, G0):
-            G, bound = _toeplitz_kernel(sym, step, 8)
+            G, bound = _toeplitz_kernel(sym, step)
             assert bound <= 1e-14 * G[0].real
             with mpmath.workdps(30):
                 for d in range(9):
@@ -325,6 +348,73 @@ class TestSquareFunction:
         sym = SymbolFunction(lambda t: t**0.0535 / (1 + t) ** 0.107, (0.0535, 1.0), 1.4)
         with pytest.raises(QuadratureError, match="float range"):
             square_function(ONES, sym)
+        # an exception is not memoised: the second call raises too
+        with pytest.raises(QuadratureError, match="float range"):
+            square_function(ONES, sym)
+
+    @pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+    def test_memoised_kernel_equals_m_lag_loop(self, params):
+        """G[:m + 1], zero-padded, and the bound equal the per-call m-lag
+        kernel bit for bit, below, at and past the last nonzero lag D."""
+        step = params.alpha * math.log(params.q)
+        for sym in (*standard_symbols(), PHI, ROOT, NARROW):
+            G, bound = _toeplitz_kernel(sym, step)
+            D = G.size - 1
+            for m in (1, 8, D, D + 20):
+                ref, ref_bound = toeplitz_kernel_lags(sym, step, m)
+                padded = np.pad(G[: m + 1], (0, m + 1 - min(m + 1, G.size)))
+                assert padded.tobytes() == ref.tobytes()
+                assert bound == ref_bound
+
+    def test_memoised_kernel_read_only_and_shared(self):
+        step = math.log(2.0)
+        G = _toeplitz_kernel(PHI, step)[0]
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0] = 0.0
+        assert _toeplitz_kernel(PHI, step)[0] is G
+        # an equal symbol (same fn object, decay and angle) shares the entry
+        assert _toeplitz_kernel(SymbolFunction(PHI.fn, PHI.decay, PHI.sector_angle), step)[0] is G
+        # so does one whose decay certificate came as a list
+        assert _toeplitz_kernel(SymbolFunction(PHI.fn, list(PHI.decay), 1.4), step)[0] is G
+
+    def test_memoised_kernel_keyed_by_fn(self):
+        """Two symbols equal in decay and angle but not in fn get their own G."""
+        step = math.log(2.0)
+        half = SymbolFunction(lambda t: 0.5 * t / (1 + t) ** 2, PHI.decay, PHI.sector_angle)
+        G, G_half = _toeplitz_kernel(PHI, step)[0], _toeplitz_kernel(half, step)[0]
+        assert G_half is not G
+        assert abs(G[0].real - 1.0 / 6.0) <= 1e-15
+        assert abs(G_half[0].real - 1.0 / 24.0) <= 1e-15
+
+    def test_verify_squarefn_cold_and_warm(self, monkeypatch):
+        """The suite dict is the same from an empty cache and from a full one."""
+        symbols = standard_symbols()
+        monkeypatch.setattr(verification, "standard_symbols", lambda: symbols)
+        _toeplitz_kernel.cache_clear()
+        cold = verification.verify_squarefn()
+        hits = _toeplitz_kernel.cache_info().hits
+        warm = verification.verify_squarefn()
+        assert _toeplitz_kernel.cache_info().hits >= hits + 50
+        assert warm == cold
+
+    @pytest.mark.parametrize("p", [0.5, math.nan, -math.inf, (), [], (2.0, math.nan), [3.0, 0.0]])
+    def test_bad_p_refused_before_any_work(self, p, monkeypatch):
+        def no_transform(*args):
+            raise AssertionError("the Fourier transform ran before p was checked")
+
+        monkeypatch.setattr(radial, "_extended_hat", no_transform)
+        with pytest.raises(ValueError, match="p must be"):
+            square_function(ONES, PHI, p=p)
+
+    def test_p_sequence_types(self):
+        ps = (2.0, 1.5, math.inf)
+        want = square_function(ONES, PHI, p=ps)
+        assert isinstance(want, list) and len(want) == 3
+        assert square_function(ONES, PHI, p=list(ps)) == want
+        assert square_function(ONES, PHI, p=np.array(ps)) == want
+        assert square_function(ONES, PHI, p=2) == want[0]
+        assert isinstance(square_function(ONES, PHI, p=2.0), float)
 
 
 class TestWindowExtension:
@@ -372,6 +462,10 @@ class TestRademacher:
         a = rademacher_ratio(fam, 4.0, 40, 321, P21)
         b = rademacher_ratio(fam, 4.0, 40, 321, P21)
         assert a == b
+
+    def test_rejects_nan_p(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            rademacher_ratio([1.0 + 0j], math.nan, 4, 0, P21)
 
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):

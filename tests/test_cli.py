@@ -103,6 +103,13 @@ class TestRbound:
         assert payload["seed"] == 99
         assert payload["trials"] == 10
 
+    @pytest.mark.parametrize("p", ["nan", "0.5"])
+    def test_p_outside_range_exits_1(self, capsys, p):
+        code, out, err = run_cli(capsys, "rbound", "--p", p, "--trials", "4")
+        assert code == 1
+        assert out == ""
+        assert "ValueError: p must be >= 1" in err
+
 
 class TestEvolve:
     CONFIG = """\

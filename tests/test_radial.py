@@ -59,6 +59,11 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(RadialProfile.ball_indicator(P21, 0), 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(RadialProfile.ball_indicator(P21, 0), p)
+
 
 class TestFourier:
     def test_unit_ball_self_dual(self):
