@@ -307,7 +307,7 @@ def square_function(
     K0, K1, params, m = ghat.kmin, ghat.kmax, g.params, ghat.coeffs.size
     G = _toeplitz_kernel(phi, params.alpha * math.log(params.q))[0][: m + 1]
     G = np.pad(G, (0, m + 1 - G.size))
-    b = ghat.coeffs * radial._sphere_measures(params, K0, K1)
+    b = ghat.coeffs * radial._sphere_measures(params.q, params.n, K0, K1)
     # v[i] = v_s and e[i] = e_{s+1} for s = K0 - 1 + i; e_{K0} = 0
     v = np.append(np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :], 0.0)
     e = np.append(0.0, b / (1.0 - float(params.q) ** params.n))
@@ -339,6 +339,8 @@ def rademacher_ratio(
     kmin, kmax = window
     if trials < 1 or kmin > kmax:
         raise ValueError(f"need at least one trial and a crown window, got {trials}, {window}")
+    if not p >= 1:  # a NaN p too, refused before any transform
+        raise ValueError(f"p must be >= 1, got {p}")
     zs = [complex(z) for z in family]
     if not zs or any(not z.real > 0 for z in zs):
         raise ValueError("need a nonempty family with Re z > 0 at every point")

@@ -14,9 +14,11 @@ tail carries.  The Fourier window is extended by the rule in
 T lam from its limit and a Duhamel factor by at most T**2 lam.  The
 maximal-regularity report integrates ||D^alpha y(t)||_{q_space} over time
 with the trapezoid rule on a grid that contains every forcing breakpoint.
-The exact solver and the report take their times as the rows of one
-transform block (the report in chunks of ``BLOCK_ELEMENTS``).  RK4 raises
-its affine one-step map per crown to the step count by binary powering.
+x0 and the forcing profiles are one transform block (x0 apart only on a
+window of its own), padded in one step.  The exact solver and the report
+take their times as the rows of one transform block (the report in chunks
+of ``BLOCK_ELEMENTS``).  RK4 raises every interval's one-step map, a row
+each, to its step count by binary powering of the whole block.
 """
 
 from __future__ import annotations
@@ -54,14 +56,8 @@ class ForcingSignal:
                 f"{len(bp) - 1} intervals need as many profiles, "
                 f"got {len(self.profiles)}"
             )
-        first = self.profiles[0]
-        for prof in self.profiles:
-            if (prof.kmin, prof.kmax, prof.params) != (
-                first.kmin,
-                first.kmax,
-                first.params,
-            ):
-                raise ValueError("all forcing profiles must share one crown window")
+        if len({(prof.kmin, prof.kmax, prof.params) for prof in self.profiles}) > 1:
+            raise ValueError("all forcing profiles must share one crown window")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "profiles", tuple(self.profiles))
 
@@ -90,24 +86,28 @@ def _duhamel_factors(lams: np.ndarray, times: np.ndarray, a: float, b: float) ->
     return np.where(b_eff > a, out, 0.0)
 
 
-def _fourier_window(
-    x0: RadialProfile | None, profiles, horizon: float
-) -> tuple[RadialProfile | None, list[RadialProfile], np.ndarray]:
-    """Transform x0 (None when there is none) and the forcing profiles onto
-    one Fourier window, extended for times up to ``horizon``; returns the
-    padded transforms and their eigenvalues."""
-    xh = None if x0 is None else radial_fourier(x0)
-    fhs = [radial_fourier(p) for p in profiles]
-    hats = fhs if xh is None else [xh, *fhs]
-    kmin = min(h.kmin for h in hats)
-    kmax = max(h.kmax for h in hats)
-    x_tail = 0.0 if xh is None else abs(xh.tail)
-    lip = x_tail * horizon + sum(abs(fh.tail) for fh in fhs) * horizon**2
-    params = hats[0].params
-    ext_to = radial._extension_depth(params, kmax, lip)
-    fhs = [fh.padded(kmin, ext_to) for fh in fhs]
-    xh = None if xh is None else xh.padded(kmin, ext_to)
-    return xh, fhs, radial._eigenvalues(params, kmin, ext_to)
+def _fourier_window(x0: RadialProfile | None, profiles, horizon: float):
+    """Transform x0 (None when there is none) and the forcing profiles, one
+    block per input window, onto one Fourier window extended for times up
+    to ``horizon``; returns ``(kmin, kmax, H, tails, lams)``, row i of H with
+    inner tail tails[i] the padded transform of input i (x0 first)."""
+    rows = [*([] if x0 is None else [x0]), *profiles]
+    params = rows[0].params
+    blocks = [  # the forcing shares one window; x0 joins its block when on it too
+        radial._fourier_block(params, g[0].kmin, g[0].kmax, np.array([f.coeffs for f in g]),
+                              np.array([f.tail for f in g]))
+        for g in ([rows] if len({(f.kmin, f.kmax) for f in rows}) == 1 else [rows[:1], rows[1:]])
+    ]
+    tails = np.concatenate([blk[3] for blk in blocks])
+    mods = [abs(t) for t in tails.tolist()]  # x0's first, when there is one
+    lip = (0.0 if x0 is None else mods.pop(0)) * horizon + sum(mods) * horizon**2
+    kmin = min(blk[0] for blk in blocks)
+    kmax = radial._extension_depth(params, max(blk[1] for blk in blocks), lip)
+    H = np.vstack([  # zeros outward, each row's tail inward
+        np.hstack((np.zeros((t.size, lo - kmin)), out, np.repeat(t[:, None], kmax - hi, axis=1)))
+        for lo, hi, out, t in blocks
+    ])
+    return kmin, kmax, H, tails, radial._eigenvalues(params, kmin, kmax)
 
 
 def _check_times(x0: RadialProfile, forcing: ForcingSignal | None, times) -> None:
@@ -138,18 +138,16 @@ def solve_master(
     out_times = [float(t) for t in out_times]
     _check_times(x0, forcing, out_times)
 
-    t_top = max(out_times) if out_times else 0.0
-    profiles = forcing.profiles if forcing is not None else ()
-    xh, fhs, lams = _fourier_window(x0, profiles, t_top)
+    profiles, bps = (forcing.profiles, forcing.breakpoints) if forcing is not None else ((), ())
+    kmin, kmax, H, htails, lams = _fourier_window(x0, profiles, max(out_times, default=0.0))
 
     ts = np.array(out_times, dtype=float)[:, None]  # one row per output time
-    coef = xh.coeffs * np.exp(-ts * lams)
-    tails = np.full(len(out_times), xh.tail)  # lam -> 0 limit of exp(-t lam) is 1
-    if forcing is not None:
-        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-            coef = coef + fh.coeffs * _duhamel_factors(lams, ts, a, b)
-            tails = tails + fh.tail * np.maximum(0.0, np.minimum(b, ts[:, 0]) - a)
-    kmin, kmax, out, otails = radial._fourier_block(params, xh.kmin, xh.kmax, coef, tails)
+    coef = H[0] * np.exp(-ts * lams)
+    tails = np.full(len(out_times), htails[0])  # lam -> 0 limit of exp(-t lam) is 1
+    for fc, ft, a, b in zip(H[1:], htails[1:], bps, bps[1:]):
+        coef = coef + fc * _duhamel_factors(lams, ts, a, b)
+        tails = tails + ft * np.maximum(0.0, np.minimum(b, ts[:, 0]) - a)
+    kmin, kmax, out, otails = radial._fourier_block(params, kmin, kmax, coef, tails)
     return [RadialProfile(params, kmin, kmax, row, tail=t) for row, t in zip(out, otails)]
 
 
@@ -172,27 +170,21 @@ def solve_master_rk4(
     over [0, T], shared out by interval length.  Independent of the closed-form
     exponential route: one step is y -> y + (d y + e), d = R(-x) - 1 = -x P,
     e = h P fhat, P = 1 - x/2 + x**2/6 - x**3/24 at x = lam * h, and binary
-    powers of that map, (d, e) -> (d (2 + d), e (2 + d)), take all of an
-    interval's steps at once.  Raises :class:`ToleranceError`, with the steps
-    the interval needs, when a step is unstable for the stiffest crown, i.e.
-    RK4's amplification factor R(-lam_max * h) exceeds 1; ValueError for a
-    t_end not finite or outside [0, T], disagreeing fields or
-    steps_per_interval < 1.
+    powers of that map, (d, e) -> (d (2 + d), e (2 + d)), one block row per
+    interval, take all steps at once.  Raises :class:`ToleranceError`, with
+    the steps the interval needs, when a step is unstable for the stiffest
+    crown, i.e. RK4's amplification factor R(-lam_max * h) exceeds 1;
+    ValueError for a t_end not finite or outside [0, T], disagreeing fields
+    or steps_per_interval < 1.
     """
     _check_times(x0, forcing, [t_end])
     if steps_per_interval < 1:
         raise ValueError("steps_per_interval must be positive")
-    xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
+    kmin, kmax, H, htails, lams = _fourier_window(x0, forcing.profiles, t_end)
     lam_max = float(lams.max())
-    y = xh.coeffs.copy()
-    tail = xh.tail
-
-    for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-        if a >= t_end:
-            break
-        b_eff = min(b, t_end)
+    bps, runs = forcing.breakpoints, []  # (a, b_eff, nsteps) per interval that runs
+    for a, b_eff in [(a, min(b, t_end)) for a, b in zip(bps, bps[1:]) if a < t_end]:
         nsteps = max(1, int(math.ceil(steps_per_interval * (b_eff - a) / forcing.T)))
-        h = (b_eff - a) / nsteps
         span = lam_max * (b_eff - a)
         if _rk4_gain(span / nsteps) > 1:
             need, hi = nsteps, max(nsteps, math.ceil(span))  # lam_max*h <= 1 is stable
@@ -203,20 +195,23 @@ def solve_master_rk4(
                 f"RK4 unstable on [{a}, {b_eff}]: lam_max*h = {span / nsteps:.4g} with "
                 f"{nsteps} steps, needs {need}"
             )
-        x = lams * h
-        poly = 1.0 + x * (-0.5 + x * (1.0 / 6.0 - x / 24.0))
-        d, e = -x * poly, h * poly * fh.coeffs
-        while True:  # apply the step's nsteps-th power, one bit at a time
-            if nsteps & 1:
-                y = y + (d * y + e)
-            nsteps >>= 1
-            if not nsteps:
-                break
-            d, e = d * (2.0 + d), e * (2.0 + d)  # the map composed with itself
-        tail = tail + fh.tail * (b_eff - a)  # lam = 0 branch integrates f directly
+        runs.append((a, b_eff, nsteps))
 
-    prof = RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail)
-    return radial_fourier(prof)
+    # every interval's step map (d, e) is a row; levels[l] holds their 2**l-th powers
+    h = np.array([(b_eff - a) / nsteps for a, b_eff, nsteps in runs])[:, None]
+    x = lams * h
+    poly = 1.0 + x * (-0.5 + x * (1.0 / 6.0 - x / 24.0))
+    levels = [(-x * poly, h * poly * H[1 : 1 + len(runs)])]
+    for _ in range(1, max((r[2] for r in runs), default=0).bit_length()):
+        two = 2.0 + levels[-1][0]  # the maps composed with themselves
+        levels.append((levels[-1][0] * two, levels[-1][1] * two))
+    y, tail = H[0], complex(htails[0])
+    for r, (a, b_eff, nsteps) in enumerate(runs):  # each interval's set bits, low first
+        for d, e in (lv for bit, lv in enumerate(levels) if nsteps >> bit & 1):
+            y = y + (d[r] * y + e[r])
+        tail = tail + complex(htails[r + 1]) * (b_eff - a)  # lam = 0 integrates f directly
+
+    return radial_fourier(RadialProfile(x0.params, kmin, kmax, y, tail=tail))
 
 
 def max_regularity_report(
@@ -242,16 +237,15 @@ def max_regularity_report(
         raise ValueError("zero forcing")
     grid = np.union1d(np.linspace(0.0, T, n_time), np.array(forcing.breakpoints))
 
-    _, fhs, lams = _fourier_window(None, forcing.profiles, T)
-    kmin, kmax = fhs[0].kmin, fhs[0].kmax
+    kmin, kmax, H, _, lams = _fourier_window(None, forcing.profiles, T)
 
     norms = []
     rows = max(1, BLOCK_ELEMENTS // lams.size)
     for start in range(0, grid.size, rows):
         ts = grid[start : start + rows, None]
         coef = np.zeros((ts.shape[0], lams.size), dtype=complex)
-        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-            coef += fh.coeffs * _duhamel_factors(lams, ts, a, b)
+        for fc, a, b in zip(H, forcing.breakpoints, forcing.breakpoints[1:]):
+            coef += fc * _duhamel_factors(lams, ts, a, b)
         okmin, okmax, out, otails = radial._fourier_block(params, kmin, kmax, coef * lams)
         norms += radial._lp_norms(params, okmin, okmax, out, otails, q_space)
 

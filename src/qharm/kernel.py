@@ -334,7 +334,7 @@ def kernel_l1_norm(
     kmin, kmax = _mass_window(z, params, cfg.tol, sup_bound)
     vals, tail = _exp_form_block(z, kmin, kmax, params, cfg)
     mags_arr = np.abs(vals)
-    smeas = _sphere_measures(params, kmin, kmax)
+    smeas = _sphere_measures(q, n, kmin, kmax)
     eval_bound = tail * float(np.sum(smeas))
     outer_tail = _outer_mass(z, params) * float(q) ** ((kmin - 1) * alpha)
     ball_in = float(q) ** (-(kmax + 1) * n)

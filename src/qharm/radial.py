@@ -35,6 +35,7 @@ eigenvalue that underflows to 0 or below the normal float range, raises
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
@@ -43,12 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowOverflowError
-from .field import FieldParams, ball_measure
+from .field import FieldParams, qpow
 
 # absolute floor the residual of the constant Fourier tail must fall below
 _TAIL_EPS = 1e-16
 LOG_FLOOR = -745.0  # exp() underflows to 0 below this
 MAX_EXT = 20000  # most crowns a window extension may add
+_WINDOW_CACHE = 32  # crown windows whose tables each memo below keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,23 +143,43 @@ def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProf
     return f.padded(kmin, kmax), g.padded(kmin, kmax)
 
 
-def _sphere_measures(params: FieldParams, kmin: int, kmax: int) -> np.ndarray:
-    """mu(S_k) for k = kmin..kmax; raises :class:`WindowOverflowError` when the
-    largest, ~q**(-n*kmin), also a transform's largest output weight, is inf."""
-    q, n = params.q, params.n
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE)
+def _sphere_measures(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:
+    """mu(S_k) for k = kmin..kmax, memoised read-only; raises
+    :class:`WindowOverflowError`, on every call, when the largest,
+    ~q**(-n*kmin), also a transform's largest output weight, is inf."""
     try:
         float(q) ** (-n * kmin)
     except OverflowError:
         msg = f"crown weight q**({-n * kmin}) at q={q} leaves the float range"
         raise WindowOverflowError(msg) from None
     ks = np.arange(kmin, kmax + 1, dtype=float)
-    return (1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n)
+    return _read_only((1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n))
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE)
+def _ball_measure(q: int, n: int, k: int) -> float:
+    """mu(G_k) as a float, memoised."""
+    return float(qpow(q, -k * n))
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE)
+def _out_weights(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:
+    """q**(n*j) on a transform's output crowns j = -kmax-1..-kmin, memoised
+    read-only; read after :func:`_sphere_measures`, which checks the range."""
+    return _read_only(np.power(float(q), n * np.arange(-kmax - 1, -kmin + 1, dtype=float)))
 
 
 def improper_integral(f: RadialProfile) -> complex:
     """Crown-sum integral; the inner tail contributes tail * mu(G_{kmax+1})."""
-    total = np.sum(f.coeffs * _sphere_measures(f.params, f.kmin, f.kmax))
-    total += f.tail * float(ball_measure(f.kmax + 1, f.params))
+    q, n = f.params.q, f.params.n
+    total = np.sum(f.coeffs * _sphere_measures(q, n, f.kmin, f.kmax))
+    total += f.tail * _ball_measure(q, n, f.kmax + 1)
     return complex(total)
 
 
@@ -170,8 +192,8 @@ def _lp_norms(
         return [max(float(s), abs(t)) for s, t in zip(np.max(np.abs(C), axis=-1), tails)]
     if not p >= 1:  # a NaN p too
         raise ValueError(f"p must be >= 1, got {p}")
-    totals = (np.abs(C) ** p * _sphere_measures(params, kmin, kmax)).sum(axis=-1)
-    ball = float(ball_measure(kmax + 1, params))
+    totals = (np.abs(C) ** p * _sphere_measures(params.q, params.n, kmin, kmax)).sum(axis=-1)
+    ball = _ball_measure(params.q, params.n, kmax + 1)
     return [(float(s) + abs(t) ** p * ball) ** (1.0 / p) for s, t in zip(totals, tails)]
 
 
@@ -184,18 +206,17 @@ def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tai
     """Transform every row of the (rows, crowns) block C on [kmin, kmax], row
     i with inner tail tails[i] (default 0); returns ``(out_kmin, out_kmax,
     OUT, out_tails)``.  Each row equals its one-row transform bit for bit."""
-    terms = C * _sphere_measures(params, kmin, kmax)
+    q, n = params.q, params.n
+    terms = C * _sphere_measures(q, n, kmin, kmax)
     # T[:, m] = sum_{k >= m} c_k mu(S_k) for m = kmin..kmax+1 (index m - kmin)
     T = np.empty((C.shape[0], kmax - kmin + 2), dtype=complex)
-    T[:, -1] = 0.0 if tails is None else tails * float(ball_measure(kmax + 1, params))
+    T[:, -1] = 0.0 if tails is None else tails * _ball_measure(q, n, kmax + 1)
     T[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1] + T[:, -1:]
 
-    out_kmin, out_kmax = -kmax - 1, -kmin
-    js = np.arange(out_kmin, out_kmax + 1, dtype=float)
     # for ascending j, -j runs kmax+1 .. kmin and -j-1 runs kmax .. kmin-1
     prev = np.concatenate((C[:, ::-1], np.zeros((C.shape[0], 1))), axis=1)
-    OUT = T[:, ::-1] - prev * np.power(float(params.q), params.n * js)
-    return out_kmin, out_kmax, OUT, T[:, 0]
+    OUT = T[:, ::-1] - prev * _out_weights(q, n, kmin, kmax)
+    return -kmax - 1, -kmin, OUT, T[:, 0]
 
 
 def radial_fourier(f: RadialProfile) -> RadialProfile:
@@ -228,7 +249,7 @@ def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
         raise ValueError("direct convolution oracle requires zero inner tails")
     gp, fp = align(g, f)
     q, n = gp.params.q, gp.params.n
-    smeas = _sphere_measures(gp.params, gp.kmin, gp.kmax)
+    smeas = _sphere_measures(q, n, gp.kmin, gp.kmax)
     gball = np.power(float(q), -np.arange(gp.kmin + 1, gp.kmax + 2, dtype=float) * n)
     gc, fc = gp.coeffs, fp.coeffs
     m = gc.size

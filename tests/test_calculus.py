@@ -467,6 +467,15 @@ class TestRademacher:
         with pytest.raises(ValueError, match="p must be >= 1"):
             rademacher_ratio([1.0 + 0j], math.nan, 4, 0, P21)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+    def test_bad_p_refused_before_any_work(self, p, monkeypatch):
+        def no_transform(*args):
+            raise AssertionError("the Fourier transform ran before p was checked")
+
+        monkeypatch.setattr(radial, "_fourier_block", no_transform)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            rademacher_ratio(rbound_family(1.3, 16), p, 200, 1, P21)
+
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             rademacher_ratio([-1.0 + 0j], 2.0, 10, 0, P21)

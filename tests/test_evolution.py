@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qharm import evolution, radial
 from qharm.calculus import semigroup_apply
 from qharm.errors import ToleranceError, WindowOverflowError
 from qharm.evolution import (
     ForcingSignal,
-    _fourier_window,
+    _duhamel_factors,
     _rk4_gain,
     max_regularity_report,
     solve_master,
@@ -21,23 +22,75 @@ from conftest import make_profile
 P21 = FieldParams(2, 1, 1.0)
 
 
+def same_profile(a, b):
+    """Bit for bit: the same window, coefficients and inner tail."""
+    same_window = (a.kmin, a.kmax) == (b.kmin, b.kmax)
+    return same_window and np.array_equal(a.coeffs, b.coeffs) and a.tail == b.tail
+
+
 def eigenlayer(params, m0):
     return radial_fourier(RadialProfile(params, m0, m0, [1.0]))
 
 
-def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
-    """Reference: solve_master_rk4 as one RK4 step per loop iteration."""
-    xh, fhs, lams = _fourier_window(x0, forcing.profiles, t_end)
-    lam_max = float(lams.max())
-    y = xh.coeffs.copy()
-    tail = xh.tail
+def fourier_window_per_profile(x0, profiles, horizon):
+    """Reference: the Fourier window as one one-row transform and one pad per
+    profile; returns (x0's padded transform or None, the forcing's, lams)."""
+    xh = None if x0 is None else radial_fourier(x0)
+    fhs = [radial_fourier(p) for p in profiles]
+    hats = fhs if xh is None else [xh, *fhs]
+    kmin = min(h.kmin for h in hats)
+    kmax = max(h.kmax for h in hats)
+    x_tail = 0.0 if xh is None else abs(xh.tail)
+    lip = x_tail * horizon + sum(abs(fh.tail) for fh in fhs) * horizon**2
+    params = hats[0].params
+    ext_to = radial._extension_depth(params, kmax, lip)
+    fhs = [fh.padded(kmin, ext_to) for fh in fhs]
+    xh = None if xh is None else xh.padded(kmin, ext_to)
+    return xh, fhs, radial._eigenvalues(params, kmin, ext_to)
 
-    for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
+
+def solve_master_per_profile(x0, forcing, out_times):
+    """Reference: solve_master on the per-profile window."""
+    profiles = forcing.profiles if forcing is not None else ()
+    xh, fhs, lams = fourier_window_per_profile(x0, profiles, max(out_times, default=0.0))
+    ts = np.array(out_times, dtype=float)[:, None]
+    coef = xh.coeffs * np.exp(-ts * lams)
+    tails = np.full(len(out_times), xh.tail)
+    if forcing is not None:
+        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
+            coef = coef + fh.coeffs * _duhamel_factors(lams, ts, a, b)
+            tails = tails + fh.tail * np.maximum(0.0, np.minimum(b, ts[:, 0]) - a)
+    kmin, kmax, out, otails = radial._fourier_block(x0.params, xh.kmin, xh.kmax, coef, tails)
+    return [RadialProfile(x0.params, kmin, kmax, row, tail=t) for row, t in zip(out, otails)]
+
+
+def max_regularity_per_profile(forcing, p, q_space, n_time):
+    """Reference: max_regularity_report on the per-profile window."""
+    bps = forcing.breakpoints
+    den = sum(
+        lp_norm(pr, q_space) ** p * (b - a) for pr, a, b in zip(forcing.profiles, bps, bps[1:])
+    )
+    grid = np.union1d(np.linspace(0.0, forcing.T, n_time), np.array(bps))
+    _, fhs, lams = fourier_window_per_profile(None, forcing.profiles, forcing.T)
+    norms = []
+    rows = max(1, evolution.BLOCK_ELEMENTS // lams.size)
+    for start in range(0, grid.size, rows):
+        ts = grid[start : start + rows, None]
+        coef = np.zeros((ts.shape[0], lams.size), dtype=complex)
+        for fh, a, b in zip(fhs, bps, bps[1:]):
+            coef += fh.coeffs * _duhamel_factors(lams, ts, a, b)
+        out = radial._fourier_block(forcing.params, fhs[0].kmin, fhs[0].kmax, coef * lams)
+        norms += radial._lp_norms(forcing.params, *out, q_space)
+    return float(np.trapezoid(np.array(norms) ** p, grid)) ** (1.0 / p) / den ** (1.0 / p)
+
+
+def _rk4_intervals(forcing, t_end, steps_per_interval, lam_max):
+    """(a, b_eff, nsteps, h) per interval RK4 runs, with its stability check."""
+    for a, b in zip(forcing.breakpoints, forcing.breakpoints[1:]):
         if a >= t_end:
             break
         b_eff = min(b, t_end)
         nsteps = max(1, int(math.ceil(steps_per_interval * (b_eff - a) / forcing.T)))
-        h = (b_eff - a) / nsteps
         span = lam_max * (b_eff - a)
         if _rk4_gain(span / nsteps) > 1:
             need, hi = nsteps, max(nsteps, math.ceil(span))
@@ -48,6 +101,40 @@ def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
                 f"RK4 unstable on [{a}, {b_eff}]: lam_max*h = {span / nsteps:.4g} with "
                 f"{nsteps} steps, needs {need}"
             )
+        yield a, b_eff, nsteps, (b_eff - a) / nsteps
+
+
+def rk4_per_interval(x0, forcing, t_end, steps_per_interval=4096):
+    """Reference: solve_master_rk4 powering each interval's step map in its
+    own loop, on the per-profile window."""
+    xh, fhs, lams = fourier_window_per_profile(x0, forcing.profiles, t_end)
+    y, tail = xh.coeffs.copy(), xh.tail
+    for fh, (a, b_eff, nsteps, h) in zip(
+        fhs, _rk4_intervals(forcing, t_end, steps_per_interval, float(lams.max()))
+    ):
+        x = lams * h
+        poly = 1.0 + x * (-0.5 + x * (1.0 / 6.0 - x / 24.0))
+        d, e = -x * poly, h * poly * fh.coeffs
+        while True:
+            if nsteps & 1:
+                y = y + (d * y + e)
+            nsteps >>= 1
+            if not nsteps:
+                break
+            d, e = d * (2.0 + d), e * (2.0 + d)
+        tail = tail + fh.tail * (b_eff - a)
+    return radial_fourier(RadialProfile(x0.params, xh.kmin, xh.kmax, y, tail=tail))
+
+
+def rk4_stepping_loop(x0, forcing, t_end, steps_per_interval=4096):
+    """Reference: solve_master_rk4 as one RK4 step per loop iteration."""
+    xh, fhs, lams = fourier_window_per_profile(x0, forcing.profiles, t_end)
+    y = xh.coeffs.copy()
+    tail = xh.tail
+
+    for fh, (a, b_eff, nsteps, h) in zip(
+        fhs, _rk4_intervals(forcing, t_end, steps_per_interval, float(lams.max()))
+    ):
         fc = fh.coeffs
 
         def rhs(v):
@@ -273,3 +360,62 @@ class TestWindowExtension:
         ball = RadialProfile.ball_indicator(FieldParams(2, 1, 0.002), 0)
         with pytest.raises(WindowOverflowError):
             route(ball, ForcingSignal.constant(ball, 1.0))
+
+
+class TestOneBlockWindow:
+    """The block window and the row-wise RK4 powers give today's per-profile
+    and per-interval results bit for bit."""
+
+    @pytest.fixture(params=[P21, FieldParams(2, 1, 0.5)], ids=["alpha1", "alpha0.5"])
+    def problem(self, rng, request):
+        profs = tuple(make_profile(rng, request.param, -2, 2, tail=0.5) for _ in range(3))
+        x0 = make_profile(rng, request.param, -2, 2, tail=-0.25)
+        return ForcingSignal((0.0, 0.3, 0.7, 1.0), profs), x0
+
+    @pytest.mark.parametrize(
+        "times", [[], [0.0], [0.0, 0.3, 0.7, 1.0], [0.3, 1.0]], ids=["none", "zero", "bps", "two"]
+    )
+    def test_solve_master(self, problem, times):
+        forcing, x0 = problem
+        got, ref = solve_master(x0, forcing, times), solve_master_per_profile(x0, forcing, times)
+        assert len(got) == len(ref) == len(times)
+        assert all(same_profile(a, b) for a, b in zip(got, ref))
+
+    def test_solve_master_unforced(self, problem):
+        _, x0 = problem
+        for times in ([0.6], [0.0, 1.0]):
+            got, ref = solve_master(x0, None, times), solve_master_per_profile(x0, None, times)
+            assert all(same_profile(a, b) for a, b in zip(got, ref))
+
+    def test_initial_state_on_another_window(self, rng):
+        profs = tuple(make_profile(rng, P21, -2, 2, tail=0.5) for _ in range(3))
+        forcing = ForcingSignal((0.0, 0.3, 0.7, 1.0), profs)
+        wide = make_profile(rng, P21, -4, 3, tail=0.75)  # a transform block of its own
+        got = solve_master(wide, forcing, [0.3, 1.0])
+        ref = solve_master_per_profile(wide, forcing, [0.3, 1.0])
+        assert got[0].kmax == 4  # x0 sets the outer edge, -kmin of its transform
+        assert all(same_profile(a, b) for a, b in zip(got, ref))
+        for t_end in (0.0, 0.5):
+            ref = rk4_per_interval(wide, forcing, t_end, 64)
+            assert same_profile(solve_master_rk4(wide, forcing, t_end, 64), ref)
+
+    @pytest.mark.parametrize("t_end", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("steps", [1, 3, 8192])
+    def test_rk4(self, problem, t_end, steps):
+        """At alpha = 1 one step on [0.3, 0.7] is unstable: the same error."""
+        forcing, x0 = problem
+        try:
+            ref = rk4_per_interval(x0, forcing, t_end, steps)
+        except ToleranceError as err:
+            with pytest.raises(ToleranceError) as got:
+                solve_master_rk4(x0, forcing, t_end, steps)
+            assert str(got.value) == str(err)
+            return
+        assert same_profile(solve_master_rk4(x0, forcing, t_end, steps), ref)
+
+    def test_max_regularity_report(self, problem):
+        forcing, _ = problem
+        for p, q_space, n_time in ((2.0, 2.0, 4097), (4.0, 3.0, 257)):
+            assert max_regularity_report(forcing, p, q_space, n_time) == max_regularity_per_profile(
+                forcing, p, q_space, n_time
+            )

@@ -117,16 +117,17 @@ def duhamel_scalar(lams, t, a, b):
 
 
 def solve_master_loop(x0, forcing, times):
-    xh, fhs, lams = _fourier_window(x0, forcing.profiles, max(times))
-    intervals = list(zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]))
+    kmin, kmax, H, tails, lams = _fourier_window(x0, forcing.profiles, max(times))
+    tails = tails.tolist()
+    intervals = list(zip(H[1:], tails[1:], forcing.breakpoints, forcing.breakpoints[1:]))
     outs = []
     for t in times:
-        coef = xh.coeffs * np.exp(-t * lams)
-        tail = xh.tail
-        for fh, a, b in intervals:
-            coef = coef + fh.coeffs * duhamel_scalar(lams, t, a, b)
-            tail = tail + fh.tail * max(0.0, min(b, t) - a)
-        prof = RadialProfile(x0.params, xh.kmin, xh.kmax, coef, tail=tail)
+        coef = H[0] * np.exp(-t * lams)
+        tail = tails[0]
+        for fc, ft, a, b in intervals:
+            coef = coef + fc * duhamel_scalar(lams, t, a, b)
+            tail = tail + ft * max(0.0, min(b, t) - a)
+        prof = RadialProfile(x0.params, kmin, kmax, coef, tail=tail)
         outs.append(radial_fourier(prof))
     return outs
 
@@ -137,13 +138,13 @@ def max_regularity_loop(forcing, p, q_space, n_time):
         for pr, a, b in zip(forcing.profiles, forcing.breakpoints, forcing.breakpoints[1:])
     ) ** (1.0 / p)
     grid = np.union1d(np.linspace(0.0, forcing.T, n_time), np.array(forcing.breakpoints))
-    _, fhs, lams = _fourier_window(None, forcing.profiles, forcing.T)
+    kmin, kmax, H, _, lams = _fourier_window(None, forcing.profiles, forcing.T)
     norms = []
     for t in grid:
         coef = np.zeros(lams.size, dtype=complex)
-        for fh, a, b in zip(fhs, forcing.breakpoints, forcing.breakpoints[1:]):
-            coef += fh.coeffs * duhamel_scalar(lams, float(t), a, b)
-        dhat = RadialProfile(forcing.params, fhs[0].kmin, fhs[0].kmax, coef * lams)
+        for fc, a, b in zip(H, forcing.breakpoints, forcing.breakpoints[1:]):
+            coef += fc * duhamel_scalar(lams, float(t), a, b)
+        dhat = RadialProfile(forcing.params, kmin, kmax, coef * lams)
         norms.append(lp_norm(radial_fourier(dhat), q_space))
     return float(np.trapezoid(np.array(norms) ** p, grid)) ** (1.0 / p) / den
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qharm import radial
 from qharm.errors import WindowOverflowError
-from qharm.field import FieldParams
+from qharm.field import FieldParams, ball_measure
 from qharm.radial import (
     RadialProfile,
     convolve,
@@ -136,6 +137,49 @@ class TestFloatRange:
         f = RadialProfile.ball_indicator(P21, -1022)
         back = radial_fourier(radial_fourier(f))
         assert abs(back.value_at(-1022) - 1.0) < 1e-12
+
+
+class TestWindowMemo:
+    """Each crown window's constant tables are memoised, read-only and equal
+    to the direct formulas bit for bit."""
+
+    MEMOS = (radial._sphere_measures, radial._ball_measure, radial._out_weights)
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 2), (5, 3)], ids=str)
+    @pytest.mark.parametrize("window", [(4, 4), (-3, 4), (-50, 849)], ids=["1", "8", "900"])
+    def test_tables_equal_direct_formulas(self, field, window):
+        (q, n), (kmin, kmax) = field, window
+        ks = np.arange(kmin, kmax + 1, dtype=float)
+        js = np.arange(-kmax - 1, -kmin + 1, dtype=float)
+        sphere = (1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n)
+        assert np.array_equal(radial._sphere_measures(q, n, kmin, kmax), sphere)
+        ball = float(ball_measure(kmax + 1, FieldParams(q, n, 1.0)))
+        assert radial._ball_measure(q, n, kmax + 1) == ball
+        assert np.array_equal(radial._out_weights(q, n, kmin, kmax), np.power(float(q), n * js))
+
+    def test_read_only_and_shared(self):
+        for table in (radial._sphere_measures(2, 1, -3, 4), radial._out_weights(2, 1, -3, 4)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        assert radial._sphere_measures(2, 1, -3, 4) is radial._sphere_measures(2, 1, -3, 4)
+        assert radial._out_weights(2, 1, -3, 4) is radial._out_weights(2, 1, -3, 4)
+
+    def test_overflow_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(WindowOverflowError):
+                radial._sphere_measures(2, 1, -1100, -1100)
+            with pytest.raises(WindowOverflowError):
+                radial_fourier(RadialProfile.ball_indicator(P21, -1100))
+
+    def test_caches_stay_bounded(self):
+        for k in range(3 * radial._WINDOW_CACHE):
+            f = RadialProfile.sphere_indicator(P31, k)
+            radial_fourier(f)
+            lp_norm(f, 2.0)
+            for memo in self.MEMOS:
+                assert memo.cache_info().currsize <= radial._WINDOW_CACHE
+        assert all(memo.cache_info().maxsize == radial._WINDOW_CACHE for memo in self.MEMOS)
 
 
 class TestConvolve:
