@@ -9,9 +9,11 @@ seed): floats are serialized with repr and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
-import configparser
+import cmath
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,7 +53,8 @@ evolve config file (INI syntax, values space separated):
   [forcing.<j>]  c_<k> = re im    profile on [t_j, t_{j+1}), tail = re im
   [output]   times = ... ; file = path (optional, default stdout)
 
-Output CSV rows: t,k,re,im (one row per output time per crown)."""
+A crown named twice, or a crown or tail value that is not finite, is a
+usage error.  Output CSV rows: t,k,re,im (one row per output time per crown)."""
 
 
 class UsageError(Exception):
@@ -88,6 +91,7 @@ def _parse_complex(text: str) -> complex:
     raise UsageError(f"--z expects RE or RE,IM, got {text!r}")
 
 
+@functools.cache  # one argparse tree per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qharm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,6 +182,82 @@ def _cmd_verify(args) -> int:
     return 0 if result["pass"] else 2
 
 
+_COMMENT = re.compile(r"(?<!\S)[;#]")  # at the line start or after whitespace
+
+
+def _read_config(path: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI config file, ``{section: {key: value}}`` in
+    file order, read in one pass.
+
+    The subset of configparser's syntax (with ``interpolation=None`` and
+    ``inline_comment_prefixes=(";", "#")``) that ``qharm evolve`` documents:
+    ``[section]`` headers; ``key = value`` or ``key: value``, keys
+    lower-cased and values stripped and taken literally; ``;`` or ``#``
+    starting a comment at the line start or after whitespace; indented
+    lines continuing the value above, joined with newlines.  A repeated
+    section or key, a key before any section, a line with no delimiter and
+    a ``[DEFAULT]`` section are usage errors.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise UsageError(f"config file {path!r} cannot be read: {exc.strerror}") from exc
+    sections: dict[str, dict[str, str]] = {}
+    section = key = None
+    indent = 0
+    for lineno, line in enumerate(lines, 1):
+        comment = _COMMENT.search(line) if "#" in line or ";" in line else None
+        text = (line[: comment.start()] if comment else line).strip()
+        if not text:  # a blank line inside a value stays in it, a comment does not
+            if key is not None and comment is None:
+                section[key] += "\n"
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            section[key] += "\n" + text
+            continue
+        indent = depth
+        if text[0] == "[" and (end := text.rfind("]")) > 1:
+            name, key = text[1:end], None
+            if name == "DEFAULT":  # configparser would copy its keys into every section
+                raise UsageError(f"bad config: line {lineno}: [DEFAULT] is not supported")
+            if name in sections:
+                raise UsageError(f"bad config: line {lineno}: section [{name}] repeated")
+            section = sections[name] = {}
+            continue
+        key, sep, value = text.partition("=")
+        if not sep or ":" in key:  # the first '=' or ':' splits
+            key, sep, value = text.partition(":")
+        key = key.rstrip().lower()
+        if section is None or not sep or not key:
+            raise UsageError(
+                f"bad config: line {lineno}: expected [section] or key = value "
+                f"inside a section, got {text!r}"
+            )
+        if key in section:
+            raise UsageError(f"bad config: line {lineno}: key {key!r} repeated in [{name}]")
+        section[key] = value.lstrip()
+    return {name: {k: v.rstrip() for k, v in sec.items()} for name, sec in sections.items()}
+
+
+def _value(cfg: dict, section: str, key: str) -> str:
+    try:
+        return cfg[section][key]
+    except KeyError:
+        raise UsageError(f"bad config: no {key!r} in section [{section}]") from None
+
+
+def _number(cfg: dict, section: str, key: str, kind=float):
+    """One int or float config value; other text raises UsageError."""
+    raw = _value(cfg, section, key)
+    try:
+        return kind(raw)
+    except ValueError:
+        want = "an integer" if kind is int else "a number"
+        raise UsageError(f"[{section}] {key} = {raw!r}: expected {want}") from None
+
+
 def _floats(section: str, key: str, raw: str, sizes=None) -> list[float]:
     """The space-separated numbers of one config value; text that is not a
     number, or a count not in ``sizes``, raises UsageError."""
@@ -192,48 +272,86 @@ def _floats(section: str, key: str, raw: str, sizes=None) -> list[float]:
 
 
 def _profile_from_section(
-    cp: configparser.ConfigParser, name: str, params: FieldParams, kmin: int, kmax: int
+    cfg: dict, name: str, params: FieldParams, kmin: int, kmax: int
 ) -> RadialProfile:
-    """The profile that config section ``name`` gives; zero when there is none."""
+    """The profile that config section ``name`` gives; zero when there is none.
+
+    Every crown index comes from its key and every number goes through one
+    array conversion, real and imaginary parts set apart so the values stay
+    exact.  Only when that pass fails does the per-key pass run, to name
+    the key and value at fault."""
+    section = cfg.get(name, {})
+    coeffs = np.zeros(kmax - kmin + 1, dtype=complex)
+    keys = [key for key in section if key != "tail"]
+    try:
+        idx = [int(key[2:]) - kmin for key in keys if key.startswith("c_")]
+        texts = [section.get("tail", "0 0")] + [section[key] for key in keys]
+        vals = np.array([t.split() for t in texts], float).reshape(len(texts), 2)
+        ok = (
+            len(set(idx)) == len(keys)  # every key names a crown, each one once
+            and 0 <= min(idx, default=0)
+            and max(idx, default=0) < coeffs.size
+            and np.isfinite(vals).all()
+        )
+    except ValueError:
+        ok = False
+    if not ok:
+        return _profile_per_key(section, name, params, kmin, kmax)
+    coeffs.real[idx] = vals[1:, 0]
+    coeffs.imag[idx] = vals[1:, 1]
+    return RadialProfile(params, kmin, kmax, coeffs, tail=complex(vals[0, 0], vals[0, 1]))
+
+
+def _profile_per_key(
+    section: dict, name: str, params: FieldParams, kmin: int, kmax: int
+) -> RadialProfile:
+    """``_profile_from_section`` one key at a time: a value that is not one
+    or two finite numbers, a key other than c_<k> or tail, a crown outside
+    the window and a crown named twice raise UsageError."""
     coeffs = np.zeros(kmax - kmin + 1, dtype=complex)
     tail = 0.0 + 0.0j
-    for key, raw in cp.items(name) if cp.has_section(name) else ():
+    seen: dict[int, str] = {}
+    for key, raw in section.items():
         val = complex(*_floats(name, key, raw, (1, 2)))
+        if not cmath.isfinite(val):
+            raise UsageError(f"[{name}] {key} = {raw!r}: expected finite numbers")
         if key == "tail":
             tail = val
             continue
-        if not key.startswith("c_"):
-            raise UsageError(f"unknown profile key {key!r} (expected c_<k> or tail)")
-        k = int(key[2:])
+        try:
+            if not key.startswith("c_"):
+                raise ValueError
+            k = int(key[2:])
+        except ValueError:
+            raise UsageError(f"[{name}] {key} = {raw!r}: expected a key c_<k> or tail") from None
         if not kmin <= k <= kmax:
-            raise UsageError(f"crown {k} outside the window [{kmin}, {kmax}]")
+            raise UsageError(f"[{name}] {key} = {raw!r}: crown {k} outside [{kmin}, {kmax}]")
+        if k in seen:
+            raise UsageError(f"[{name}] {seen[k]} and {key} both name crown {k}")
+        seen[k] = key
         coeffs[k - kmin] = val
     return RadialProfile(params, kmin, kmax, coeffs, tail=tail)
 
 
 def _cmd_evolve(args) -> int:
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
-    read = cp.read(args.config)
-    if not read:
-        raise UsageError(f"config file {args.config!r} not found")
-    try:
-        params = FieldParams(
-            cp.getint("field", "q"),
-            cp.getint("field", "n"),
-            cp.getfloat("field", "alpha"),
-        )
-        kmin = cp.getint("window", "kmin")
-        kmax = cp.getint("window", "kmax")
-        breakpoints = tuple(_floats("forcing", "breakpoints", cp.get("forcing", "breakpoints")))
-        profiles = tuple(
-            _profile_from_section(cp, f"forcing.{j}", params, kmin, kmax)
-            for j in range(len(breakpoints) - 1)
-        )
-        x0 = _profile_from_section(cp, "initial", params, kmin, kmax)
-        times = _floats("output", "times", cp.get("output", "times"))
-        out_path = cp.get("output", "file", fallback=None)
-    except (configparser.Error, KeyError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
+    cfg = _read_config(args.config)
+    params = FieldParams(
+        _number(cfg, "field", "q", int),
+        _number(cfg, "field", "n", int),
+        _number(cfg, "field", "alpha"),
+    )
+    kmin = _number(cfg, "window", "kmin", int)
+    kmax = _number(cfg, "window", "kmax", int)
+    if kmin > kmax:
+        raise UsageError(f"[window] kmin = {kmin}: above kmax = {kmax}")
+    breakpoints = tuple(_floats("forcing", "breakpoints", _value(cfg, "forcing", "breakpoints")))
+    profiles = tuple(
+        _profile_from_section(cfg, f"forcing.{j}", params, kmin, kmax)
+        for j in range(len(breakpoints) - 1)
+    )
+    x0 = _profile_from_section(cfg, "initial", params, kmin, kmax)
+    times = _floats("output", "times", _value(cfg, "output", "times"))
+    out_path = cfg["output"].get("file")
 
     forcing = evolution.ForcingSignal(breakpoints, profiles)
     outs = evolution.solve_master(x0, forcing, times)

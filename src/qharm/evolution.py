@@ -225,8 +225,11 @@ def max_regularity_report(
     Time integration is the trapezoid rule on a uniform grid merged with
     the forcing breakpoints (the integrand is smooth inside each interval);
     the forcing norm is exact for piecewise-constant signals.  Accuracy
-    requires (lam_max * dt)**2 well below the target tolerance.
+    requires (lam_max * dt)**2 well below the target tolerance.  A p outside
+    [1, inf), NaN too, raises ValueError before any work.
     """
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     params = forcing.params
     T = forcing.T
     den = sum(

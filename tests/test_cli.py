@@ -1,8 +1,51 @@
+import configparser
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qharm.cli import SWEEP_HEADER, main
+from qharm.cli import (
+    SWEEP_HEADER,
+    _build_parser,
+    _profile_from_section,
+    _profile_per_key,
+    _read_config,
+    main,
+)
+from qharm.field import FieldParams
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the example of README "evolve config format", verbatim
+README_EXAMPLE = """\
+[field]
+q = 2
+n = 1
+alpha = 1.0
+
+[window]
+kmin = -2
+kmax = 2
+
+[initial]            ; optional initial state, crown values + tail
+c_0 = 1.0 0.0
+
+[forcing]
+breakpoints = 0.0 0.5 1.0
+
+[forcing.0]          ; profile on [0.0, 0.5); omitted sections mean zero
+c_1 = 0.5 -0.25
+
+[output]
+times = 0.25 1.0
+file = out.csv       ; optional, default stdout
+"""
+
+# SHA-256 of the CSV that TestEvolve.CONFIG and README_EXAMPLE give (the same
+# problem), recorded when configparser still read the config
+EVOLVE_CSV_SHA256 = "aedd79cc2daa24428d578489131fcaf76628ceaf6a1e903734af0b2debeea2de"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +201,7 @@ times = 0.25 1.0
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--config", "/nonexistent.ini")
         assert code == 1
+        assert err.startswith("usage error: config file '/nonexistent.ini' cannot be read")
 
     def test_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -203,6 +247,200 @@ times = 0.25 1.0
         code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.strip() == "ValueError: breakpoints must be finite"
+
+    def test_stdout_pinned(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG)
+        code, out, _ = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_CSV_SHA256
+
+    def test_readme_example_pinned(self, capsys, tmp_path, monkeypatch):
+        assert README_EXAMPLE in README.read_text()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text(README_EXAMPLE)
+        code, out, _ = run_cli(capsys, "evolve", "--config", "run.ini")
+        assert code == 0
+        assert out == "wrote 116 rows to out.csv\n"
+        csv = (tmp_path / "out.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == EVOLVE_CSV_SHA256
+
+    def test_continued_breakpoints_give_the_same_csv(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("0.0 0.5 1.0", "0.0\n    0.5  ; mid\n\n    1.0"))
+        code, out, _ = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_CSV_SHA256
+
+    def test_one_number_values_match_two(self, capsys, tmp_path):
+        # "RE" rows fail the array pass and take the per-key pass
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("c_0 = 1.0 0.0", "c_0 = 1.0\ntail = -0.5"))
+        _, one, _ = run_cli(capsys, "evolve", "--config", str(cfg))
+        cfg.write_text(self.CONFIG.replace("c_0 = 1.0 0.0", "c_0 = 1.0 0.0\ntail = -0.5 0"))
+        _, two, _ = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert one == two and one.startswith("t,k,re,im\n")
+
+    def test_duplicate_crown_is_usage_error(self, capsys, tmp_path):
+        # the last value used to win without a word
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("c_0 = 1.0 0.0", "c_00 = 5 0\nc_0 = 2 0"))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "usage error: [initial] c_00 and c_0 both name crown 0\n"
+
+    @pytest.mark.parametrize(
+        "old,new,prefix",
+        [
+            ("c_0 = 1.0 0.0", "c_x = 1 0", "[initial] c_x = '1 0': "),
+            ("q = 2", "q = 2.5", "[field] q = '2.5': "),
+            ("alpha = 1.0", "alpha = one", "[field] alpha = 'one': "),
+            ("kmin = -2", "kmin = 3", "[window] kmin = 3: "),
+            ("c_1 = 0.5 -0.25", "c_9 = 0.5 -0.25", "[forcing.0] c_9 = '0.5 -0.25': "),
+            ("c_0 = 1.0 0.0", "c_-3 = 1.0 0.0", "[initial] c_-3 = '1.0 0.0': "),
+            ("c_1 = 0.5 -0.25", "d_1 = 0.5 -0.25", "[forcing.0] d_1 = '0.5 -0.25': "),
+        ],
+        ids=[
+            "crown-key", "int-q", "float-alpha", "kmin-above-kmax", "above-window",
+            "below-window", "key",
+        ],
+    )
+    def test_typed_config_errors(self, capsys, tmp_path, old, new, prefix):
+        # the first three used to exit 1 with an untyped ValueError
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace(old, new))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: " + prefix)
+
+    @pytest.mark.parametrize(
+        "old,new,prefix",
+        [
+            ("c_0 = 1.0 0.0", "c_0 = nan 0", "[initial] c_0 = 'nan 0'"),
+            ("c_0 = 1.0 0.0", "c_0 = 1.0 inf", "[initial] c_0 = '1.0 inf'"),
+            ("c_0 = 1.0 0.0", "c_0 = 1e400", "[initial] c_0 = '1e400'"),
+            ("c_1 = 0.5 -0.25", "tail = -inf 0", "[forcing.0] tail = '-inf 0'"),
+        ],
+    )
+    def test_non_finite_profile_value_is_usage_error(self, capsys, tmp_path, old, new, prefix):
+        # these failed deep in the window extension, the inf one as a
+        # misleading WindowOverflowError
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace(old, new))
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"usage error: {prefix}: expected finite numbers\n"
+
+    def test_array_pass_matches_per_key_pass(self):
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal((12, 2)) * 10.0 ** rng.integers(-320, 300, (12, 2))
+        vals[0] = (-0.0, 0.0)
+        vals[1] = (0.0, -0.0)
+        texts = [f"{re!r} {im!r}" for re, im in vals.tolist()]
+        section = {f"c_{k}": t for k, t in zip(rng.permutation(11) - 5, texts)}
+        section["tail"] = texts[-1]
+        params = FieldParams(3, 1, 0.5)
+        fast = _profile_from_section({"s": section}, "s", params, -5, 5)
+        slow = _profile_per_key(section, "s", params, -5, 5)
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes()
+        assert repr(fast.tail) == repr(slow.tail)
+
+
+def _configparser_sections(path) -> dict:
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    cp.read(path)
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+class TestConfigReader:
+    CORPUS = {
+        "readme": README_EXAMPLE,
+        "delimiters-case-comments": """\
+# a full-line comment before any section
+; and another
+
+[Field]
+Q: 2
+N = 1
+ALPHA : 1.0
+  # an indented comment line
+My Key=value#not a comment
+url: http://host/a=b
+file = a:b=c.csv ; a comment after whitespace
+empty =
+
+[output]   # a comment after a header
+times:0.25 1.0\t; tab before the comment
+""",
+        "continuations-percent": """\
+[forcing]
+breakpoints = 0.0
+    0.5   ; mid
+  1.0
+pct = 50% of 100%%
+multi = first
+
+   after a blank line
+  # a comment inside the value
+   last
+
+
+[output]
+times = 0.25
+  1.0
+last = %(not interpolated)s
+""",
+    }
+    MALFORMED = {  # text -> whether configparser raises on it
+        "[a]\nx = 1\n[a]\ny = 2\n": True,
+        "[a]\nx = 1\nX = 2\n": True,
+        "x = 1\n[a]\n": True,
+        "[a]\njust words\n": True,
+        "[DEFAULT]\nx = 1\n[a]\n": False,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_matches_configparser(self, tmp_path, name):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(self.CORPUS[name])
+        mine, ref = _read_config(str(cfg)), _configparser_sections(cfg)
+        assert mine == ref
+        assert [list(s.items()) for s in mine.values()] == [list(s.items()) for s in ref.values()]
+
+    def test_corpus_reads_as_documented(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(self.CORPUS["continuations-percent"])
+        got = _read_config(str(cfg))
+        assert got["forcing"]["breakpoints"] == "0.0\n0.5\n1.0"
+        assert got["forcing"]["multi"] == "first\n\nafter a blank line\nlast"
+        assert got["forcing"]["pct"] == "50% of 100%%"
+        cfg.write_text(self.CORPUS["delimiters-case-comments"])
+        got = _read_config(str(cfg))
+        assert list(got) == ["Field", "output"]
+        assert got["Field"]["my key"] == "value#not a comment"
+        assert got["Field"]["url"] == "http://host/a=b"
+        assert got["Field"]["file"] == "a:b=c.csv"
+        assert got["Field"]["empty"] == ""
+
+    @pytest.mark.parametrize("text", list(MALFORMED), ids=[
+        "repeated-section", "repeated-key", "key-before-section", "no-delimiter", "DEFAULT",
+    ])
+    def test_malformed_is_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text + TestEvolve.CONFIG)
+        if self.MALFORMED[text]:
+            with pytest.raises(configparser.Error):
+                _configparser_sections(cfg)
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: bad config: line ")
+
+
+class TestParser:
+    def test_built_once_and_reusable(self):
+        assert _build_parser() is _build_parser()
+        assert _build_parser().parse_args(["rbound", "--p", "2"]).p == 2.0
+        assert _build_parser().parse_args(["rbound"]).p == 4.0
 
 
 class TestVerifyOverflow:

@@ -344,6 +344,19 @@ class TestMaxRegularity:
         with pytest.raises(ValueError):
             max_regularity_report(forcing)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5, -math.inf])
+    def test_bad_p_refused_before_any_work(self, p, monkeypatch):
+        # p = inf gave exactly 1.0 and p = 0.5 a quasi-norm ratio
+        def no_work(*args):
+            raise AssertionError("a norm or transform ran before p was checked")
+
+        monkeypatch.setattr(evolution, "lp_norm", no_work)
+        monkeypatch.setattr(radial, "_fourier_block", no_work)
+        ones = RadialProfile(P21, -2, 2, np.ones(5))
+        forcing = ForcingSignal((0.0, 0.5, 1.0), (ones, 2 * ones))
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            max_regularity_report(forcing, p=p, n_time=257)
+
 
 class TestWindowExtension:
     @pytest.mark.parametrize(
