@@ -84,10 +84,11 @@ def _print_json(payload: dict) -> None:
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+    try:
+        if len(parts) in (1, 2):
+            return complex(*map(float, parts))
+    except ValueError:
+        pass
     raise UsageError(f"--z expects RE or RE,IM, got {text!r}")
 
 

@@ -107,6 +107,7 @@ def _fourier_window(x0: RadialProfile | None, profiles, horizon: float):
         np.hstack((np.zeros((t.size, lo - kmin)), out, np.repeat(t[:, None], kmax - hi, axis=1)))
         for lo, hi, out, t in blocks
     ])
+    radial._sphere_measures(params.q, params.n, kmin, kmax)  # range check before lam
     return kmin, kmax, H, tails, radial._eigenvalues(params, kmin, kmax)
 
 

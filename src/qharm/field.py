@@ -189,6 +189,7 @@ class QuotientLattice:
         self.size = self.coord_order**params.n
         self._scales: np.ndarray | None = None
         self._norms: np.ndarray | None = None
+        self._firsts: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover
         p = self.params
@@ -250,6 +251,14 @@ class QuotientLattice:
                 self._scales = np.minimum.outer(coord, self._scales).ravel()
             self._scales.flags.writeable = False
         return self._scales
+
+    def crown_firsts(self) -> np.ndarray:
+        """First flat index of each crown k = -M..N-1 (u_0 = q**(k+M), every
+        other coordinate 0), then of the zero coset (0), cached read-only."""
+        if self._firsts is None:
+            self._firsts = np.r_[self.params.q ** np.arange(self.M + self.N), 0]
+            self._firsts.flags.writeable = False
+        return self._firsts
 
     def norm(self, index: int) -> Fraction:
         """||x|| = max_i |x_i|; the zero coset maps to 0."""

@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestGamma:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("z", ["abc", "1,abc", "abc,0", "", "1,2,3"])
+    def test_bad_z_is_usage_error(self, capsys, z):
+        code, out, err = run_cli(capsys, "gamma", "--q", "2", "--n", "1", "--z", z)
+        assert code == 1 and out == ""
+        assert err == f"usage error: --z expects RE or RE,IM, got {z!r}\n"
+
 
 class TestKernel:
     def test_point_value(self, capsys):
@@ -98,6 +105,14 @@ class TestKernel:
             capsys, "kernel", "--q", "2", "--n", "1", "--alpha", "1", "--kx", "0"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("z", ["abc", "0.5,x"])
+    def test_bad_z_is_usage_error(self, capsys, z):
+        code, out, err = run_cli(
+            capsys, "kernel", "--q", "2", "--n", "1", "--alpha", "1", "--kx", "0", "--z", z
+        )
+        assert code == 1 and out == ""
+        assert err == f"usage error: --z expects RE or RE,IM, got {z!r}\n"
 
 
 class TestVerify:
@@ -330,6 +345,19 @@ times = 0.25 1.0
         code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err == f"usage error: {prefix}: expected finite numbers\n"
+
+    def test_window_past_float_range_fails_before_any_warning(self, capsys, tmp_path):
+        # the crown-weight check runs before the eigenvalues and the Duhamel
+        # factors are built, so no overflow or invalid-value warning comes first
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("kmax = 2", "kmax = 100000"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == (
+            "WindowOverflowError: crown weight q**(100001) at q=2 leaves the float range\n"
+        )
 
     def test_array_pass_matches_per_key_pass(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,24 @@ class TestWindowExtension:
         ball = RadialProfile.ball_indicator(FieldParams(2, 1, 0.002), 0)
         with pytest.raises(WindowOverflowError):
             route(ball, ForcingSignal.constant(ball, 1.0))
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda x0, fs: solve_master(x0, fs, [1.0]),
+            lambda x0, fs: solve_master_rk4(x0, fs, 1.0),
+            lambda x0, fs: max_regularity_report(fs),
+        ],
+        ids=["exact", "rk4", "maxreg"],
+    )
+    def test_crown_weight_past_float_range_raises_before_any_warning(self, route):
+        # the transformed window reaches crown -100001, whose weight q**100001
+        # and eigenvalue overflow; the weight check comes before lam is built
+        x0 = RadialProfile(P21, -2, 100000, np.eye(1, 100003, 2)[0])  # 1 on crown 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WindowOverflowError, match=r"q\*\*\(100001\)"):
+                route(x0, ForcingSignal.constant(x0, 1.0))
 
 
 class TestOneBlockWindow:

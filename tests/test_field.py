@@ -169,6 +169,15 @@ class TestScales:
             assert lat.norm(idx) == ref
         assert ks[0] == lat.N and np.count_nonzero(ks == lat.N) == 1
 
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_crown_firsts_are_first_occurrences(self, spec):
+        lat = spec_lattice(spec)
+        ks, first = np.unique(lat.scales(), return_index=True)
+        assert np.array_equal(ks, np.arange(-lat.M, lat.N + 1))
+        assert np.array_equal(lat.crown_firsts(), first)
+        assert lat.crown_firsts() is lat.crown_firsts()
+        assert not lat.crown_firsts().flags.writeable
+
     def test_index_arithmetic_broadcasts(self):
         lat = spec_lattice((3, 2, 1, 2))
         idx = np.arange(lat.size)

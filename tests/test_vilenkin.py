@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qharm.errors import LatticeWindowError
-from qharm.field import QuotientLattice
+from qharm.field import QuotientLattice, ball_measure
 from qharm.radial import RadialProfile, radial_fourier
+from qharm.verification import TOL_DOMINATION
 from qharm.vilenkin import (
     QuotientFunction,
     average_Ai,
@@ -117,6 +118,53 @@ class TestMaximal:
             av = average_Ai(f, i).values.real[0]
             best = max(best, av)
         assert abs(mf[0] - best) < 1e-14
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_filtration_pass_against_one_scale_averages(self, rng, spec):
+        """The one-pass filtration max equals the max over the one-scale
+        average_Ai, and so does the l2-valued Doob pair built on it."""
+        lat = spec_lattice(spec)
+        fs = [random_qf(rng, lat) for _ in range(3)]
+        refs = []
+        for f in fs:
+            absf = QuotientFunction(lat, np.abs(f.values))
+            scales = range(-lat.M, lat.N + 1)
+            ref = np.max([average_Ai(absf, i).values.real for i in scales], axis=0)
+            got = maximal_M(f).values
+            assert np.all(got.imag == 0.0)
+            assert np.max(np.abs(got.real - ref)) <= 1e-15 * np.max(ref)
+            refs.append(ref)
+        mu, p = float(lat.coset_measure), 1.5
+
+        def l2_lp(stack):
+            return float(np.sum(np.sqrt(np.sum(np.square(stack), axis=0)) ** p) * mu) ** (1 / p)
+
+        lhs, rhs = doob_check_tuple(fs, p)
+        assert abs(lhs - l2_lp(refs)) <= 1e-15 * lhs
+        assert abs(rhs - l2_lp(np.abs([f.values for f in fs]))) <= 1e-15 * rhs
+
+    @pytest.mark.parametrize("spec", [(2, 1, 6, 6), (3, 1, 4, 4), (3, 2, 2, 2)], ids=str)
+    def test_filtration_pass_against_exact_sums(self, rng, spec):
+        """Against averages summed exactly (math.fsum), per entry: every level
+        is at most (M+N)(q**n - 1) additions of nonnegative terms and one
+        division from |f|, so its relative error is below that count plus one
+        times 2**-53 (with room for the roundoff of that bound)."""
+        lat = spec_lattice(spec)
+        q, n = lat.params.q, lat.params.n
+        absf = np.abs(random_qf(rng, lat).values)
+        exact = np.zeros(lat.size)
+        for i in range(-lat.M, lat.N + 1):
+            low = q ** (i + lat.M)
+            high = lat.coord_order // low
+            blocks = absf.reshape(sum(((high, low) for _ in range(n)), ()))
+            blocks = np.moveaxis(blocks, tuple(range(0, 2 * n, 2)), tuple(range(n)))
+            cols = blocks.reshape(high**n, low**n).T
+            means = np.array([math.fsum(c) for c in cols]) / high**n
+            lifted = np.broadcast_to(means.reshape((1, low) * n), (high, low) * n)
+            exact = np.maximum(exact, lifted.reshape(lat.size))
+        got = maximal_M(QuotientFunction(lat, absf)).values.real
+        steps = (lat.M + lat.N) * (q**n - 1) + 1
+        assert np.max(np.abs(got - exact) / exact) <= 1.01 * steps * 2.0**-53
 
 
 class TestDoob:
@@ -231,6 +279,46 @@ class TestDomination:
             domination_check(QuotientFunction(lat, vals), random_qf(rng, lat))
 
 
+class TestDominationGate:
+    """Domination checks that can fail.  The suite's family grows away from the
+    origin, so its majorant is the constant v_{-M} and its worst defect sits
+    about 4 below the gate; here phi is truly radially decreasing, or extremal."""
+
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 3), (3, 1, 3, 3), (2, 2, 2, 2), (3, 2, 1, 2)],
+                             ids=str)
+    def test_radially_decreasing_family(self, rng, spec):
+        lat = spec_lattice(spec)
+        worst = -math.inf
+        for _ in range(100):
+            steps = rng.uniform(0.3, 1.0, lat.M + lat.N)
+            crowns = rng.uniform(0.5, 2.0) * np.cumprod(np.r_[1.0, steps])[::-1]
+            phi = QuotientFunction(lat, crowns[lat.scales() + lat.M])  # rising with k
+            # the majorant of a radially decreasing phi is phi itself
+            l1 = lp_norm_quotient(phi, 1.0)
+            assert abs(majorant_l1_lattice(phi) - l1) <= 1e-14 * l1
+            worst = max(worst, domination_check(phi, random_qf(rng, lat)))
+        assert worst <= TOL_DOMINATION
+        assert worst > -1.0  # close enough to the gate for it to bite
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
+    def test_ball_indicator_is_extremal(self, rng, spec):
+        """phi = 1_{G_k} has ||R_phi||_1 = mu(G_k) and phi * f = mu(G_k) A_k f,
+        so for f = 1_{G_k} >= 0 the ratio |phi*f| / (||R_phi||_1 Mf) is exactly
+        1 on G_k; for any f >= 0 it stays at most 1."""
+        lat = spec_lattice(spec)
+        for k in range(-lat.M, lat.N + 1):
+            ball = QuotientFunction(lat, (lat.scales() >= k).astype(float))
+            bound = majorant_l1_lattice(ball)
+            assert abs(bound / float(ball_measure(k, lat.params)) - 1.0) <= 1e-14
+            ratio = np.abs(group_convolve(ball, ball).values) / (
+                bound * maximal_M(ball).values.real
+            )
+            inside = lat.scales() >= k
+            assert np.max(np.abs(ratio[inside] - 1.0)) <= 1e-14
+            f = QuotientFunction(lat, rng.uniform(0.0, 1.0, lat.size))
+            assert domination_check(ball, f) <= TOL_DOMINATION
+
+
 class TestGroupDFT:
     def test_roundtrip(self, rng):
         lat = lattice()
@@ -271,6 +359,31 @@ class TestGroupDFT:
         a = group_convolve(f, g)
         b = group_convolve_direct(f, g)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+class TestDirectConvolution:
+    @pytest.mark.parametrize("spec", [s for s in LATTICE_SPECS if spec_lattice(s).size <= 81],
+                             ids=str)
+    def test_against_literal_double_sum(self, rng, spec):
+        """sum_t phi(t) f(s - t) mu, one term at a time through lattice.sub."""
+        lat = spec_lattice(spec)
+        phi, f = random_qf(rng, lat), random_qf(rng, lat)
+        mu = float(lat.coset_measure)
+        want = np.array([
+            sum(phi.values[t] * f.values[lat.sub(s, t)] for t in range(lat.size)) * mu
+            for s in range(lat.size)
+        ])
+        got = group_convolve_direct(phi, f).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", [s for s in LATTICE_SPECS if spec_lattice(s).size <= 729],
+                             ids=str)
+    def test_against_fft(self, rng, spec):
+        lat = spec_lattice(spec)
+        phi, f = random_qf(rng, lat), random_qf(rng, lat)
+        want = group_convolve(phi, f).values
+        got = group_convolve_direct(phi, f).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def dualpair(lat, dual, xi, y):
