@@ -75,7 +75,11 @@ class SymbolFunction:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Sector-boundary quadrature: angle, node density, radius range."""
+    """Sector-boundary quadrature: angle, node density, radius range.  The
+    nodes lie on the eigenvalue lattice r = e**(d h), h = alpha ln q / (2K),
+    K = ceil(alpha ln q nodes_per_decade / ln 10), d over ``radius_range``
+    rounded outward to even d; the doubling check's coarse rule is the even d.
+    """
 
     nu: float
     nodes_per_decade: int = 16
@@ -176,37 +180,58 @@ class ContourResult(NamedTuple):
     error_estimate: float
 
 
-def _contour_factors(lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig) -> np.ndarray:
-    """Quadrature of (1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays.
-
-    A node z = r e^{-+i nu} of trapezoid weight w in u = log r carries
-    w f(z) z / (z - lam), as dz = z du.  With t = lam / r,
-    z / (z - lam) = 1 / (1 - t e^{+-i nu}) = (1 - t e^{-+i nu}) E, where
-    E = 1 / |1 - t e^{i nu}|**2 = 1 / ((t - cos nu)**2 + sin(nu)**2) is the
-    same on both rays and at most 1 / sin(nu)**2; its sum of squares cannot
-    cancel.  With cm, cp = w f(z) outward along -nu and inward along +nu, the
-    integral at lam_j is
-    sum_i ((cm - cp)_i - lam_j ((cm e^{-i nu} - cp e^{i nu}) / r)_i) E_ij,
-    one real (4 x nodes) @ (nodes x eigenvalues) product.  Where the square
-    overflows, E is 0 and its true value is below the float range.
-    """
+def _contour_nodes(contour: ContourConfig, step: float):
+    """``(h, K, d, r, w)`` of :class:`ContourConfig` at the field step
+    alpha ln q: nodes r = e**(d h), d = d0..d1 both even, and the trapezoid
+    weights in log r of step h (w[0]) and 2h on the even d (w[1]).  A node
+    that is not a normal float raises :class:`QuadratureError`."""
+    K = math.ceil(step * contour.nodes_per_decade / math.log(10.0))
+    h = step / (2 * K)
     r0, r1 = contour.radius_range
-    decades = math.log10(r1) - math.log10(r0)
-    nnode = max(2, int(math.ceil(decades * contour.nodes_per_decade)) + 1)
-    u = np.linspace(math.log(r0), math.log(r1), nnode)
-    h = u[1] - u[0]
-    w = np.full(nnode, h)
-    w[0] = w[-1] = h / 2.0
-    r = np.exp(u)
-
-    nu, rot = contour.nu, cmath.exp(-1j * contour.nu)
-    cm, cp = w * np.broadcast_to(sym.fn(r * np.array([[rot], [rot.conjugate()]])), (2, nnode))
-    a, b = cm - cp, (cm * rot - cp * rot.conjugate()) / r
+    d0 = 2 * math.floor(math.log(r0) / (2 * h))
+    d = np.arange(d0, max(2 * math.ceil(math.log(r1) / (2 * h)), d0 + 2) + 1)
     with np.errstate(over="ignore"):
-        E = (lams / r[:, None] - math.cos(nu)) ** 2 + math.sin(nu) ** 2
+        r = np.exp(h * d)
+    if not (r[0] >= sys.float_info.min and r[-1] <= sys.float_info.max):
+        span = f"e**[{h * d[0]:.1f}, {h * d[-1]:.1f}]"
+        raise QuadratureError(f"contour nodes {span} leave the normal float range")
+    w = np.zeros((2, d.size))
+    w[0], w[1, ::2] = h, 2.0 * h
+    w[:, [0, -1]] /= 2.0
+    return h, K, d, r, w
+
+
+def _contour_factors(
+    params: FieldParams, kmin: int, lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig
+) -> np.ndarray:
+    """(1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays at lams =
+    q**(-m alpha), m = kmin.., by the fine and the coarse rule (rows 0, 1) on
+    the nodes z = e**(d h -+ i nu) of _contour_nodes: h = alpha ln q / (2K),
+    K = ceil(alpha ln q nodes_per_decade / ln 10), every d of the radius
+    range rounded outward to even d (fine) or the even d only (coarse).
+
+    As dz = z du, a node of weight w carries w f(z) z / (z - lam) =
+    w f(z) (1 - t e^{-+i nu}) E, t = lam / r, where
+    E = 1 / ((t - cos nu)**2 + sin(nu)**2) <= 1 / sin(nu)**2 is the same on
+    both rays and cannot cancel.  With cm, cp = w f(z) outward along -nu and
+    inward along +nu, the integral at lam_j is
+    sum_d ((cm - cp)_d - lam_j ((cm e^{-i nu} - cp e^{i nu}) / r)_d) E_jd.
+    As t = e**(-(2K m + d) h), E is one vector over the lags 2K m + d, read
+    as an (eigenvalues x nodes) matrix of row stride 2K: both rules are one
+    real product.  Where the square overflows, E is 0 (below the floats).
+    """
+    h, K, d, r, w = _contour_nodes(contour, params.alpha * math.log(params.q))
+    nu, rot = contour.nu, cmath.exp(-1j * contour.nu)
+    fm, fp = np.broadcast_to(sym.fn(r * np.array([[rot], [rot.conjugate()]])), (2, r.size))
+    a, b = fm - fp, (fm * rot - fp * rot.conjugate()) / r
+    W = (w[:, None] * np.stack((a.real, a.imag, b.real, b.imag))).reshape(8, r.size)
+    lags = np.arange(2 * K * kmin + d[0], 2 * K * (kmin + lams.size - 1) + d[-1] + 1)
+    with np.errstate(over="ignore"):
+        E = (np.exp(-h * lags) - math.cos(nu)) ** 2 + math.sin(nu) ** 2
     np.reciprocal(E, out=E)
-    R = np.stack((a.real, a.imag, b.real, b.imag)) @ E
-    return ((R[0] + 1j * R[1]) - lams * (R[2] + 1j * R[3])) / (2j * math.pi)
+    E = np.lib.stride_tricks.as_strided(E, (lams.size, r.size), (2 * K * E.itemsize, E.itemsize))
+    R = (np.ascontiguousarray(E) @ W.T).T.reshape(2, 4, -1)
+    return ((R[:, 0] + 1j * R[:, 1]) - lams * (R[:, 2] + 1j * R[:, 3])) / (2j * math.pi)
 
 
 def hinf_apply_contour(
@@ -215,9 +240,11 @@ def hinf_apply_contour(
     """f(A) g by sector-contour quadrature of resolvents.
 
     Counterclockwise boundary orientation: outward along arg z = -nu, inward
-    along arg z = +nu.  The result carries an error estimate from node
-    doubling; :class:`QuadratureError` is raised when doubling moves the
-    result by more than tol (relative).
+    along arg z = +nu, on the nodes e**(d h), h = alpha ln q / (2K),
+    K = ceil(alpha ln q nodes_per_decade / ln 10), d over the radius range
+    rounded outward to even d.  The error estimate is the node doubling from
+    the even d to all d; :class:`QuadratureError` is raised when it exceeds
+    tol (relative), or when a node is not a normal float.
     """
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
@@ -230,8 +257,7 @@ def hinf_apply_contour(
             f"contour angle {contour.nu} must lie inside the symbol sector (0, {sym.sector_angle})"
         )
 
-    fine = ContourConfig(contour.nu, 2 * contour.nodes_per_decade, contour.radius_range)
-    hats = ghat.coeffs * np.stack([_contour_factors(lams, sym, c) for c in (fine, contour)])
+    hats = ghat.coeffs * _contour_factors(g.params, ghat.kmin, lams, sym, contour)
     kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
     prof = RadialProfile(g.params, kmin, kmax, out[0], tail=tails[0])
     rows = np.stack((out[0] - out[1], out[0]))

@@ -85,11 +85,14 @@ def _print_json(payload: dict) -> None:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) in (1, 2):
-            return complex(*map(float, parts))
+        z = complex(*map(float, parts)) if len(parts) in (1, 2) else None
     except ValueError:
-        pass
-    raise UsageError(f"--z expects RE or RE,IM, got {text!r}")
+        z = None
+    if z is None:
+        raise UsageError(f"--z expects RE or RE,IM, got {text!r}")
+    if not cmath.isfinite(z):
+        raise UsageError(f"--z must be finite, got {text!r}")
+    return z
 
 
 @functools.cache  # one argparse tree per process

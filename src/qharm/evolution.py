@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .errors import ToleranceError
+from .errors import ToleranceError, WindowOverflowError
 from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
 
@@ -108,6 +108,11 @@ def _fourier_window(x0: RadialProfile | None, profiles, horizon: float):
         for lo, hi, out, t in blocks
     ])
     radial._sphere_measures(params.q, params.n, kmin, kmax)  # range check before lam
+    try:
+        float(params.q) ** (-params.alpha * kmin)  # the top eigenvalue
+    except OverflowError:
+        msg = f"eigenvalue q**({-params.alpha * kmin:g}) at q={params.q} leaves the float range"
+        raise WindowOverflowError(msg) from None
     return kmin, kmax, H, tails, radial._eigenvalues(params, kmin, kmax)
 
 
@@ -133,7 +138,8 @@ def solve_master(
 
     Exact per Fourier crown for piecewise-constant forcing; each output time
     yields one profile.  Raises :class:`WindowOverflowError` when the window
-    extension exceeds ``radial.MAX_EXT`` crowns.
+    extension exceeds ``radial.MAX_EXT`` crowns, or when a crown weight or
+    an eigenvalue of the window leaves the float range.
     """
     params = x0.params
     out_times = [float(t) for t in out_times]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from qharm.calculus import (
     ContourConfig,
     SymbolFunction,
     _contour_factors,
+    _contour_nodes,
     _semigroup_decay,
     _semigroup_factors,
     _toeplitz_kernel,
@@ -71,22 +73,22 @@ ROUTES = {
 # -- references ------------------------------------------------------------------
 
 
-def contour_factors_rays(lams, sym, contour):
-    """The quadrature as one complex division per ray, summed ray by ray."""
-    r0, r1 = contour.radius_range
-    decades = math.log10(r1 / r0)
-    nnode = max(2, int(math.ceil(decades * contour.nodes_per_decade)) + 1)
-    u = np.linspace(math.log(r0), math.log(r1), nnode)
-    h = u[1] - u[0]
-    w = np.full(nnode, h)
-    w[0] = w[-1] = h / 2.0
+def contour_factors_rays(lams, sym, nu, u, w):
+    """The quadrature on log-radius nodes u with weights w as one complex
+    division per ray, summed ray by ray."""
     r = np.exp(u)
     total = np.zeros(lams.size, dtype=complex)
     for sign, orient in ((-1.0, +1.0), (+1.0, -1.0)):
-        zs = r * np.exp(1j * sign * contour.nu)
+        zs = r * np.exp(1j * sign * nu)
         integ = (w * sym.fn(zs) * zs)[:, None] / (zs[:, None] - lams[None, :])
         total += orient * integ.sum(axis=0)
     return total / (2j * math.pi)
+
+
+def trapezoid_weights(n, h):
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 def toeplitz_kernel_lags(phi, step, m):
@@ -254,13 +256,23 @@ class TestContourCalculus:
     )
     def test_factors_match_per_ray_division(self, sym, rng):
         g = make_profile(rng, P21, -3, 4, tail=0.25)
-        _ghat, lams = radial._extended_hat(g, sym.decay)
-        coarse = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
-        fine = ContourConfig(coarse.nu, 2 * coarse.nodes_per_decade, coarse.radius_range)
-        for contour in (coarse, fine):
-            ref = contour_factors_rays(lams, sym, contour)
-            err = np.max(np.abs(_contour_factors(lams, sym, contour) - ref))
+        ghat, lams = radial._extended_hat(g, sym.decay)
+        contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
+        h, _K, d, _r, _w = _contour_nodes(contour, math.log(2.0))
+        fine, coarse = _contour_factors(P21, ghat.kmin, lams, sym, contour)
+        rules = ((h * d, trapezoid_weights(d.size, h), fine),
+                 (h * d[::2], trapezoid_weights(d[::2].size, 2.0 * h), coarse))
+        for u, w, got in rules:
+            ref = contour_factors_rays(lams, sym, contour.nu, u, w)
+            err = np.max(np.abs(got - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_symbol_call_per_apply(self, rng):
+        calls = []
+        sym = SymbolFunction(lambda t: calls.append(t.size) or PHI.fn(t), PHI.decay, 1.4)
+        calls.clear()  # the construction's spot check
+        hinf_apply_contour(sym, make_profile(rng, P21, -3, 4, tail=0.25))
+        assert len(calls) == 1
 
     def test_radius_range_past_the_float_ratio(self):
         res = hinf_apply_contour(DECAY_01, ONES)
@@ -272,6 +284,53 @@ class TestContourCalculus:
         bad = ContourConfig(nu=0.5, nodes_per_decade=2, radius_range=(1e-3, 1e3))
         with pytest.raises(QuadratureError):
             hinf_apply_contour(PHI, g, bad, tol=1e-10)
+
+
+class TestContourNodes:
+    """The contour nodes sit on the eigenvalue lattice of the field step."""
+
+    CONFIGS = [
+        (ContourConfig(0.5), math.log(2.0)),
+        (ContourConfig(0.5, 24, (3.1e-7, 2.9e5)), 0.5 * math.log(3.0)),
+        (ContourConfig(1.0, 2, (1e-3, 1e3)), 2.0 * math.log(5.0)),
+        (ContourConfig(0.3, 7, (1e-300, 1e300)), 0.5 * math.log(2.0)),
+        (ContourConfig(0.3, 7, (1e-3, 1e3)), 0.002 * math.log(2.0)),  # K = 1
+    ]
+
+    @pytest.mark.parametrize("contour, step", CONFIGS)
+    def test_lattice_spacing_and_cover(self, contour, step):
+        h, K, d, r, _w = _contour_nodes(contour, step)
+        assert 2 * K * h == pytest.approx(step, rel=1e-15)
+        assert 2.0 * h <= math.log(10.0) / contour.nodes_per_decade
+        assert np.array_equal(d, np.arange(d[0], d[-1] + 1))
+        assert d[0] % 2 == 0 and d[-1] % 2 == 0
+        r0, r1 = contour.radius_range
+        assert d[0] * h <= math.log(r0) and d[-1] * h >= math.log(r1)
+        assert np.array_equal(r, np.exp(h * d))
+        assert np.all(r >= sys.float_info.min) and np.all(np.isfinite(r))
+
+    @pytest.mark.parametrize("contour, step", CONFIGS)
+    def test_coarse_nodes_are_the_even_fine_nodes(self, contour, step):
+        h, _K, d, _r, w = _contour_nodes(contour, step)
+        assert np.array_equal(d[w[1] > 0], d[::2])  # d[0] is even
+        assert np.array_equal(w[0], trapezoid_weights(d.size, h))
+        assert np.array_equal(w[1][::2], trapezoid_weights(d[::2].size, 2.0 * h))
+        assert not np.any(w[1][1::2])
+
+    @pytest.mark.parametrize(
+        "radius_range",
+        [(sys.float_info.min, 1.0), (5e-324, 1.0), (1.0, sys.float_info.max)],
+        ids=["min-normal", "subnormal", "max"],
+    )
+    def test_nodes_past_the_normal_floats_refused(self, radius_range, rng):
+        # at q = 3 the even lattice points miss both ends of the float range,
+        # so rounding these ranges outward leaves it
+        contour = ContourConfig(0.5, 16, radius_range)
+        with pytest.raises(QuadratureError, match="normal float range"):
+            _contour_nodes(contour, math.log(3.0))
+        g = make_profile(rng, FieldParams(3, 1, 1.0), -2, 2)
+        with pytest.raises(QuadratureError, match="normal float range"):
+            hinf_apply_contour(PHI, g, contour)
 
 
 class TestSemigroup:

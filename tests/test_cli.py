@@ -78,6 +78,13 @@ class TestGamma:
         assert code == 1 and out == ""
         assert err == f"usage error: --z expects RE or RE,IM, got {z!r}\n"
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "1,nan", "nan,0", "0,-inf", "1e400"])
+    def test_non_finite_z_is_usage_error(self, capsys, z):
+        # these printed value=nan+nanj with exit 0
+        code, out, err = run_cli(capsys, "gamma", "--q", "2", "--n", "1", f"--z={z}")
+        assert code == 1 and out == ""
+        assert err == f"usage error: --z must be finite, got {z!r}\n"
+
 
 class TestKernel:
     def test_point_value(self, capsys):
@@ -113,6 +120,14 @@ class TestKernel:
         )
         assert code == 1 and out == ""
         assert err == f"usage error: --z expects RE or RE,IM, got {z!r}\n"
+
+    @pytest.mark.parametrize("z", ["nan", "1,inf"])
+    def test_non_finite_z_is_usage_error(self, capsys, z):
+        code, out, err = run_cli(
+            capsys, "kernel", "--q", "2", "--n", "1", "--alpha", "1", "--kx", "0", f"--z={z}"
+        )
+        assert code == 1 and out == ""
+        assert err == f"usage error: --z must be finite, got {z!r}\n"
 
 
 class TestVerify:
@@ -358,6 +373,19 @@ times = 0.25 1.0
         assert err == (
             "WindowOverflowError: crown weight q**(100001) at q=2 leaves the float range\n"
         )
+
+    def test_eigenvalue_past_float_range_fails_before_any_warning(self, capsys, tmp_path):
+        # alpha > n: the eigenvalue q**(-alpha kmin) leaves the float range
+        # before the crown weights do; this printed 182 nan rows with exit 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            self.CONFIG.replace("alpha = 1.0", "alpha = 2.0").replace("kmax = 2", "kmax = 600")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "WindowOverflowError: eigenvalue q**(1202) at q=2 leaves the float range\n"
 
     def test_array_pass_matches_per_key_pass(self):
         rng = np.random.default_rng(7)

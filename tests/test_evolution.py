@@ -394,6 +394,24 @@ class TestWindowExtension:
                 route(x0, ForcingSignal.constant(x0, 1.0))
 
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda x0, fs: solve_master(x0, fs, [1.0]),
+            lambda x0, fs: solve_master_rk4(x0, fs, 1.0),
+            lambda x0, fs: max_regularity_report(fs),
+        ],
+        ids=["exact", "rk4", "maxreg"],
+    )
+    def test_eigenvalue_past_float_range_raises_before_any_warning(self, route):
+        # alpha > n: the top eigenvalue q**(2 * 601) overflows while every
+        # crown weight, up to q**601, is still a float
+        x0 = RadialProfile(FieldParams(2, 1, 2.0), -2, 600, np.eye(1, 603, 2)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WindowOverflowError, match=r"eigenvalue q\*\*\(1202\)"):
+                route(x0, ForcingSignal.constant(x0, 1.0))
+
 class TestOneBlockWindow:
     """The block window and the row-wise RK4 powers give today's per-profile
     and per-interval results bit for bit."""
