@@ -244,11 +244,13 @@ def hinf_apply_contour(
     K = ceil(alpha ln q nodes_per_decade / ln 10), d over the radius range
     rounded outward to even d.  The error estimate is the node doubling from
     the even d to all d; :class:`QuadratureError` is raised when it exceeds
-    tol (relative), or when a node is not a normal float.
+    tol (relative), or when a node is not a normal float; WindowOverflowError,
+    before the quadrature, when a window of either transform leaves the floats.
     """
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
     ghat, lams = radial._extended_hat(g, sym.decay)
+    radial._sphere_measures(g.params.q, g.params.n, -ghat.kmax - 1, -ghat.kmin)  # output window
 
     if contour is None:
         contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
@@ -388,9 +390,8 @@ def rademacher_ratio(
         sizes = np.abs(htails).reshape(count, nz)
         k = int(np.argmax(mods * sizes / np.maximum(1.0, sizes)))
         top = radial._hat_depth(params, hkmax, float(sizes.flat[k]), _semigroup_decay(zs[k % nz]))
-        hats = np.column_stack((hats, np.repeat(htails[:, None], top - hkmax, axis=1)))
-        factors = _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
-        hats *= np.tile(factors, (count, 1))
+        hats, lams = radial._extend(params, hkmin, hkmax, hats, htails, hkmin, top)
+        hats *= np.tile(_semigroup_factors(zcol, lams), (count, 1))
         okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
         # rows summed in order, the inner tails riding in the last column
         outs = np.column_stack((outs, otails)).reshape(count, nz, -1)

@@ -23,7 +23,8 @@ class LatticeWindowError(ValueError):
 
 class WindowOverflowError(RuntimeError):
     """Crown window out of reach: the extension a multiplier needs exceeds
-    the cap, or the window's outermost crown weight is no finite float."""
+    the cap, or the window's outermost crown weight or its largest
+    eigenvalue is no finite float."""
 
 
 class QuadratureError(RuntimeError):

@@ -15,10 +15,11 @@ T lam from its limit and a Duhamel factor by at most T**2 lam.  The
 maximal-regularity report integrates ||D^alpha y(t)||_{q_space} over time
 with the trapezoid rule on a grid that contains every forcing breakpoint.
 x0 and the forcing profiles are one transform block (x0 apart only on a
-window of its own), padded in one step.  The exact solver and the report
-take their times as the rows of one transform block (the report in chunks
-of ``BLOCK_ELEMENTS``).  RK4 raises every interval's one-step map, a row
-each, to its step count by binary powering of the whole block.
+window of its own), padded and given eigenvalues by the one window step of
+:mod:`qharm.radial`.  The exact solver and the report take their times as
+the rows of one transform block (the report in chunks of
+``BLOCK_ELEMENTS``).  RK4 raises every interval's one-step map, a row each,
+to its step count by binary powering of the whole block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .errors import ToleranceError, WindowOverflowError
+from .errors import ToleranceError
 from .field import FieldParams
 from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
 
@@ -103,17 +104,8 @@ def _fourier_window(x0: RadialProfile | None, profiles, horizon: float):
     lip = (0.0 if x0 is None else mods.pop(0)) * horizon + sum(mods) * horizon**2
     kmin = min(blk[0] for blk in blocks)
     kmax = radial._extension_depth(params, max(blk[1] for blk in blocks), lip)
-    H = np.vstack([  # zeros outward, each row's tail inward
-        np.hstack((np.zeros((t.size, lo - kmin)), out, np.repeat(t[:, None], kmax - hi, axis=1)))
-        for lo, hi, out, t in blocks
-    ])
-    radial._sphere_measures(params.q, params.n, kmin, kmax)  # range check before lam
-    try:
-        float(params.q) ** (-params.alpha * kmin)  # the top eigenvalue
-    except OverflowError:
-        msg = f"eigenvalue q**({-params.alpha * kmin:g}) at q={params.q} leaves the float range"
-        raise WindowOverflowError(msg) from None
-    return kmin, kmax, H, tails, radial._eigenvalues(params, kmin, kmax)
+    H, lams = zip(*(radial._extend(params, *blk, kmin, kmax) for blk in blocks))
+    return kmin, kmax, np.vstack(H), tails, lams[0]
 
 
 def _check_times(x0: RadialProfile, forcing: ForcingSignal | None, times) -> None:

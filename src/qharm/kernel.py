@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CancellationError, ToleranceError
+from .errors import CancellationError, ToleranceError, WindowOverflowError
 from .field import FieldParams
 from .gamma import gamma_qn
 from .radial import LOG_FLOOR, RadialProfile, _sphere_measures
@@ -354,13 +354,19 @@ def bound_ratios(
     z, window: tuple[int, int], params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG
 ) -> tuple[np.ndarray, np.ndarray]:
     """|K_z| and :func:`bound_ratio` on every crown of a window, from one
-    exp-form block."""
+    exp-form block; an ||x|| or factor past the floats raises WindowOverflowError."""
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
     kmin, kmax = window
     mags = np.abs(_exp_form_block(z, kmin, kmax, params, cfg)[0])
-    xnorm = float(q) ** -np.arange(kmin, kmax + 1, dtype=float)
-    return mags, mags * (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n) / abs(z)
+    try:
+        with np.errstate(over="raise"):
+            xnorm = float(q) ** -np.arange(kmin, kmax + 1, dtype=float)
+            factor = (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n)
+    except (OverflowError, FloatingPointError):
+        msg = f"estimate factor at Re z = {z.real!r}, ||x|| = {q}**{-kmin} is no finite float"
+        raise WindowOverflowError(msg) from None
+    return mags, mags * factor / abs(z)
 
 
 def bound_ratio(

@@ -21,16 +21,18 @@ under the transform; a window whose outermost crown weight q**(-n*kmin)
 leaves the float range raises WindowOverflowError.
 
 Fourier multipliers act on the eigenvalues lam_m = q**(-m*alpha) of the
-Taibleson operator, and every multiplier route (the H-infinity calculus,
-square functions, the master-equation solver) extends the Fourier window
-by one rule.  The constant Fourier tail meets eigenvalues tending to 0, on
-which the multiplier is not constant.  If the tail times the multiplier
-moves from its lam -> 0 limit by at most lip * lam**s, the window is
-extended to the first crown with lam <= (eps / lip)**(1/s), so the residual
-beyond it is below eps (1e-16, times the tail when that exceeds 1 on the
-multiplier routes).  An extension past ``MAX_EXT`` crowns, or a cut-off
-eigenvalue that underflows to 0 or below the normal float range, raises
-:class:`WindowOverflowError`.
+Taibleson operator.  Every multiplier route (the H-infinity calculus,
+square functions, the Rademacher witness, the master-equation solver)
+pads its transformed rows and builds lam in one place, which refuses a
+window whose crown weight or top eigenvalue q**(-alpha*kmin) is no finite
+float, and extends the Fourier window by one rule.  The constant Fourier
+tail meets eigenvalues tending to 0, on which the multiplier is not
+constant.  If the tail times the multiplier moves from its lam -> 0 limit
+by at most lip * lam**s, the window is extended to the first crown with
+lam <= (eps / lip)**(1/s), so the residual beyond it is below eps (1e-16,
+times the tail when that exceeds 1 on the multiplier routes).  An
+extension past ``MAX_EXT`` crowns, or a cut-off eigenvalue that underflows
+to 0 or below the normal float range, raises :class:`WindowOverflowError`.
 """
 
 from __future__ import annotations
@@ -252,20 +254,12 @@ def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
     smeas = _sphere_measures(q, n, gp.kmin, gp.kmax)
     gball = np.power(float(q), -np.arange(gp.kmin + 1, gp.kmax + 2, dtype=float) * n)
     gc, fc = gp.coeffs, fp.coeffs
-    m = gc.size
 
     cross = gc * fc * smeas
     prefix_cross = np.concatenate(([0.0 + 0.0j], np.cumsum(cross)[:-1]))
     sufg = np.concatenate((np.cumsum((gc * smeas)[::-1])[::-1][1:], [0.0 + 0.0j]))
     suff = np.concatenate((np.cumsum((fc * smeas)[::-1])[::-1][1:], [0.0 + 0.0j]))
-
-    out = np.empty(m, dtype=complex)
-    for i in range(m):
-        out[i] = (
-            prefix_cross[i]
-            + fc[i] * sufg[i]
-            + gc[i] * (suff[i] + fc[i] * (smeas[i] - gball[i]))
-        )
+    out = prefix_cross + fc * sufg + gc * (suff + fc * (smeas - gball))
     return RadialProfile(gp.params, gp.kmin, gp.kmax, out, tail=complex(np.sum(cross)))
 
 
@@ -277,12 +271,6 @@ def majorant(f: RadialProfile) -> RadialProfile:
     return RadialProfile(
         f.params, f.kmin, f.kmax, run.astype(complex), tail=complex(tail)
     )
-
-
-def _eigenvalues(params: FieldParams, kmin: int, kmax: int) -> np.ndarray:
-    """lam_m = q**(-m*alpha) on the Fourier crowns kmin..kmax."""
-    ms = np.arange(kmin, kmax + 1, dtype=float)
-    return np.power(float(params.q), -params.alpha * ms)
 
 
 def _extension_depth(
@@ -315,14 +303,32 @@ def _hat_depth(params: FieldParams, kmax: int, tail: float, decay) -> int:
     return _extension_depth(params, kmax, C * tail, s, _TAIL_EPS * max(1.0, tail))
 
 
-def _extended_hat(
-    f: RadialProfile, decay: tuple[float, float]
-) -> tuple[RadialProfile, np.ndarray]:
-    """Transform f and pad it per :func:`_hat_depth`; returns the padded
-    transform and its eigenvalues."""
-    fhat = radial_fourier(f)
-    fhat = fhat.padded(fhat.kmin, _hat_depth(f.params, fhat.kmax, abs(fhat.tail), decay))
-    return fhat, _eigenvalues(f.params, fhat.kmin, fhat.kmax)
+def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, lo: int, hi: int):
+    """``(H, lams)``: the rows of the transformed block OUT on [kmin, kmax],
+    row i with inner tail tails[i], padded to [lo, hi] (0 outward, the tail
+    inward), and lams = q**(-m*alpha) on [lo, hi].  A crown weight or top
+    eigenvalue past the float range raises WindowOverflowError first."""
+    _sphere_measures(params.q, params.n, lo, hi)
+    try:
+        float(params.q) ** (-params.alpha * lo)
+    except OverflowError:
+        msg = f"eigenvalue q**({-params.alpha * lo:g}) at q={params.q} leaves the float range"
+        raise WindowOverflowError(msg) from None
+    H = np.empty((OUT.shape[0], hi - lo + 1), dtype=complex)
+    H[:, : kmin - lo] = 0.0
+    H[:, kmin - lo : kmax - lo + 1] = OUT
+    H[:, kmax - lo + 1 :] = tails[:, None]
+    return H, np.power(float(params.q), -params.alpha * np.arange(lo, hi + 1, dtype=float))
+
+
+def _extended_hat(f: RadialProfile, decay) -> tuple[RadialProfile, np.ndarray]:
+    """f's transform padded per :func:`_hat_depth` by :func:`_extend`, and its lams."""
+    params, tails = f.params, np.array([f.tail])
+    kmin, kmax, out, tails = _fourier_block(params, f.kmin, f.kmax, f.coeffs[None, :], tails)
+    tail = complex(tails[0])
+    hi = _hat_depth(params, kmax, abs(tail), decay)
+    H, lams = _extend(params, kmin, kmax, out, tails, kmin, hi)
+    return RadialProfile(params, kmin, hi, H[0], tail=tail), lams
 
 
 def fourier_multiplier_apply(
@@ -340,15 +346,9 @@ def fourier_multiplier_apply(
     window extension (module docstring).
     """
     fhat, lams = _extended_hat(f, decay)
-    vals = np.asarray(symbol(lams), dtype=complex)
-    out = RadialProfile(
-        f.params,
-        fhat.kmin,
-        fhat.kmax,
-        fhat.coeffs * vals,
-        tail=fhat.tail * complex(limit_at_zero),
-    )
-    return radial_fourier(out)
+    vals = fhat.coeffs * np.asarray(symbol(lams), dtype=complex)
+    tail = fhat.tail * complex(limit_at_zero)
+    return radial_fourier(RadialProfile(f.params, fhat.kmin, fhat.kmax, vals, tail=tail))
 
 
 # -- serialization -------------------------------------------------------------

@@ -61,7 +61,7 @@ def lp_norm_quotient(f: QuotientFunction, p: float) -> float:
     """L^p(G) norm; every coset carries measure q**(-n*N)."""
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:  # a NaN p too
         raise ValueError(f"p must be >= 1, got {p}")
     return _lp_rows(f.values[None], p, float(f.lattice.coset_measure))[0]
 

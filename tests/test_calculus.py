@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,14 @@ from qharm.calculus import (
 from qharm.errors import QuadratureError, SpectrumError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import default_mass_window, kernel_profile
-from qharm.radial import RadialProfile, convolve, lp_norm, radial_fourier
+from qharm.radial import (
+    RadialProfile,
+    convolve,
+    fourier_multiplier_apply,
+    lp_norm,
+    radial_fourier,
+)
+from qharm.taibleson import taibleson_fourier
 from qharm.verification import (
     RBOUND_FAMILY,
     SEED_RBOUND,
@@ -130,7 +138,8 @@ def rademacher_trial_loop(family, p, trials, seed, params, window=(-4, 4)):
             radial._hat_depth(params, hkmax, abs(t), d) for t, d in zip(htails.tolist(), decays)
         )
         hats = np.column_stack((hats, np.repeat(htails[:, None], top - hkmax, axis=1)))
-        hats *= _semigroup_factors(zcol, radial._eigenvalues(params, hkmin, top))
+        lams = np.power(float(params.q), -params.alpha * np.arange(hkmin, top + 1, dtype=float))
+        hats *= _semigroup_factors(zcol, lams)
         okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
         num = ((eps * coss)[:, None] * np.column_stack((outs, otails))).sum(axis=0)
         den = (eps[:, None] * np.column_stack((gs, 0.0 * eps))).sum(axis=0)
@@ -510,6 +519,46 @@ class TestWindowExtension:
         g = 1e-30 * RadialProfile.ball_indicator(P21, 0)
         with pytest.raises(QuadratureError):
             hinf_apply_contour(SLOW, g)
+
+    # alpha > n: the top eigenvalue q**(2 * 601) of the Fourier window
+    # [-601, 2] overflows while every crown weight, up to q**601, is a float
+    # (the input of the solver's test in test_evolution.py)
+    TOP = RadialProfile(FieldParams(2, 1, 2.0), -2, 600, np.eye(1, 603, 2)[0])
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda f: fourier_multiplier_apply(f, lambda lam: lam),
+            taibleson_fourier,
+            lambda f: semigroup_apply(1.0, f),
+            lambda f: resolvent_apply(-1.0, f),
+            lambda f: hinf_apply_direct(PHI, f),
+            lambda f: hinf_apply_contour(PHI, f),
+            lambda f: square_function(f, PHI),
+            lambda f: rademacher_ratio([1.0], 2.0, 1, 0, f.params, (f.kmin, f.kmax)),
+        ],
+        ids=["multiplier", "taibleson", "semigroup", "resolvent", "direct", "contour",
+             "squarefn", "rademacher"],
+    )
+    def test_eigenvalue_past_float_range_raises_before_any_warning(self, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WindowOverflowError, match=r"^eigenvalue q\*\*\(1202\) at q=2"):
+                route(self.TOP)
+
+    def test_contour_checks_back_transform_window_before_any_symbol_call(self):
+        # alpha = 0.1: the tail extension reaches Fourier crown 1069, so the
+        # back transform's outermost crown weight q**1070 is no float; the
+        # direct route, which takes no norm of its output, accepts the input
+        s05 = standard_symbols()[1]
+        calls = []
+        sym = SymbolFunction(lambda z: calls.append(z) or s05.fn(z), s05.decay, s05.sector_angle)
+        calls.clear()
+        g = RadialProfile(FieldParams(2, 1, 0.1), -3, 3, np.ones(7), tail=0.3)
+        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(1070\) at q=2"):
+            hinf_apply_contour(sym, g)
+        assert calls == []
+        assert hinf_apply_direct(sym, g).kmin == -1070
 
 
 class TestRademacher:

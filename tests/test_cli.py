@@ -130,6 +130,21 @@ class TestKernel:
         assert err == f"usage error: --z must be finite, got {z!r}\n"
 
 
+    def test_estimate_factor_past_float_range_fails(self, capsys):
+        # printed bound_ratio=nan with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "kernel", "--q", "2", "--n", "1", "--alpha", "0.5", "--z", "1",
+                "--kx", "-1100",
+            )
+        assert code == 1 and out == ""
+        assert err == (
+            "WindowOverflowError: estimate factor at Re z = 1.0, ||x|| = 2**1100 "
+            "is no finite float\n"
+        )
+
+
 class TestVerify:
     def test_levy_json_verdict(self, capsys):
         code, out, _ = run_cli(

@@ -47,7 +47,8 @@ def fourier_window_per_profile(x0, profiles, horizon):
     ext_to = radial._extension_depth(params, kmax, lip)
     fhs = [fh.padded(kmin, ext_to) for fh in fhs]
     xh = None if xh is None else xh.padded(kmin, ext_to)
-    return xh, fhs, radial._eigenvalues(params, kmin, ext_to)
+    lams = np.power(float(params.q), -params.alpha * np.arange(kmin, ext_to + 1, dtype=float))
+    return xh, fhs, lams
 
 
 def solve_master_per_profile(x0, forcing, out_times):

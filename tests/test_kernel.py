@@ -1,15 +1,18 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from qharm.errors import CancellationError, ToleranceError
+from qharm.errors import CancellationError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import (
     ComplexTime,
     KernelEvalConfig,
     bound_ratio,
+    bound_ratios,
     default_mass_window,
     kernel_at_zero,
     kernel_ball_integral,
@@ -208,6 +211,19 @@ class TestBoundRatio:
         rs = [bound_ratio(z, k_x, P21) for k_x in range(-8, -3)]
         for a, b in zip(rs, rs[1:]):
             assert 0.3 < a / b < 3.0
+
+    @pytest.mark.parametrize(
+        "t, window",
+        [(1.0, (-1100, -1100)), (1.0, (-1000, -1000)), (1.0, (-1100, 2)), (1e300, (0, 0))],
+    )
+    def test_factor_past_float_range_raises_before_any_warning(self, t, window):
+        # ||x|| = 2**1100 is no float; at ||x|| = 2**1000, or at (Re z)**(1/alpha)
+        # = 1e600, ((Re z)**(1/alpha) + ||x||)**1.5 is none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = re.escape(f"estimate factor at Re z = {t!r}, ||x|| = 2**{-window[0]} ")
+            with pytest.raises(WindowOverflowError, match=match):
+                bound_ratios(t, window, FieldParams(2, 1, 0.5))
 
     def test_first_case_region(self):
         """Inside ||x|| <= (Re z)**(1/alpha) the ratio stays below the

@@ -139,6 +139,37 @@ class TestFloatRange:
         assert abs(back.value_at(-1022) - 1.0) < 1e-12
 
 
+class TestExtend:
+    """radial._extend, the one pad and eigenvalue step of every multiplier
+    route, against RadialProfile.padded and lam = q**(-m*alpha) bit for bit."""
+
+    @pytest.mark.parametrize("params", [P21, FieldParams(3, 2, 0.5)], ids=["q2n1", "q3n2"])
+    @pytest.mark.parametrize("pad", [(0, 0), (0, 7), (3, 0), (2, 40)], ids=str)
+    def test_rows_match_padded(self, rng, params, pad):
+        kmin, kmax = -3, 4
+        OUT = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        tails = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        lo, hi = kmin - pad[0], kmax + pad[1]
+        H, lams = radial._extend(params, kmin, kmax, OUT, tails, lo, hi)
+        assert H.shape == (5, hi - lo + 1)
+        for row, c, t in zip(H, OUT, tails):
+            ref = RadialProfile(params, kmin, kmax, c, tail=t).padded(lo, hi).coeffs
+            assert np.array_equal(row, ref)
+        ms = np.arange(lo, hi + 1, dtype=float)
+        assert np.array_equal(lams, np.power(float(params.q), -params.alpha * ms))
+
+    @pytest.mark.parametrize(
+        "alpha, lo, message",
+        [(2.0, -601, r"eigenvalue q\*\*\(1202\)"), (2.0, -1100, r"crown weight q\*\*\(1100\)"),
+         (0.5, -1100, r"crown weight q\*\*\(1100\)")],
+        ids=["eigenvalue", "both", "weight"],
+    )
+    def test_window_past_float_range_refused(self, alpha, lo, message):
+        # the crown weight is checked first, then the top eigenvalue
+        with pytest.raises(WindowOverflowError, match=f"^{message} at q=2 leaves the float range"):
+            radial._extend(FieldParams(2, 1, alpha), 0, 0, np.ones((1, 1)), np.ones(1), lo, 0)
+
+
 class TestWindowMemo:
     """Each crown window's constant tables are memoised, read-only and equal
     to the direct formulas bit for bit."""

@@ -85,6 +85,12 @@ class TestAveraging:
             assert np.min(average_Ai(pos, 0).values.real) >= -1e-14
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, -math.inf])
+def test_lp_norm_quotient_refuses_p_below_one(rng, p):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm_quotient(random_qf(rng, lattice()), p)
+
+
 class TestMaximal:
     def test_dominates_nonnegative_f(self, rng):
         lat = lattice()
