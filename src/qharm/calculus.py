@@ -36,6 +36,8 @@ _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memor
 _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
 _G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
 _G_CACHE = 32  # (symbol, step) pairs whose Toeplitz kernel G is kept
+_STANDOFF_REL = 1e-6  # least relative distance of a resolvent point from the spectrum
+_AUTO_TOL = 1e-8  # relative ray truncation error of ContourConfig.auto
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class ContourConfig:
     """
 
     nu: float
-    nodes_per_decade: int = 16
+    nodes_per_decade: int = 24
     radius_range: tuple[float, float] = (1e-8, 1e8)
 
     def __post_init__(self) -> None:
@@ -101,13 +103,11 @@ class ContourConfig:
         lam_max: float,
         sym: SymbolFunction,
         nu: float = 0.5,
-        tol: float = 1e-8,
-        nodes_per_decade: int = 24,
     ) -> "ContourConfig":
         """Radius range wide enough that the ray truncation error is below
-        tol relative, padded per the symbol's decay exponent."""
+        ``_AUTO_TOL`` relative, padded per the symbol's decay exponent."""
         s, _C = sym.decay
-        pad = (math.log10(1.0 / tol) + 2.0) / s
+        pad = (math.log10(1.0 / _AUTO_TOL) + 2.0) / s
         try:
             r0, r1 = lam_min * 10.0 ** (-pad), lam_max * 10.0**pad
         except OverflowError:
@@ -115,7 +115,7 @@ class ContourConfig:
         if not (r0 > 0.0 and math.isfinite(r1)):
             span = f"[{lam_min:.3e}e-{pad:.0f}, {lam_max:.3e}e+{pad:.0f}]"
             raise QuadratureError(f"contour radius range {span} leaves the float range")
-        return cls(nu, nodes_per_decade, (r0, r1))
+        return cls(nu, radius_range=(r0, r1))
 
 
 def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
@@ -128,12 +128,12 @@ def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
     return min(cands, key=lambda lam: abs(z - lam))
 
 
-def resolvent_apply(z: complex, f: RadialProfile, standoff_rel: float = 1e-6) -> RadialProfile:
+def resolvent_apply(z: complex, f: RadialProfile) -> RadialProfile:
     """R(z, A) f = (z - A)^{-1} f on the Fourier diagonal."""
     lam_star = nearest_eigenvalue(z, f.params)
-    if abs(z - lam_star) < standoff_rel * max(abs(z), lam_star, 1e-300):
+    if abs(z - lam_star) < _STANDOFF_REL * max(abs(z), lam_star, 1e-300):
         raise SpectrumError(
-            f"z={z} is within relative {standoff_rel} of the spectrum point {lam_star}"
+            f"z={z} is within relative {_STANDOFF_REL} of the spectrum point {lam_star}"
         )
     # |1/(z-lam) - 1/z| = lam / (|z| |z-lam|) <= 2 lam / |z|**2 for lam <= |z|/2
     decay = (1.0, 2.0 / abs(z) ** 2)
@@ -142,16 +142,13 @@ def resolvent_apply(z: complex, f: RadialProfile, standoff_rel: float = 1e-6) ->
     )
 
 
-def hinf_apply_direct(sym, g: RadialProfile, value_at_zero: complex = 0.0) -> RadialProfile:
+def hinf_apply_direct(sym: SymbolFunction, g: RadialProfile) -> RadialProfile:
     """Ground truth: multiply the Fourier crown m by sym(lam_m).
 
-    ``value_at_zero`` is the symbol's limit along the spectrum toward 0;
-    for a decaying SymbolFunction it is 0 and the decay certificate sizes
-    the window extension.
+    The symbol's limit along the spectrum toward 0 is 0 and its decay
+    certificate sizes the window extension.
     """
-    if isinstance(sym, SymbolFunction):
-        return fourier_multiplier_apply(g, sym.fn, limit_at_zero=0.0, decay=sym.decay)
-    return fourier_multiplier_apply(g, sym, limit_at_zero=value_at_zero, decay=(1.0, 1.0))
+    return fourier_multiplier_apply(g, sym.fn, limit_at_zero=0.0, decay=sym.decay)
 
 
 def _semigroup_factors(z, lams: np.ndarray) -> np.ndarray:
@@ -250,7 +247,6 @@ def hinf_apply_contour(
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
     ghat, lams = radial._extended_hat(g, sym.decay)
-    radial._sphere_measures(g.params.q, g.params.n, -ghat.kmax - 1, -ghat.kmin)  # output window
 
     if contour is None:
         contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)

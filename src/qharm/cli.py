@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import inspect
 import json
 import math
 import re
@@ -136,7 +137,7 @@ def _build_parser() -> _Parser:
     r = sub.add_parser("rbound", help="seeded Rademacher-ratio experiment")
     r.add_argument("--theta", type=float, default=1.3)
     r.add_argument("--points", type=int, default=16)
-    r.add_argument("--trials", type=int, default=200)
+    r.add_argument("--trials", type=int, default=verification.RBOUND_TRIALS)
     r.add_argument("--seed", type=int, default=verification.SEED_RBOUND)
     r.add_argument("--p", type=float, default=4.0)
     r.add_argument("--q", type=int, default=2)
@@ -176,11 +177,11 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_verify(args) -> int:
     fn = verification.ALL_SUITES[args.suite]
-    kwargs = {}
-    if args.suite in ("levy", "taibleson"):
-        kwargs = {"q": args.q, "n": args.n, "alpha": args.alpha}
-    elif args.suite in ("kernel-bounds", "squarefn", "rbound", "maxreg"):
-        kwargs = {"update": args.update_baselines}
+    given = dict(q=args.q, n=args.n, alpha=args.alpha, update=args.update_baselines or None)
+    kwargs = {name: v for name, v in given.items() if v is not None}
+    if extra := [name for name in kwargs if name not in inspect.signature(fn).parameters]:
+        flags = ", ".join("--update-baselines" if k == "update" else f"--{k}" for k in extra)
+        raise UsageError(f"suite {args.suite} does not take {flags}")
     result = fn(**kwargs)
     _print_json(result)
     return 0 if result["pass"] else 2

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import LatticeWindowError
 
-TWO_PI = 2.0 * math.pi
+_ELEMENT_CAP = 2_000_000  # most cosets the brute sphere-character oracle enumerates
 
 
 class FieldModel(enum.Enum):
@@ -326,9 +326,7 @@ def check_local_constancy(lattice: QuotientLattice, x_coords) -> None:
             )
 
 
-def brute_sphere_character_integral(
-    k: int, x_coords, lattice: QuotientLattice, element_cap: int = 2_000_000
-) -> complex:
+def brute_sphere_character_integral(k: int, x_coords, lattice: QuotientLattice) -> complex:
     """Exhaustive coset sum of chi(x . y) over the sphere S_k.
 
     Independent oracle for :func:`sphere_character_integral`: enumerates
@@ -347,9 +345,9 @@ def brute_sphere_character_integral(
         count = 1
         for vals in per_coord:
             count *= len(vals)
-        if count > element_cap:
+        if count > _ELEMENT_CAP:
             raise LatticeWindowError(
-                f"ball enumeration of {count} cosets exceeds cap {element_cap}"
+                f"ball enumeration of {count} cosets exceeds cap {_ELEMENT_CAP}"
             )
         q = params.q
         scale_frac = qpow(q, -lattice.M)

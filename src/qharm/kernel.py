@@ -40,6 +40,8 @@ from .field import FieldParams
 from .gamma import gamma_qn
 from .radial import LOG_FLOOR, RadialProfile, _sphere_measures
 
+_SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accepts
+
 
 @dataclass(frozen=True)
 class ComplexTime:
@@ -60,11 +62,10 @@ def _as_time(z) -> complex:
 
 @dataclass(frozen=True)
 class KernelEvalConfig:
-    """Truncation budget, target tolerance and series guard threshold."""
+    """Truncation budget and target tolerance."""
 
     tail_budget: int = 192
     tol: float = 1e-13
-    series_switch: float = 8.0
 
     def __post_init__(self) -> None:
         if self.tail_budget < 8:
@@ -183,7 +184,7 @@ def kernel_series(
     """Factorial-series evaluator, valid in the guard region only.
 
     Raises :class:`CancellationError` when |z| * ||x||**(-alpha) exceeds
-    cfg.series_switch, or when the largest intermediate term exceeds 1/tol
+    ``_SERIES_SWITCH``, or when the largest intermediate term exceeds 1/tol
     times the result magnitude.  The returned bound includes a roundoff
     certificate proportional to the largest term.
     """
@@ -191,10 +192,10 @@ def kernel_series(
     q, n, alpha = params.q, params.n, params.alpha
     xnorm = float(q) ** (-k_x)
     u = z * xnorm ** (-alpha)
-    if abs(u) > cfg.series_switch:
+    if abs(u) > _SERIES_SWITCH:
         raise CancellationError(
             f"|z| * ||x||**(-alpha) = {abs(u):.3g} exceeds the series guard "
-            f"{cfg.series_switch}"
+            f"{_SERIES_SWITCH}"
         )
     xn = xnorm ** (-n)
     qa = float(q) ** alpha

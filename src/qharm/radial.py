@@ -25,7 +25,8 @@ Taibleson operator.  Every multiplier route (the H-infinity calculus,
 square functions, the Rademacher witness, the master-equation solver)
 pads its transformed rows and builds lam in one place, which refuses a
 window whose crown weight or top eigenvalue q**(-alpha*kmin) is no finite
-float, and extends the Fourier window by one rule.  The constant Fourier
+float, and extends the Fourier window by one rule; the one-profile routes
+also refuse a back-transform window of that kind.  The constant Fourier
 tail meets eigenvalues tending to 0, on which the multiplier is not
 constant.  If the tail times the multiplier moves from its lam -> 0 limit
 by at most lip * lam**s, the window is extended to the first crown with
@@ -38,7 +39,6 @@ to 0 or below the normal float range, raises :class:`WindowOverflowError`.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -322,12 +322,14 @@ def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, l
 
 
 def _extended_hat(f: RadialProfile, decay) -> tuple[RadialProfile, np.ndarray]:
-    """f's transform padded per :func:`_hat_depth` by :func:`_extend`, and its lams."""
+    """f's transform padded per :func:`_hat_depth` by :func:`_extend`, and its
+    lams; the back transform's window [-hi-1, -kmin] is range-checked too."""
     params, tails = f.params, np.array([f.tail])
     kmin, kmax, out, tails = _fourier_block(params, f.kmin, f.kmax, f.coeffs[None, :], tails)
     tail = complex(tails[0])
     hi = _hat_depth(params, kmax, abs(tail), decay)
     H, lams = _extend(params, kmin, kmax, out, tails, kmin, hi)
+    _sphere_measures(params.q, params.n, -hi - 1, -kmin)
     return RadialProfile(params, kmin, hi, H[0], tail=tail), lams
 
 
@@ -350,83 +352,3 @@ def fourier_multiplier_apply(
     tail = fhat.tail * complex(limit_at_zero)
     return radial_fourier(RadialProfile(f.params, fhat.kmin, fhat.kmax, vals, tail=tail))
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def _write_csv(fh, meta: dict, columns: str, rows) -> None:
-    """Write to a path or a handle: one ``# key=value`` line from ``meta``
-    (str of a float is its repr), the ``columns`` line, then one ``a,re,im``
-    line per (a, value) in ``rows``."""
-    out = open(fh, "w") if isinstance(fh, (str, bytes)) else fh
-    try:
-        head = " ".join(f"{k}={v}" for k, v in meta.items())
-        out.write(f"# {head}\n{columns}\n")
-        for a, v in rows:
-            out.write(f"{a},{float(v.real)!r},{float(v.imag)!r}\n")
-    finally:
-        if out is not fh:
-            out.close()
-
-
-def _read_csv(fh, what: str, columns: str, build):
-    """Read what :func:`_write_csv` wrote to a path or a handle.
-    ``build(meta)`` takes the header's ``key=value`` strings and returns
-    ``(lo, hi, make)``; row a lands at a - lo of a complex array (absent rows
-    are 0) and ``make(values)`` is returned.  A header token without ``=``, a
-    key ``build`` needs but the header lacks, or a row outside [lo, hi]
-    raises ValueError."""
-    src = open(fh, "r") if isinstance(fh, (str, bytes)) else fh
-    try:
-        header = src.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"missing {what} header comment line")
-        tokens = header[1:].split()
-        bad = [t for t in tokens if "=" not in t]
-        if bad:
-            raise ValueError(f"{what} header token {bad[0]!r} is not key=value")
-        try:
-            lo, hi, make = build(dict(t.split("=", 1) for t in tokens))
-        except KeyError as e:
-            raise ValueError(f"{what} header lacks the key {e.args[0]!r}") from None
-        vals = np.zeros(hi - lo + 1, dtype=complex)
-        for line in src:
-            line = line.strip()
-            if not line or line == columns:
-                continue
-            a, re, im = line.split(",")
-            if not lo <= int(a) <= hi:
-                raise ValueError(f"{what} row {line!r} lies outside [{lo}, {hi}]")
-            vals[int(a) - lo] = complex(float(re), float(im))
-        return make(vals)
-    finally:
-        if src is not fh:
-            src.close()
-
-
-def write_profile_csv(f: RadialProfile, fh) -> None:
-    """Rows ``k,re,im`` after one comment line with the window metadata."""
-    p = f.params
-    meta = dict(q=p.q, n=p.n, alpha=p.alpha, kmin=f.kmin, kmax=f.kmax)
-    meta.update(tail_re=f.tail.real, tail_im=f.tail.imag)
-    _write_csv(fh, meta, "k,re,im", zip(f.crowns(), f.coeffs))
-
-
-def read_profile_csv(fh) -> RadialProfile:
-    def build(meta):
-        params = FieldParams(int(meta["q"]), int(meta["n"]), float(meta["alpha"]))
-        kmin, kmax = int(meta["kmin"]), int(meta["kmax"])
-        tail = complex(float(meta["tail_re"]), float(meta["tail_im"]))
-        return kmin, kmax, lambda c: RadialProfile(params, kmin, kmax, c, tail=tail)
-
-    return _read_csv(fh, "profile", "k,re,im", build)
-
-
-def profile_to_csv_string(f: RadialProfile) -> str:
-    buf = io.StringIO()
-    write_profile_csv(f, buf)
-    return buf.getvalue()
-
-
-def profile_from_csv_string(s: str) -> RadialProfile:
-    return read_profile_csv(io.StringIO(s))

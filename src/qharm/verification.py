@@ -48,6 +48,8 @@ TOL_MAXREG = 1e-6
 TOL_MAXREG_ORACLE = 1e-8
 SEED_RBOUND = 20240801
 RBOUND_FAMILY = (4.0, 1.3, 16)  # p, theta, points: the family rbound_p4 records
+RBOUND_TRIALS = 200
+INSTANCES = 500  # draws per field of the Doob and domination suites
 SEED_PROFILES = 424243
 
 
@@ -360,12 +362,11 @@ def verify_kernel_bounds(update: bool = False) -> dict:
 def verify_taibleson(
     q: int | None = None, n: int | None = None, alpha: float | None = None
 ) -> dict:
+    given = (q, n, alpha)
+    if None in given and given != (None, None, None):
+        raise ValueError("the taibleson suite takes all of q, n and alpha or none of them")
     rng = np.random.default_rng(SEED_PROFILES)
-    triples = (
-        [(q, n, alpha)]
-        if q is not None and n is not None and alpha is not None
-        else [(2, 1, 1.0), (3, 2, 0.5), (2, 2, 2.0), (5, 1, 2.0)]
-    )
+    triples = [(2, 1, 1.0), (3, 2, 0.5), (2, 2, 2.0), (5, 1, 2.0)] if q is None else [given]
     worst = 0.0
     for qq, nn, aa in triples:
         params = FieldParams(qq, nn, aa)
@@ -499,7 +500,7 @@ def verify_squarefn(update: bool = False) -> dict:
 # -- criterion 10: Doob and domination on the finite quotient --------------------
 
 
-def verify_doob(instances: int = 500) -> dict:
+def verify_doob() -> dict:
     rng = np.random.default_rng(SEED_PROFILES)
     worst_excess = -math.inf
     l2_ratios = []
@@ -507,9 +508,9 @@ def verify_doob(instances: int = 500) -> dict:
     for q in (2, 3):
         params = FieldParams(q, 1, 1.0, FieldModel.QADIC_QUOTIENT)
         lat = QuotientLattice(params, 3, 3)
-        F = np.empty((instances, lat.size), dtype=complex)
-        ps = np.empty(instances)
-        for r in range(instances):  # each instance draws f, then its p
+        F = np.empty((INSTANCES, lat.size), dtype=complex)
+        ps = np.empty(INSTANCES)
+        for r in range(INSTANCES):  # each instance draws f, then its p
             F[r] = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
             ps[r] = float(rng.choice([1.5, 2.0, 3.0]))
         for p in np.unique(ps).tolist():  # one block per p
@@ -524,7 +525,7 @@ def verify_doob(instances: int = 500) -> dict:
         l2_ratios.append(lhs / rhs)
     return {
         "suite": "doob",
-        "instances": 2 * instances,
+        "instances": 2 * INSTANCES,
         "max_excess": worst_excess,
         "l2_tuple_ratios": l2_ratios,
         "tol": TOL_DOOB,
@@ -544,24 +545,22 @@ def _random_radial_growing_outward(rng: np.random.Generator, lat: QuotientLattic
     return np.array(crowns + [level])
 
 
-def verify_domination(instances: int = 500) -> dict:
+def verify_domination() -> dict:
     rng = np.random.default_rng(SEED_PROFILES + 1)
     worst = -math.inf
     for q in (2, 3):
         params = FieldParams(q, 1, 1.0, FieldModel.QADIC_QUOTIENT)
         lat = QuotientLattice(params, 3, 3)
-        crowns = np.empty((instances, lat.M + lat.N + 1))
-        F = np.empty((instances, lat.size), dtype=complex)
-        for r in range(instances):  # each instance draws phi, then f
+        crowns = np.empty((INSTANCES, lat.M + lat.N + 1))
+        F = np.empty((INSTANCES, lat.size), dtype=complex)
+        for r in range(INSTANCES):  # each instance draws phi, then f
             crowns[r] = _random_radial_growing_outward(rng, lat)
             F[r] = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
         Phi = crowns[:, lat.scales() + lat.M].astype(complex)  # the lifts, one gather
-        bound = vilenkin._majorant_l1(lat, Phi)[:, None] * vilenkin._filtration_max(lat, np.abs(F))
-        defects = np.abs(vilenkin._convolve(lat, Phi, F)) - bound
-        worst = max(worst, float(np.max(defects, initial=-math.inf)))
+        worst = max(worst, float(np.max(vilenkin._domination_rows(lat, Phi, F))))
     return {
         "suite": "domination",
-        "instances": 2 * instances,
+        "instances": 2 * INSTANCES,
         "max_defect": worst,
         "tol": TOL_DOMINATION,
         "pass": worst <= TOL_DOMINATION,
@@ -579,13 +578,13 @@ def rbound_family(theta: float = 1.3, points: int = 16) -> list[complex]:
     return fam
 
 
-def verify_rbound(update: bool = False, trials: int = 200) -> dict:
+def verify_rbound(update: bool = False) -> dict:
     baselines = load_baselines()
     params = FieldParams(2, 1, 1.0)
     p, theta, points = RBOUND_FAMILY
     fam = rbound_family(theta, points)
-    ratio = calculus.rademacher_ratio(fam, p, trials, SEED_RBOUND, params)
-    ratio2 = calculus.rademacher_ratio(fam, p, trials, SEED_RBOUND + 7, params)
+    ratio = calculus.rademacher_ratio(fam, p, RBOUND_TRIALS, SEED_RBOUND, params)
+    ratio2 = calculus.rademacher_ratio(fam, p, RBOUND_TRIALS, SEED_RBOUND + 7, params)
     seed_stable = abs(ratio2 - ratio) <= 0.10 * ratio
     key = _bkey("rbound_p4", params)
     ok_base, ref = _check_baseline(baselines, key, ratio, update)
@@ -594,7 +593,7 @@ def verify_rbound(update: bool = False, trials: int = 200) -> dict:
     return {
         "suite": "rbound",
         "p": p,
-        "trials": trials,
+        "trials": RBOUND_TRIALS,
         "seed": SEED_RBOUND,
         "ratio": ratio,
         "ratio_other_seed": ratio2,

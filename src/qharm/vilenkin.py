@@ -23,8 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LatticeWindowError
-from .field import FieldModel, FieldParams, QuotientLattice
-from .radial import RadialProfile, _ball_measure, _read_csv, _sphere_measures, _write_csv
+from .field import QuotientLattice
+from .radial import RadialProfile, _ball_measure, _sphere_measures
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +137,10 @@ def doob_check_tuple(fs, p: float) -> tuple[float, float]:
     return tuple(_lp_rows(l2, p, float(lat.coset_measure)))
 
 
-def is_radial(f: QuotientFunction, tol: float = 0.0) -> bool:
+def is_radial(f: QuotientFunction) -> bool:
     """True when f is constant on every lattice crown (and on the 0 coset)."""
     crowns = f.values[f.lattice.crown_firsts()][f.lattice.scales() + f.lattice.M]
-    return bool(np.max(np.abs(f.values - crowns)) <= tol)
+    return bool(np.all(f.values == crowns))
 
 
 def _majorant_l1(lat: QuotientLattice, Phi: np.ndarray) -> np.ndarray:
@@ -168,13 +168,18 @@ def _convolve(lat: QuotientLattice, Phi: np.ndarray, F: np.ndarray) -> np.ndarra
     return np.fft.ifftn(ab, axes=axes).reshape(F.shape) * float(lat.coset_measure)
 
 
-def group_convolve(phi: QuotientFunction, f: QuotientFunction) -> QuotientFunction:
-    """(phi * f)(s) = sum_t phi(t) f(s - t) mu(coset) on the product cyclic group,
-    via the coordinate DFT; exact to float rounding."""
+def _common_lattice(phi: QuotientFunction, f: QuotientFunction) -> QuotientLattice:
     a, b = phi.lattice, f.lattice
     if (a.params, a.M, a.N) != (b.params, b.M, b.N):
         raise ValueError("convolution operands live on different lattices")
-    return QuotientFunction(a, _convolve(a, phi.values[None], f.values[None])[0])
+    return a
+
+
+def group_convolve(phi: QuotientFunction, f: QuotientFunction) -> QuotientFunction:
+    """(phi * f)(s) = sum_t phi(t) f(s - t) mu(coset) on the product cyclic group,
+    via the coordinate DFT; exact to float rounding."""
+    lat = _common_lattice(phi, f)
+    return QuotientFunction(lat, _convolve(lat, phi.values[None], f.values[None])[0])
 
 
 def group_convolve_direct(phi: QuotientFunction, f: QuotientFunction) -> QuotientFunction:
@@ -189,10 +194,19 @@ def group_convolve_direct(phi: QuotientFunction, f: QuotientFunction) -> Quotien
     return QuotientFunction(lat, np.concatenate(out) * float(lat.coset_measure))
 
 
+def _domination_rows(lat: QuotientLattice, Phi: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """max over s of |(phi*f)(s)| - ||R_phi||_1 (Mf)(s) for the row pairs (phi, f)
+    of two (rows, size) blocks, every phi radial."""
+    bound = _majorant_l1(lat, Phi)[:, None] * _filtration_max(lat, np.abs(F))
+    return np.max(np.abs(_convolve(lat, Phi, F)) - bound, axis=1)
+
+
 def domination_check(phi: QuotientFunction, f: QuotientFunction) -> float:
     """max over s of |(phi*f)(s)| - ||R_phi||_1 * (Mf)(s); <= 0 exactly."""
-    conv, bound = group_convolve(phi, f).values, majorant_l1_lattice(phi)
-    return float(np.max(np.abs(conv) - bound * maximal_M(f).values.real))
+    lat = _common_lattice(phi, f)
+    if not is_radial(phi):
+        raise ValueError("majorant domination needs a radial phi")
+    return float(_domination_rows(lat, phi.values[None], f.values[None])[0])
 
 
 def group_dft(f: QuotientFunction, direction: str = "forward") -> QuotientFunction:
@@ -230,26 +244,3 @@ def lift_profile(profile: RadialProfile, lattice: QuotientLattice) -> QuotientFu
     table = np.array([profile.value_at(k) for k in range(-M, N + 1)])
     return QuotientFunction(lattice, table[lattice.scales() + M])
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def write_quotient_csv(f: QuotientFunction, fh) -> None:
-    """Rows ``index,re,im`` after one comment line with the lattice window.
-
-    The index packs the per-coordinate digit strings little-endian in the
-    digit position j (and little-endian across coordinates).
-    """
-    lat, p = f.lattice, f.lattice.params
-    meta = dict(q=p.q, n=p.n, alpha=p.alpha, M=lat.M, N=lat.N)
-    _write_csv(fh, meta, "index,re,im", enumerate(f.values))
-
-
-def read_quotient_csv(fh) -> QuotientFunction:
-    def build(meta):
-        q, n, alpha = int(meta["q"]), int(meta["n"]), float(meta["alpha"])
-        params = FieldParams(q, n, alpha, FieldModel.QADIC_QUOTIENT)
-        lat = QuotientLattice(params, int(meta["M"]), int(meta["N"]))
-        return 0, lat.size - 1, lambda vals: QuotientFunction(lat, vals)
-
-    return _read_csv(fh, "lattice", "index,re,im", build)

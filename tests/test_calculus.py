@@ -196,15 +196,13 @@ class TestResolvent:
 class TestDirectCalculus:
     def test_identity_symbol(self, rng):
         g = make_profile(rng, P21, -3, 3)  # zero tail: no zero-frequency mass
-        out = hinf_apply_direct(lambda lam: 1.0, g, value_at_zero=1.0)
+        out = fourier_multiplier_apply(g, lambda lam: 1.0, 1.0, (1.0, 1.0))
         assert lp_norm(out - g, 2) < 1e-12
 
     def test_exponential_symbol_is_semigroup(self, rng):
         g = make_profile(rng, P21, -3, 3, tail=0.5)
         t = 0.7
-        a = hinf_apply_direct(
-            lambda lam: np.exp(-t * lam), g, value_at_zero=1.0
-        )
+        a = fourier_multiplier_apply(g, lambda lam: np.exp(-t * lam), 1.0, (1.0, 1.0))
         b = semigroup_apply(t, g)
         assert lp_norm(a - b, 2) < 1e-13
 
@@ -549,16 +547,33 @@ class TestWindowExtension:
     def test_contour_checks_back_transform_window_before_any_symbol_call(self):
         # alpha = 0.1: the tail extension reaches Fourier crown 1069, so the
         # back transform's outermost crown weight q**1070 is no float; the
-        # direct route, which takes no norm of its output, accepts the input
+        # direct route and the square function refuse the input as early
         s05 = standard_symbols()[1]
         calls = []
         sym = SymbolFunction(lambda z: calls.append(z) or s05.fn(z), s05.decay, s05.sector_angle)
         calls.clear()
         g = RadialProfile(FieldParams(2, 1, 0.1), -3, 3, np.ones(7), tail=0.3)
-        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(1070\) at q=2"):
-            hinf_apply_contour(sym, g)
+        for route in (hinf_apply_contour, hinf_apply_direct, lambda s, f: square_function(f, s)):
+            with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(1070\) at q=2"):
+                route(sym, g)
         assert calls == []
-        assert hinf_apply_direct(sym, g).kmin == -1070
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda f: fourier_multiplier_apply(f, lambda lam: lam),
+            lambda f: semigroup_apply(1.0, f),
+            lambda f: resolvent_apply(-1.0, f),
+        ],
+        ids=["multiplier", "semigroup", "resolvent"],
+    )
+    def test_multiplier_routes_check_back_transform_window(self, route):
+        # decay exponent 1 at alpha = 0.05: the extension reaches Fourier crown
+        # 1064 (1084 for the resolvent), whose back-transform weight is no float
+        # (taibleson_fourier: test_taibleson.py)
+        g = RadialProfile(FieldParams(2, 1, 0.05), -3, 3, np.ones(7), tail=0.3)
+        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(10[68]5\) at q=2"):
+            route(g)
 
 
 class TestRademacher:

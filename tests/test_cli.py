@@ -159,6 +159,29 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["spheres", "--q", "3"], "--q"),
+            (["spheres", "--q", "7", "--update-baselines"], "--q, --update-baselines"),
+            (["levy", "--update-baselines"], "--update-baselines"),
+            (["kernel-bounds", "--alpha", "1"], "--alpha"),
+        ],
+        ids=["spheres-q", "spheres-q-update", "levy-update", "kernel-bounds-alpha"],
+    )
+    def test_flag_the_suite_does_not_take_is_usage_error(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: suite {argv[0]} does not take {flags}\n"
+
+    @pytest.mark.parametrize("given", [["--q", "5"], ["--q", "2", "--n", "1"], ["--alpha", "1"]])
+    def test_taibleson_refuses_a_partial_triple(self, capsys, given):
+        code, out, err = run_cli(capsys, "verify", "taibleson", *given)
+        assert code == 1 and out == ""
+        assert err == (
+            "ValueError: the taibleson suite takes all of q, n and alpha or none of them\n"
+        )
+
     def test_failing_baseline_exits_2(self, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "baselines.txt"
         bad.write_text(

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,10 +14,7 @@ from qharm.radial import (
     improper_integral,
     lp_norm,
     majorant,
-    profile_from_csv_string,
-    profile_to_csv_string,
     radial_fourier,
-    read_profile_csv,
 )
 
 from conftest import make_profile, profile_st
@@ -283,48 +279,6 @@ class TestMajorant:
         mf, mg = majorant(f), majorant(g)
         for k in range(-5, 6):
             assert mf.value_at(k).real <= mg.value_at(k).real + 1e-14
-
-
-class TestSerialization:
-    def test_roundtrip(self, rng):
-        f = make_profile(rng, FieldParams(3, 2, 0.5), -2, 4, tail=0.25 + 0.125j)
-        s = profile_to_csv_string(f)
-        g = profile_from_csv_string(s)
-        assert g.params == f.params
-        assert (g.kmin, g.kmax) == (f.kmin, f.kmax)
-        assert np.allclose(g.coeffs, f.coeffs, rtol=0, atol=0)
-        assert g.tail == f.tail
-
-    def test_header_carries_window(self):
-        f = RadialProfile.ball_indicator(P21, 2)
-        s = profile_to_csv_string(f)
-        head = s.splitlines()[0]
-        assert head.startswith("#")
-        for token in ("q=2", "n=1", "kmin=2", "kmax=2"):
-            assert token in head
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError):
-            profile_from_csv_string("k,re,im\n0,1.0,0.0\n")
-
-    def test_missing_header_key_rejected(self):
-        """A header without alpha used to raise a bare KeyError('alpha')."""
-        s = "# q=2 n=1 kmin=0 kmax=0 tail_re=0.0 tail_im=0.0\nk,re,im\n0,1.0,0.0\n"
-        with pytest.raises(ValueError, match="profile header lacks the key 'alpha'"):
-            read_profile_csv(io.StringIO(s))
-
-    def test_header_token_without_equals_rejected(self):
-        s = profile_to_csv_string(RadialProfile.ball_indicator(P21, 0))
-        head, rest = s.split("\n", 1)
-        with pytest.raises(ValueError, match="profile header token 'junk' is not key=value"):
-            read_profile_csv(io.StringIO(f"{head} junk\n{rest}"))
-
-    @pytest.mark.parametrize("k", [-3, 3])
-    def test_row_outside_window_rejected(self, k):
-        """kmin - 1 used to land on crown kmax and kmax + 1 raised IndexError."""
-        s = profile_to_csv_string(RadialProfile(P21, -2, 2, np.ones(5)))
-        with pytest.raises(ValueError, match=f"row '{k},1.0,0.0'"):
-            profile_from_csv_string(s + f"{k},1.0,0.0\n")
 
 
 def test_window_validation():
