@@ -62,7 +62,6 @@ from .taibleson import (
     taibleson_hypersingular_lattice,
 )
 from .calculus import (
-    ContourConfig,
     SymbolFunction,
     hinf_apply_contour,
     hinf_apply_direct,

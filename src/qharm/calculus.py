@@ -37,7 +37,9 @@ _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
 _G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
 _G_CACHE = 32  # (symbol, step) pairs whose Toeplitz kernel G is kept
 _STANDOFF_REL = 1e-6  # least relative distance of a resolvent point from the spectrum
-_AUTO_TOL = 1e-8  # relative ray truncation error of ContourConfig.auto
+_NODES_PER_DECADE = 24  # contour nodes per decade of radius
+_CONTOUR_TOL = 1e-6  # relative node-doubling move the contour route accepts
+_RAY_TOL = 1e-8  # relative ray truncation error of the contour radius range
 
 
 @dataclass(frozen=True)
@@ -73,49 +75,6 @@ class SymbolFunction:
             i = bad[0]
             msg = f"decay certificate violated at z={zs[i]}: |f|={vals[i]} > {caps[i]}"
             raise ValueError(msg)
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Sector-boundary quadrature: angle, node density, radius range.  The
-    nodes lie on the eigenvalue lattice r = e**(d h), h = alpha ln q / (2K),
-    K = ceil(alpha ln q nodes_per_decade / ln 10), d over ``radius_range``
-    rounded outward to even d; the doubling check's coarse rule is the even d.
-    """
-
-    nu: float
-    nodes_per_decade: int = 24
-    radius_range: tuple[float, float] = (1e-8, 1e8)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.nu < math.pi:
-            raise ValueError(f"contour angle must lie in (0, pi), got {self.nu}")
-        if self.nodes_per_decade < 2:
-            raise ValueError("need at least 2 nodes per decade")
-        r0, r1 = self.radius_range
-        if not 0 < r0 < r1:
-            raise ValueError(f"bad radius range {self.radius_range}")
-
-    @classmethod
-    def auto(
-        cls,
-        lam_min: float,
-        lam_max: float,
-        sym: SymbolFunction,
-        nu: float = 0.5,
-    ) -> "ContourConfig":
-        """Radius range wide enough that the ray truncation error is below
-        ``_AUTO_TOL`` relative, padded per the symbol's decay exponent."""
-        s, _C = sym.decay
-        pad = (math.log10(1.0 / _AUTO_TOL) + 2.0) / s
-        try:
-            r0, r1 = lam_min * 10.0 ** (-pad), lam_max * 10.0**pad
-        except OverflowError:
-            r0 = r1 = math.inf
-        if not (r0 > 0.0 and math.isfinite(r1)):
-            span = f"[{lam_min:.3e}e-{pad:.0f}, {lam_max:.3e}e+{pad:.0f}]"
-            raise QuadratureError(f"contour radius range {span} leaves the float range")
-        return cls(nu, radius_range=(r0, r1))
 
 
 def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
@@ -177,14 +136,26 @@ class ContourResult(NamedTuple):
     error_estimate: float
 
 
-def _contour_nodes(contour: ContourConfig, step: float):
-    """``(h, K, d, r, w)`` of :class:`ContourConfig` at the field step
-    alpha ln q: nodes r = e**(d h), d = d0..d1 both even, and the trapezoid
-    weights in log r of step h (w[0]) and 2h on the even d (w[1]).  A node
-    that is not a normal float raises :class:`QuadratureError`."""
-    K = math.ceil(step * contour.nodes_per_decade / math.log(10.0))
+def _contour_nodes(lams: np.ndarray, s: float, step: float):
+    """``(h, K, d, r, w)`` of the contour serving the eigenvalues ``lams`` of a
+    symbol of decay exponent s at the field step alpha ln q.  The radius range
+    is [min lams, max lams] padded by (log10(1/_RAY_TOL) + 2) / s decades, so
+    the rays' truncation error is below _RAY_TOL relative; nodes r = e**(d h),
+    h = step / (2K), K = ceil(step _NODES_PER_DECADE / ln 10), d = d0..d1 over
+    the range rounded outward to even d; trapezoid weights in log r of step h
+    (w[0]) and 2h on the even d (w[1]).  A range or node that is not a normal
+    float raises :class:`QuadratureError`."""
+    pad = (math.log10(1.0 / _RAY_TOL) + 2.0) / s
+    lam_min, lam_max = float(lams.min()), float(lams.max())
+    try:
+        r0, r1 = lam_min * 10.0 ** (-pad), lam_max * 10.0**pad
+    except OverflowError:
+        r0 = r1 = math.inf
+    if not (r0 > 0.0 and math.isfinite(r1)):
+        span = f"[{lam_min:.3e}e-{pad:.0f}, {lam_max:.3e}e+{pad:.0f}]"
+        raise QuadratureError(f"contour radius range {span} leaves the float range")
+    K = math.ceil(step * _NODES_PER_DECADE / math.log(10.0))
     h = step / (2 * K)
-    r0, r1 = contour.radius_range
     d0 = 2 * math.floor(math.log(r0) / (2 * h))
     d = np.arange(d0, max(2 * math.ceil(math.log(r1) / (2 * h)), d0 + 2) + 1)
     with np.errstate(over="ignore"):
@@ -199,13 +170,12 @@ def _contour_nodes(contour: ContourConfig, step: float):
 
 
 def _contour_factors(
-    params: FieldParams, kmin: int, lams: np.ndarray, sym: SymbolFunction, contour: ContourConfig
+    params: FieldParams, kmin: int, lams: np.ndarray, sym: SymbolFunction, nu: float
 ) -> np.ndarray:
     """(1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays at lams =
     q**(-m alpha), m = kmin.., by the fine and the coarse rule (rows 0, 1) on
-    the nodes z = e**(d h -+ i nu) of _contour_nodes: h = alpha ln q / (2K),
-    K = ceil(alpha ln q nodes_per_decade / ln 10), every d of the radius
-    range rounded outward to even d (fine) or the even d only (coarse).
+    the nodes z = e**(d h -+ i nu) of :func:`_contour_nodes`: every d (fine)
+    or the even d only (coarse).
 
     As dz = z du, a node of weight w carries w f(z) z / (z - lam) =
     w f(z) (1 - t e^{-+i nu}) E, t = lam / r, where
@@ -217,8 +187,8 @@ def _contour_factors(
     as an (eigenvalues x nodes) matrix of row stride 2K: both rules are one
     real product.  Where the square overflows, E is 0 (below the floats).
     """
-    h, K, d, r, w = _contour_nodes(contour, params.alpha * math.log(params.q))
-    nu, rot = contour.nu, cmath.exp(-1j * contour.nu)
+    h, K, d, r, w = _contour_nodes(lams, sym.decay[0], params.alpha * math.log(params.q))
+    rot = cmath.exp(-1j * nu)
     fm, fp = np.broadcast_to(sym.fn(r * np.array([[rot], [rot.conjugate()]])), (2, r.size))
     a, b = fm - fp, (fm * rot - fp * rot.conjugate()) / r
     W = (w[:, None] * np.stack((a.real, a.imag, b.real, b.imag))).reshape(8, r.size)
@@ -231,40 +201,36 @@ def _contour_factors(
     return ((R[:, 0] + 1j * R[:, 1]) - lams * (R[:, 2] + 1j * R[:, 3])) / (2j * math.pi)
 
 
-def hinf_apply_contour(
-    sym: SymbolFunction, g: RadialProfile, contour: ContourConfig | None = None, tol: float = 1e-6
-) -> ContourResult:
-    """f(A) g by sector-contour quadrature of resolvents.
+def hinf_apply_contour(sym: SymbolFunction, g: RadialProfile, nu: float = 0.5) -> ContourResult:
+    """f(A) g by quadrature of resolvents on the boundary of the sector of
+    half-angle nu, 0 < nu < sym.sector_angle.
 
     Counterclockwise boundary orientation: outward along arg z = -nu, inward
-    along arg z = +nu, on the nodes e**(d h), h = alpha ln q / (2K),
-    K = ceil(alpha ln q nodes_per_decade / ln 10), d over the radius range
-    rounded outward to even d.  The error estimate is the node doubling from
-    the even d to all d; :class:`QuadratureError` is raised when it exceeds
-    tol (relative), or when a node is not a normal float; WindowOverflowError,
-    before the quadrature, when a window of either transform leaves the floats.
+    along arg z = +nu, on the nodes of :func:`_contour_nodes`, which cover the
+    spectrum padded per the symbol's decay.  The error estimate is the node
+    doubling from the even d to all d; :class:`QuadratureError` is raised
+    when it exceeds _CONTOUR_TOL (relative), or when the range or a node is
+    not a normal float; WindowOverflowError, before the quadrature, when a
+    window of either transform leaves the floats.
     """
+    if not 0 < nu < sym.sector_angle:  # a NaN angle too
+        raise ValueError(
+            f"contour angle {nu} must lie inside the symbol sector (0, {sym.sector_angle})"
+        )
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
     ghat, lams = radial._extended_hat(g, sym.decay)
 
-    if contour is None:
-        contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
-    if not 0 < contour.nu < sym.sector_angle:
-        raise ValueError(
-            f"contour angle {contour.nu} must lie inside the symbol sector (0, {sym.sector_angle})"
-        )
-
-    hats = ghat.coeffs * _contour_factors(g.params, ghat.kmin, lams, sym, contour)
+    hats = ghat.coeffs * _contour_factors(g.params, ghat.kmin, lams, sym, nu)
     kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
     prof = RadialProfile(g.params, kmin, kmax, out[0], tail=tails[0])
     rows = np.stack((out[0] - out[1], out[0]))
     diff, scale = radial._lp_norms(g.params, kmin, kmax, rows, [tails[0] - tails[1], tails[0]], 2)
     scale = max(scale, 1e-300)
-    if diff > tol * scale:
+    if diff > _CONTOUR_TOL * scale:
         raise QuadratureError(
             f"contour quadrature not converged: node doubling moved the "
-            f"result by {diff / scale:.3e} (tol {tol})"
+            f"result by {diff / scale:.3e} (tol {_CONTOUR_TOL})"
         )
     return ContourResult(prof, diff / scale)
 

@@ -123,7 +123,11 @@ def _exp_form_block(
             raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
     j0 = max(-kmax, j_first)
     J = max(J, j0 + 1, 1 - kmin)
-    float(q**n) ** -j0  # a weight past the float range raises OverflowError, not inf
+    try:
+        float(q**n) ** -j0  # the largest weight: past the floats it raises, not inf
+    except OverflowError:
+        msg = f"crown weight q**({-n * j0}) at q={q} leaves the float range"
+        raise WindowOverflowError(msg) from None
     # q**(-j n) and w = -z lam_j for j = J - 1 down to j0, the inner end first
     weights = float(q**n) ** np.arange(1 - J, 1 - j0, dtype=float)
     w = weights ** (alpha / n) * -z

@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -8,11 +10,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from qharm import radial, verification
+import qharm
+from qharm import calculus, radial, verification
 from qharm.calculus import (
     _BLOCK_ELEMS,
     _G_EPS,
-    ContourConfig,
+    _NODES_PER_DECADE,
+    _RAY_TOL,
     SymbolFunction,
     _contour_factors,
     _contour_nodes,
@@ -76,6 +80,41 @@ ROUTES = {
     "squarefn": lambda sym, g: square_function(g, sym),
     "contour": hinf_apply_contour,
 }
+
+CONTOUR_FIELDS = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(5, 1, 2.0))
+CONTOUR_FIELD_IDS = ["q2n1a1", "q3n2a0.5", "q5n1a2"]
+# hinf_apply_contour(sym, g) of the standard symbols on seeded profiles with
+# and without a tail: one SHA-256 a field of every output window, coefficient
+# array, tail and error estimate, in a fresh process with BLAS at one thread
+PIN_SCRIPT = """
+import hashlib
+
+import numpy as np
+from qharm.calculus import hinf_apply_contour
+from qharm.field import FieldParams
+from qharm.radial import RadialProfile
+from qharm.verification import standard_symbols
+for params in (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(5, 1, 2.0),
+               FieldParams(2, 2, 2.0)):
+    rng = np.random.default_rng(20240810)
+    digest = hashlib.sha256()
+    for tail in (0.0, 0.25 - 0.1j):
+        vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        g = RadialProfile(params, -3, 4, vals, tail=tail)
+        for sym in standard_symbols():
+            res = hinf_apply_contour(sym, g)
+            p = res.profile
+            digest.update(np.array([p.kmin, p.kmax]).tobytes())
+            digest.update(p.coeffs.tobytes())
+            digest.update(np.array([p.tail, res.error_estimate], dtype=complex).tobytes())
+    print(digest.hexdigest())
+"""
+CONTOUR_SHA256 = [
+    "dae25ed0f475f556796d8c61095976b255fb852f04823f797a5d452f4ed384cb",
+    "df75e22065b50038e051ef2ba547b505898e01f51bee12c7d1fde3ba7211dc08",
+    "4afc437dd816f351e5dde9cf6027ed2b8dc62a4279208f53675dc6cdca75d18a",
+    "322189872b4b10817c27804616ba8793961121f47132bdd0992aa4dde78b392b",
+]
 
 
 # -- references ------------------------------------------------------------------
@@ -234,15 +273,28 @@ class TestContourCalculus:
 
     def test_nu_independence(self, rng):
         g = make_profile(rng, P21, -3, 4)
-        outs = [
-            hinf_apply_contour(
-                PHI, g, ContourConfig.auto(2.0**-5, 2.0**4, PHI, nu=nu)
-            ).profile
-            for nu in (0.3, 0.6, 1.0)
-        ]
+        outs = [hinf_apply_contour(PHI, g, nu).profile for nu in (0.3, 0.6, 1.0)]
         base = lp_norm(outs[0], 2)
         assert lp_norm(outs[0] - outs[1], 2) <= 1e-6 * base
         assert lp_norm(outs[0] - outs[2], 2) <= 1e-6 * base
+
+    @pytest.mark.parametrize("params", CONTOUR_FIELDS, ids=CONTOUR_FIELD_IDS)
+    def test_matches_direct_at_every_angle(self, params, rng):
+        for sym in standard_symbols():
+            g = make_profile(rng, params, -3, 4, tail=0.25 - 0.1j)
+            direct = hinf_apply_direct(sym, g)
+            for nu in (0.3, 0.6, 0.95):
+                res = hinf_apply_contour(sym, g, nu)
+                assert lp_norm(res.profile - direct, 2) <= TOL_CONTOUR * lp_norm(direct, 2)
+
+    def test_default_angle_pinned(self):
+        # BLAS at one thread: the quadrature's matrix product sums in an order
+        # that depends on the thread count
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.path.dirname(os.path.dirname(qharm.__file__)))
+        out = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == CONTOUR_SHA256
 
     def test_linearity_in_symbol(self, rng):
         g = make_profile(rng, P21, -2, 3)
@@ -253,8 +305,9 @@ class TestContourCalculus:
 
     def test_angle_outside_sector_rejected(self, rng):
         g = make_profile(rng, P21, -2, 2)
-        with pytest.raises(ValueError):
-            hinf_apply_contour(NARROW, g, ContourConfig(nu=1.2))
+        for nu in (1.2, 1.0, 0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="must lie inside the symbol sector"):
+                hinf_apply_contour(NARROW, g, nu)
 
     @pytest.mark.parametrize(
         "sym",
@@ -264,13 +317,12 @@ class TestContourCalculus:
     def test_factors_match_per_ray_division(self, sym, rng):
         g = make_profile(rng, P21, -3, 4, tail=0.25)
         ghat, lams = radial._extended_hat(g, sym.decay)
-        contour = ContourConfig.auto(float(lams.min()), float(lams.max()), sym)
-        h, _K, d, _r, _w = _contour_nodes(contour, math.log(2.0))
-        fine, coarse = _contour_factors(P21, ghat.kmin, lams, sym, contour)
+        h, _K, d, _r, _w = _contour_nodes(lams, sym.decay[0], math.log(2.0))
+        fine, coarse = _contour_factors(P21, ghat.kmin, lams, sym, 0.5)
         rules = ((h * d, trapezoid_weights(d.size, h), fine),
                  (h * d[::2], trapezoid_weights(d[::2].size, 2.0 * h), coarse))
         for u, w, got in rules:
-            ref = contour_factors_rays(lams, sym, contour.nu, u, w)
+            ref = contour_factors_rays(lams, sym, 0.5, u, w)
             err = np.max(np.abs(got - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
 
@@ -286,58 +338,73 @@ class TestContourCalculus:
         direct = hinf_apply_direct(DECAY_01, ONES)
         assert lp_norm(res.profile - direct, 2) <= TOL_CONTOUR * lp_norm(direct, 2)
 
-    def test_nonconvergence_detected(self, rng):
+    def test_nonconvergence_detected(self, rng, monkeypatch):
+        monkeypatch.setattr(calculus, "_NODES_PER_DECADE", 2)
+        monkeypatch.setattr(calculus, "_CONTOUR_TOL", 1e-10)
         g = make_profile(rng, P21, -2, 2)
-        bad = ContourConfig(nu=0.5, nodes_per_decade=2, radius_range=(1e-3, 1e3))
-        with pytest.raises(QuadratureError):
-            hinf_apply_contour(PHI, g, bad, tol=1e-10)
+        with pytest.raises(QuadratureError, match=r"not converged: .* \(tol 1e-10\)$"):
+            hinf_apply_contour(PHI, g)
 
 
 class TestContourNodes:
-    """The contour nodes sit on the eigenvalue lattice of the field step."""
+    """The contour nodes sit on the eigenvalue lattice of the field step and
+    cover the spectrum padded by DECADES / s decades."""
 
+    DECADES = math.log10(1.0 / _RAY_TOL) + 2.0
+    # (spectrum, decay exponent s, padded radius range), field step
     CONFIGS = [
-        (ContourConfig(0.5), math.log(2.0)),
-        (ContourConfig(0.5, 24, (3.1e-7, 2.9e5)), 0.5 * math.log(3.0)),
-        (ContourConfig(1.0, 2, (1e-3, 1e3)), 2.0 * math.log(5.0)),
-        (ContourConfig(0.3, 7, (1e-300, 1e300)), 0.5 * math.log(2.0)),
-        (ContourConfig(0.3, 7, (1e-3, 1e3)), 0.002 * math.log(2.0)),  # K = 1
+        ((np.array([1.0]), 1.25, (1e-8, 1e8)), math.log(2.0)),
+        ((np.array([2.9, 3.1e-2, 0.5]), 2.0, (3.1e-7, 2.9e5)), 0.5 * math.log(3.0)),
+        ((np.array([1.0]), 10.0 / 3.0, (1e-3, 1e3)), 2.0 * math.log(5.0)),
+        ((np.array([1.0]), 1.0 / 30.0, (1e-300, 1e300)), 0.5 * math.log(2.0)),
+        ((np.array([1.0]), 10.0 / 3.0, (1e-3, 1e3)), 0.002 * math.log(2.0)),  # K = 1
     ]
 
     @pytest.mark.parametrize("contour, step", CONFIGS)
     def test_lattice_spacing_and_cover(self, contour, step):
-        h, K, d, r, _w = _contour_nodes(contour, step)
+        lams, s, (r0, r1) = contour
+        h, K, d, r, _w = _contour_nodes(lams, s, step)
         assert 2 * K * h == pytest.approx(step, rel=1e-15)
-        assert 2.0 * h <= math.log(10.0) / contour.nodes_per_decade
+        assert 2.0 * h <= math.log(10.0) / _NODES_PER_DECADE
         assert np.array_equal(d, np.arange(d[0], d[-1] + 1))
         assert d[0] % 2 == 0 and d[-1] % 2 == 0
-        r0, r1 = contour.radius_range
-        assert d[0] * h <= math.log(r0) and d[-1] * h >= math.log(r1)
+        # the padded range, rounded outward to the next even d at each end
+        lo, hi = math.log(r0), math.log(r1)
+        assert lo - 2.0 * h < d[0] * h <= lo + 1e-9 and hi - 1e-9 <= d[-1] * h < hi + 2.0 * h
         assert np.array_equal(r, np.exp(h * d))
         assert np.all(r >= sys.float_info.min) and np.all(np.isfinite(r))
 
     @pytest.mark.parametrize("contour, step", CONFIGS)
     def test_coarse_nodes_are_the_even_fine_nodes(self, contour, step):
-        h, _K, d, _r, w = _contour_nodes(contour, step)
+        h, _K, d, _r, w = _contour_nodes(*contour[:2], step)
         assert np.array_equal(d[w[1] > 0], d[::2])  # d[0] is even
         assert np.array_equal(w[0], trapezoid_weights(d.size, h))
         assert np.array_equal(w[1][::2], trapezoid_weights(d[::2].size, 2.0 * h))
         assert not np.any(w[1][1::2])
 
     @pytest.mark.parametrize(
-        "radius_range",
-        [(sys.float_info.min, 1.0), (5e-324, 1.0), (1.0, sys.float_info.max)],
+        "radius_range, crown",
+        [((sys.float_info.min, 1.0), -4), ((1e-320, 1.0), -26),
+         ((1.0, 0.99 * sys.float_info.max), 4)],
         ids=["min-normal", "subnormal", "max"],
     )
-    def test_nodes_past_the_normal_floats_refused(self, radius_range, rng):
+    def test_nodes_past_the_normal_floats_refused(self, radius_range, crown):
         # at q = 3 the even lattice points miss both ends of the float range,
         # so rounding these ranges outward leaves it
-        contour = ContourConfig(0.5, 16, radius_range)
+        r0, r1 = radius_range
+        lams = np.array([r0 * 10.0**100, r1 * 10.0**-100])
         with pytest.raises(QuadratureError, match="normal float range"):
-            _contour_nodes(contour, math.log(3.0))
-        g = make_profile(rng, FieldParams(3, 1, 1.0), -2, 2)
+            _contour_nodes(lams, self.DECADES / 100, math.log(3.0))
+        # the spectrum {3**crown, 3**(crown + 1)}, no extension (negligible
+        # tail), padded for the decay s to reach the same end of the range
+        g = 1e-30 * RadialProfile.ball_indicator(FieldParams(3, 1, 1.0), crown)
+        if r0 < 1.0:
+            s = self.DECADES / (crown * math.log10(3.0) - math.log10(r0))
+        else:
+            s = self.DECADES / (math.log10(r1) - (crown + 1) * math.log10(3.0))
+        sym = SymbolFunction(lambda t: t**s / (1 + t ** (2 * s)), (s, 1.1), 1.0)
         with pytest.raises(QuadratureError, match="normal float range"):
-            hinf_apply_contour(PHI, g, contour)
+            hinf_apply_contour(sym, g)
 
 
 class TestSemigroup:

@@ -143,7 +143,7 @@ class TestKernelAtZero:
         a = kernel_at_zero(2.0**0.05 * z, params).value
         b = kernel_at_zero(z, params).value / 2
         assert abs(a - b) <= 1e-12 * abs(b)
-        with pytest.raises(OverflowError):
+        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(504\) at q=5 "):
             kernel_at_zero(1e-3, FieldParams(5, 3, 0.05))
 
 
@@ -249,3 +249,14 @@ class TestSemigroupProfile:
         a = kernel_profile(1.0 + 0.5j, w, P31)
         b = kernel_profile(1.0 + 0.5j, w, P31, evaluator=kernel_crown_sum)
         assert lp_norm(a - b, math.inf) < 1e-11
+
+    @pytest.mark.parametrize(
+        "t, window, params, power",
+        [(1e-200, (0, 700), FieldParams(2, 2, 1.0), 1346),
+         (1e-110, (0, 400), FieldParams(2, 3, 1.0), 1122)],
+    )
+    def test_exp_form_weight_past_float_range_raises(self, t, window, params, power):
+        # at so small a time the first term's weight q**(-j0 n) is no float
+        match = re.escape(f"crown weight q**({power}) at q=2 leaves the float range")
+        with pytest.raises(WindowOverflowError, match=match):
+            kernel_profile(t, window, params)
