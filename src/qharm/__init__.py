@@ -32,7 +32,6 @@ from .field import (
 )
 from .gamma import gamma_qn, gamma_via_integral, reflection_defect
 from .kernel import (
-    ComplexTime,
     KernelEvalConfig,
     bound_ratio,
     bound_ratios,

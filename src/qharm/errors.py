@@ -22,9 +22,9 @@ class LatticeWindowError(ValueError):
 
 
 class WindowOverflowError(RuntimeError):
-    """Crown window out of reach: the extension a multiplier needs exceeds
-    the cap, or the window's outermost crown weight or its largest
-    eigenvalue is no finite float."""
+    """Scale out of reach: a power of q (crown weight, eigenvalue, ||x||), a
+    convolution product or a mass window leaves the float range, or the
+    extension a multiplier needs exceeds the cap."""
 
 
 class QuadratureError(RuntimeError):

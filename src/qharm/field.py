@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import LatticeWindowError
+from .errors import LatticeWindowError, WindowOverflowError
 
 _ELEMENT_CAP = 2_000_000  # most cosets the brute sphere-character oracle enumerates
 
@@ -80,6 +80,14 @@ def qpow(q: int, e: int) -> Fraction:
     if e >= 0:
         return Fraction(q**e)
     return Fraction(1, q ** (-e))
+
+
+def _float_qpow(q: int, e: float, what: str = "crown weight") -> float:
+    """float(q) ** e; a power past the float range raises WindowOverflowError."""
+    try:
+        return float(q) ** e
+    except OverflowError:
+        raise WindowOverflowError(f"{what} q**({e:g}) at q={q} leaves the float range") from None
 
 
 def norm_exponent(q: int, value: Fraction | int) -> int | None:

@@ -16,7 +16,8 @@ import math
 from .errors import PoleError, ToleranceError
 from .field import FieldParams, sphere_character_integral
 
-DEFAULT_POLE_EPS = 1e-8
+_POLE_EPS = 1e-8  # closest approach to a pole gamma_qn evaluates
+_MAX_CROWNS = 200_000  # most crowns gamma_via_integral sums
 
 
 def _pole_distance(z: complex, q: int) -> float:
@@ -26,33 +27,26 @@ def _pole_distance(z: complex, q: int) -> float:
     return math.hypot(w.real, im)
 
 
-def gamma_qn(z: complex, params: FieldParams, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
+def gamma_qn(z: complex, params: FieldParams) -> complex:
     """(1 - q**(z-n)) / (1 - q**(-z)); raises PoleError near the pole lattice."""
     q, n = params.q, params.n
-    if _pole_distance(z, q) < pole_eps:
+    if _pole_distance(z, q) < _POLE_EPS:
         raise PoleError(
-            f"z={z} is within {pole_eps} of a pole of Gamma_q^(n) "
+            f"z={z} is within {_POLE_EPS} of a pole of Gamma_q^(n) "
             f"(lattice 2*pi*i/ln(q) * Z)"
         )
     lnq = math.log(q)
     return (1.0 - cmath.exp((z - n) * lnq)) / (1.0 - cmath.exp(-z * lnq))
 
 
-def reflection_defect(
-    z: complex, params: FieldParams, pole_eps: float = DEFAULT_POLE_EPS
-) -> float:
+def reflection_defect(z: complex, params: FieldParams) -> float:
     """|Gamma(z) * Gamma(n - z) - 1|, zero up to rounding away from poles."""
-    a = gamma_qn(z, params, pole_eps)
-    b = gamma_qn(params.n - z, params, pole_eps)
+    a = gamma_qn(z, params)
+    b = gamma_qn(params.n - z, params)
     return abs(a * b - 1.0)
 
 
-def gamma_via_integral(
-    z: complex,
-    params: FieldParams,
-    tol: float = 1e-12,
-    max_crowns: int = 200_000,
-) -> complex:
+def gamma_via_integral(z: complex, params: FieldParams, tol: float = 1e-12) -> complex:
     """Improper crown-sum oracle for the Gamma closed form, Re z > 0.
 
     Sums q**(m*(z-n)) times the sphere-character integral at a unit-norm
@@ -81,8 +75,8 @@ def gamma_via_integral(
         if tail < tol:
             return total
         m -= 1
-        if -m > max_crowns:
+        if -m > _MAX_CROWNS:
             raise ToleranceError(
                 f"gamma integral did not reach tol={tol} within "
-                f"{max_crowns} crowns (Re z = {z.real} too small?)"
+                f"{_MAX_CROWNS} crowns (Re z = {z.real} too small?)"
             )

@@ -36,25 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CancellationError, ToleranceError, WindowOverflowError
-from .field import FieldParams
+from .field import FieldParams, _float_qpow
 from .gamma import gamma_qn
 from .radial import LOG_FLOOR, RadialProfile, _sphere_measures
 
 _SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accepts
 
 
-@dataclass(frozen=True)
-class ComplexTime:
-    """A time parameter in the open right half-plane."""
-
-    z: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", _as_time(self.z))
-
-
 def _as_time(z) -> complex:
-    z = z.z if isinstance(z, ComplexTime) else complex(z)
+    """z as a complex time; Re z > 0 or ValueError."""
+    z = complex(z)
     if not z.real > 0:
         raise ValueError(f"complex time needs Re z > 0, got {z}")
     return z
@@ -123,11 +114,7 @@ def _exp_form_block(
             raise ToleranceError(f"kernel exp-form did not reach tol={cfg.tol} within {msg}")
     j0 = max(-kmax, j_first)
     J = max(J, j0 + 1, 1 - kmin)
-    try:
-        float(q**n) ** -j0  # the largest weight: past the floats it raises, not inf
-    except OverflowError:
-        msg = f"crown weight q**({-n * j0}) at q={q} leaves the float range"
-        raise WindowOverflowError(msg) from None
+    _float_qpow(q, -n * j0)  # the largest weight
     # q**(-j n) and w = -z lam_j for j = J - 1 down to j0, the inner end first
     weights = float(q**n) ** np.arange(1 - J, 1 - j0, dtype=float)
     w = weights ** (alpha / n) * -z
@@ -158,6 +145,9 @@ def kernel_crown_sum(
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
     n0 = -k_x  # ||x|| = q**n0
+    xnorm = _float_qpow(q, n0, "norm")
+    _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers, the largest
+    _float_qpow(q, -n0 * n)
     rn = float(q) ** (-n)
     acc = 0.0 + 0.0j
     mag = 0.0  # sum of the terms' moduli
@@ -170,7 +160,6 @@ def kernel_crown_sum(
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
         bound = float(q) ** (-k * n) / (1.0 - rn)
         if bound * (1.0 - rn) < cfg.tol:  # tail of (1-q**-n) * sum
-            xnorm = float(q) ** n0
             corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
             # summing k - n0 terms and subtracting corr rounds by at most
             # k - n0 + 6 units of 2**-53 times the moduli summed
@@ -190,12 +179,18 @@ def kernel_series(
     Raises :class:`CancellationError` when |z| * ||x||**(-alpha) exceeds
     ``_SERIES_SWITCH``, or when the largest intermediate term exceeds 1/tol
     times the result magnitude.  The returned bound includes a roundoff
-    certificate proportional to the largest term.
+    certificate proportional to the largest term.  The guard is checked in
+    logs first; inside it an ||x|| past the floats raises WindowOverflowError.
     """
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
-    xnorm = float(q) ** (-k_x)
-    u = z * xnorm ** (-alpha)
+    log_u = math.log(abs(z)) + k_x * alpha * math.log(q)  # ln |u|, u = z ||x||**(-alpha)
+    if log_u > math.log(2 * _SERIES_SWITCH):  # far past the guard: no power of q is formed
+        u = math.exp(log_u) if log_u < 709.0 else math.inf
+    else:
+        _float_qpow(q, k_x * n)  # ||x||**(-n), formed below
+        xnorm = _float_qpow(q, -k_x, "norm")
+        u = z * xnorm ** (-alpha)
     if abs(u) > _SERIES_SWITCH:
         raise CancellationError(
             f"|z| * ||x||**(-alpha) = {abs(u):.3g} exceeds the series guard "
@@ -251,9 +246,9 @@ def kernel_ball_integral(
     bound is q**(-k n) times the tail bound, plus the final sum's roundoff."""
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
-    pref = float(q) ** (-k * n)
+    pref = _float_qpow(q, -k * n)
     res = kernel_exp_form(z, k, params, cfg)
-    edge = _cexp(-z * float(q) ** ((k + 1) * alpha))
+    edge = _cexp(-z * _float_qpow(q, (k + 1) * alpha, "eigenvalue"))
     # scaling and adding round by at most 4 units of 2**-53 of the moduli
     roundoff = 2.0**-53 * 4 * (pref * abs(res.value) + abs(edge))
     return EvalResult(pref * res.value + edge, pref * res.tail_bound + roundoff)
@@ -310,7 +305,11 @@ def _mass_window(z: complex, params: FieldParams, tol: float, sup: float):
     lnq = math.log(q)
     outer = max(_outer_mass(z, params), 1e-300)
     kmin = math.floor(math.log(tol / outer) / (alpha * lnq)) - 1
-    kmax = math.ceil(math.log(max(sup, 1.0) / tol) / (n * lnq)) + 1
+    ratio = max(sup, 1.0) / tol
+    if ratio == math.inf:
+        msg = f"mass window K_{{Re z}}(0) / tol = {sup!r} / {tol!r} leaves the float range"
+        raise WindowOverflowError(msg)
+    kmax = math.ceil(math.log(ratio) / (n * lnq)) + 1
     return min(kmin, 0), max(kmax, 1)
 
 

@@ -38,6 +38,7 @@ to 0 or below the normal float range, raises :class:`WindowOverflowError`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowOverflowError
-from .field import FieldParams, qpow
+from .field import FieldParams, _float_qpow, qpow
 
 # absolute floor the residual of the constant Fourier tail must fall below
 _TAIL_EPS = 1e-16
@@ -155,11 +156,7 @@ def _sphere_measures(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:
     """mu(S_k) for k = kmin..kmax, memoised read-only; raises
     :class:`WindowOverflowError`, on every call, when the largest,
     ~q**(-n*kmin), also a transform's largest output weight, is inf."""
-    try:
-        float(q) ** (-n * kmin)
-    except OverflowError:
-        msg = f"crown weight q**({-n * kmin}) at q={q} leaves the float range"
-        raise WindowOverflowError(msg) from None
+    _float_qpow(q, -n * kmin)
     ks = np.arange(kmin, kmax + 1, dtype=float)
     return _read_only((1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n))
 
@@ -231,12 +228,17 @@ def radial_fourier(f: RadialProfile) -> RadialProfile:
 
 
 def convolve(g: RadialProfile, f: RadialProfile) -> RadialProfile:
-    """Convolution via the Fourier route: F^{-1}(Fg * Ff)."""
+    """Convolution via the Fourier route: F^{-1}(Fg * Ff); a product or back
+    transform past the float range raises WindowOverflowError."""
     gh, fh = align(radial_fourier(g), radial_fourier(f))
-    prod = RadialProfile(
-        gh.params, gh.kmin, gh.kmax, gh.coeffs * fh.coeffs, tail=gh.tail * fh.tail
-    )
-    return radial_fourier(prod)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = radial_fourier(RadialProfile(
+            gh.params, gh.kmin, gh.kmax, gh.coeffs * fh.coeffs, tail=gh.tail * fh.tail
+        ))
+    if not (np.isfinite(out.coeffs).all() and cmath.isfinite(out.tail)):
+        msg = f"convolution product on Fourier crowns [{gh.kmin}, {gh.kmax}] leaves the float range"
+        raise WindowOverflowError(msg)
+    return out
 
 
 def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
@@ -309,11 +311,7 @@ def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, l
     inward), and lams = q**(-m*alpha) on [lo, hi].  A crown weight or top
     eigenvalue past the float range raises WindowOverflowError first."""
     _sphere_measures(params.q, params.n, lo, hi)
-    try:
-        float(params.q) ** (-params.alpha * lo)
-    except OverflowError:
-        msg = f"eigenvalue q**({-params.alpha * lo:g}) at q={params.q} leaves the float range"
-        raise WindowOverflowError(msg) from None
+    _float_qpow(params.q, -params.alpha * lo, "eigenvalue")
     H = np.empty((OUT.shape[0], hi - lo + 1), dtype=complex)
     H[:, : kmin - lo] = 0.0
     H[:, kmin - lo : kmax - lo + 1] = OUT

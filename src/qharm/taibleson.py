@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WindowOverflowError
-from .field import FieldParams, QuotientLattice
+from .field import FieldParams, QuotientLattice, _float_qpow
 from .gamma import gamma_qn
 from .radial import RadialProfile, fourier_multiplier_apply
 
@@ -45,18 +44,10 @@ def taibleson_fourier(f: RadialProfile) -> RadialProfile:
     return fourier_multiplier_apply(f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0))
 
 
-def _qpow(q: int, e: float) -> float:
-    """float(q) ** e; a power past the float range raises WindowOverflowError."""
-    try:
-        return float(q) ** e
-    except OverflowError:
-        raise WindowOverflowError(f"crown weight {q}**{e!r} is no finite float") from None
-
-
 def _qpowers(q: int, exps: np.ndarray) -> np.ndarray:
-    """float(q) ** exps as one np.power, the largest exponent checked by _qpow."""
+    """float(q) ** exps as one np.power, the largest exponent checked first."""
     if exps.size:
-        _qpow(q, float(exps.max()))
+        _float_qpow(q, float(exps.max()))
     return np.power(float(q), exps)
 
 
@@ -85,7 +76,7 @@ def taibleson_hypersingular(f: RadialProfile, k_x: int | None) -> complex:
     crowns = f.coeffs[: top - f.kmin] - fx
     total = _loop_sum(0j, crowns * _qpowers(q, np.arange(f.kmin, top) * alpha) * w)
     # outer tail j < kmin: f_j = 0
-    total -= fx * w * _qpow(q, (f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
+    total -= fx * w * _float_qpow(q, (f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
     if k_x is None:
         return C * total
     # u-crowns above k_x (||u|| < ||x||): ||x+u|| = ||x||, integrand vanishes
@@ -95,8 +86,8 @@ def taibleson_hypersingular(f: RadialProfile, k_x: int | None) -> complex:
     # underflows where the sum is huge, and a locally constant f cancels exactly
     lo, e = max(k_x + 1, f.kmin), k_x * (alpha + n)
     if lo <= f.kmax:  # the crown measures q**(-m n) themselves stay floats
-        _qpow(q, -lo * n)
-    inner = (f.tail - fx) * _qpow(q, e - max(k_x + 1, f.kmax + 1) * n)
+        _float_qpow(q, -lo * n)
+    inner = (f.tail - fx) * _float_qpow(q, e - max(k_x + 1, f.kmax + 1) * n)
     weights = _qpowers(q, e - np.arange(lo, f.kmax + 1) * n)
     total += _loop_sum(inner, (f.coeffs[lo - f.kmin :] - fx) * w * weights)
     return C * total
@@ -150,7 +141,7 @@ def levy_khinchin_check(
     q, n, alpha = params.q, params.n, params.alpha
     n0 = -k_x
     w = 1.0 - float(q) ** (-n)
-    xa = float(q) ** (n0 * alpha)
+    xa = _float_qpow(q, n0 * alpha, "eigenvalue")
     boundary = xa * float(q) ** (-alpha - n)
     if mode == "closed_form":
         S = w * float(q) ** ((n0 - 1) * alpha) / (1.0 - float(q) ** (-alpha)) + boundary

@@ -543,4 +543,4 @@ class TestVerifyOverflow:
             capsys, "verify", "taibleson", "--q", "5", "--n", "3", "--alpha", "100"
         )
         assert code == 1 and out == ""
-        assert err.startswith("WindowOverflowError: crown weight 5**")
+        assert err == "WindowOverflowError: crown weight q**(497) at q=5 leaves the float range\n"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qharm.errors import LatticeWindowError
+from qharm.errors import LatticeWindowError, WindowOverflowError
 from qharm.field import (
+    _float_qpow,
     FieldModel,
     FieldParams,
     QuotientLattice,
@@ -61,6 +62,22 @@ class TestMeasures:
             assert ball_measure(k + 1, params) / ball_measure(k, params) == qpow(
                 3, -2
             )
+
+
+class TestFloatQpow:
+    """The one float-range rule for powers of q."""
+
+    def test_in_range_is_the_plain_power(self):
+        for q, e in ((2, 1023), (3, -7), (5, 2.5), (7, -364.25), (2, -1100)):
+            assert _float_qpow(q, e) == float(q) ** e  # underflow to 0 is no refusal
+
+    def test_past_the_floats_refused(self):
+        msg = r"^crown weight q\*\*\(1024\) at q=2 leaves the float range$"
+        with pytest.raises(WindowOverflowError, match=msg):
+            _float_qpow(2, 1024)
+        msg = r"^eigenvalue q\*\*\(441\.5\) at q=5 leaves the float range$"
+        with pytest.raises(WindowOverflowError, match=msg):
+            _float_qpow(5, 441.5, "eigenvalue")
 
 
 class TestSphereCharacterIntegral:

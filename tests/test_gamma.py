@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qharm import gamma
 from qharm.errors import PoleError, ToleranceError
 from qharm.field import FieldParams
 from qharm.gamma import gamma_qn, gamma_via_integral, reflection_defect
@@ -84,14 +85,16 @@ def test_integral_oracle_grid():
                 ) <= 1e-9
 
 
-def test_integral_oracle_budget_error_near_axis():
+def test_integral_oracle_budget_error_near_axis(monkeypatch):
     """Re z -> 0+ slows the crown sum down past any fixed budget."""
-    with pytest.raises(ToleranceError):
-        gamma_via_integral(1e-7 + 0.5j, P21, tol=1e-12, max_crowns=1000)
+    monkeypatch.setattr(gamma, "_MAX_CROWNS", 1000)
+    with pytest.raises(ToleranceError, match="within 1000 crowns"):
+        gamma_via_integral(1e-7 + 0.5j, P21, tol=1e-12)
     with pytest.raises(ValueError):
         gamma_via_integral(-1.0, P21)
 
 
-def test_near_pole_query_allowed_with_smaller_eps():
-    v = gamma_qn(1e-6, P21, pole_eps=1e-9)
+def test_near_pole_query_allowed_with_smaller_eps(monkeypatch):
+    monkeypatch.setattr(gamma, "_POLE_EPS", 1e-9)
+    v = gamma_qn(1e-6, P21)
     assert cmath.isfinite(v)

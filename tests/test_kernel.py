@@ -9,7 +9,6 @@ import pytest
 from qharm.errors import CancellationError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import (
-    ComplexTime,
     KernelEvalConfig,
     bound_ratio,
     bound_ratios,
@@ -30,11 +29,14 @@ P31 = FieldParams(3, 1, 1.0)
 
 class TestComplexTime:
     def test_rejects_closed_left_half_plane(self):
-        with pytest.raises(ValueError):
-            ComplexTime(0.0)
-        with pytest.raises(ValueError):
-            ComplexTime(-1.0 + 2j)
-        assert ComplexTime(0.5 + 1j).z == 0.5 + 1j
+        for evaluator in (kernel_exp_form, kernel_crown_sum, kernel_series, kernel_ball_integral):
+            for z in (0.0, -1.0 + 2j, 1j):
+                with pytest.raises(ValueError, match=r"^complex time needs Re z > 0"):
+                    evaluator(z, 0, P21)
+            assert cmath.isfinite(evaluator(0.5 + 1j, 0, P21).value)
+        for z in (0.0, -1.0 + 2j):
+            with pytest.raises(ValueError, match=r"^complex time needs Re z > 0"):
+                kernel_at_zero(z, P21)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -157,18 +157,18 @@ class TestHypersingularRoute:
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize(
-        "params,f,k_x",
+        "params,f,k_x,power",
         [
-            # q**(k_x (alpha + n)) = 5**515 on the equal crown
-            (FieldParams(5, 3, 100.0), "sphere", 5),
+            # q**(k_x (alpha + n)) = 5**515 on the equal crown, 5**497 first
+            (FieldParams(5, 3, 100.0), "sphere", 5, 497),
             # window weights q**(j alpha) up to 2**1100
-            (P21, "ones_out", None),
+            (P21, "ones_out", None, 1100),
             # inner crown measures q**(-m n) up to 2**1100
-            (P21, "ones_in", -1101),
+            (P21, "ones_in", -1101, 1100),
         ],
         ids=["equal_crown", "window", "suffix"],
     )
-    def test_weight_past_float_range(self, params, f, k_x):
+    def test_weight_past_float_range(self, params, f, k_x, power):
         prof = {
             "sphere": lambda: RadialProfile.sphere_indicator(params, 0),
             "ones_out": lambda: RadialProfile(params, 0, 1100, np.ones(1101)),
@@ -176,7 +176,8 @@ class TestHypersingularRoute:
         }[f]()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(WindowOverflowError, match="no finite float"):
+            msg = rf"^crown weight q\*\*\({power}\) at q={params.q} leaves the float range$"
+            with pytest.raises(WindowOverflowError, match=msg):
                 taibleson_hypersingular(prof, k_x)
 
 
