@@ -12,7 +12,6 @@ from .errors import (
     LatticeWindowError,
     PoleError,
     QuadratureError,
-    SpectrumError,
     ToleranceError,
     WindowOverflowError,
 )
@@ -55,7 +54,6 @@ from .radial import (
 from .taibleson import (
     hypersingular_constant,
     levy_khinchin_check,
-    real_part_variant_check,
     taibleson_fourier,
     taibleson_hypersingular,
     taibleson_hypersingular_lattice,
@@ -65,7 +63,6 @@ from .calculus import (
     hinf_apply_contour,
     hinf_apply_direct,
     rademacher_ratio,
-    resolvent_apply,
     semigroup_apply,
     square_function,
 )

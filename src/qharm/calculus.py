@@ -2,14 +2,14 @@
 
 On radial profiles the operator is diagonal: the Fourier crown m carries
 the eigenvalue lam_m = q**(-m*alpha).  ``hinf_apply_direct`` multiplies on
-that diagonal and is the exact ground truth; the resolvent and the contour
-integral
+that diagonal and is the exact ground truth; the contour integral
 
     f(A) = (1/(2 pi i)) * int_{boundary of Sigma_nu} f(z) R(z, A) dz
 
-(counterclockwise, log-radius trapezoid quadrature on both rays) are
-verifiable redundancy: they exercise the machinery an infinite-dimensional
-setting needs, against the diagonal oracle.  Square functions, as exact
+(counterclockwise, log-radius trapezoid quadrature on both rays, its
+resolvent factors z/(z - lam) built on the diagonal) is verifiable
+redundancy: it exercises the machinery an infinite-dimensional setting
+needs, against the diagonal oracle.  Square functions, as exact
 quadratic forms in one Toeplitz kernel on the diagonal, and a seeded
 empirical Rademacher-ratio witness round out the toolbox.  Every
 route extends the Fourier window by the rule in :mod:`qharm.radial`, sized
@@ -28,15 +28,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import radial
-from .errors import QuadratureError, SpectrumError
+from .errors import QuadratureError
 from .field import FieldParams
-from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
+from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply
 
 _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
 _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
 _G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
 _G_CACHE = 32  # (symbol, step) pairs whose Toeplitz kernel G is kept
-_STANDOFF_REL = 1e-6  # least relative distance of a resolvent point from the spectrum
 _NODES_PER_DECADE = 24  # contour nodes per decade of radius
 _CONTOUR_TOL = 1e-6  # relative node-doubling move the contour route accepts
 _RAY_TOL = 1e-8  # relative ray truncation error of the contour radius range
@@ -75,30 +74,6 @@ class SymbolFunction:
             i = bad[0]
             msg = f"decay certificate violated at z={zs[i]}: |f|={vals[i]} > {caps[i]}"
             raise ValueError(msg)
-
-
-def nearest_eigenvalue(z: complex, params: FieldParams) -> float:
-    """Nearest point of the diagonal spectrum {q**(alpha*m)} union {0}."""
-    q, alpha = params.q, params.alpha
-    if abs(z) == 0:
-        return 0.0
-    t = math.log(abs(z)) / (alpha * math.log(q))
-    cands = [0.0] + [float(q) ** (alpha * m) for m in (math.floor(t), math.ceil(t))]
-    return min(cands, key=lambda lam: abs(z - lam))
-
-
-def resolvent_apply(z: complex, f: RadialProfile) -> RadialProfile:
-    """R(z, A) f = (z - A)^{-1} f on the Fourier diagonal."""
-    lam_star = nearest_eigenvalue(z, f.params)
-    if abs(z - lam_star) < _STANDOFF_REL * max(abs(z), lam_star, 1e-300):
-        raise SpectrumError(
-            f"z={z} is within relative {_STANDOFF_REL} of the spectrum point {lam_star}"
-        )
-    # |1/(z-lam) - 1/z| = lam / (|z| |z-lam|) <= 2 lam / |z|**2 for lam <= |z|/2
-    decay = (1.0, 2.0 / abs(z) ** 2)
-    return fourier_multiplier_apply(
-        f, lambda lam: 1.0 / (z - lam), limit_at_zero=1.0 / z, decay=decay
-    )
 
 
 def hinf_apply_direct(sym: SymbolFunction, g: RadialProfile) -> RadialProfile:

@@ -24,7 +24,7 @@ from .errors import CancellationError, QuadratureError, ToleranceError, WindowOv
 from .field import FieldParams
 from .radial import RadialProfile
 
-# PoleError, SpectrumError and LatticeWindowError are ValueErrors
+# PoleError and LatticeWindowError are ValueErrors
 _NUMERIC_ERRORS = (
     CancellationError, QuadratureError, ToleranceError, WindowOverflowError, ValueError
 )

@@ -5,10 +5,6 @@ class PoleError(ValueError):
     """Evaluation requested within the configured epsilon of a pole."""
 
 
-class SpectrumError(ValueError):
-    """Resolvent argument too close to the spectrum of the diagonal symbol."""
-
-
 class CancellationError(ArithmeticError):
     """Alternating series abandoned because cancellation destroys accuracy."""
 

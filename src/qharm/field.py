@@ -288,22 +288,6 @@ class QuotientLattice:
         """chi(x . y) for the canonical representatives of two elements."""
         return character(self.coords(i), self.coords(j), self.params.q)
 
-    def character_table(self, x_coords) -> np.ndarray:
-        """chi(x . y) for a fixed exact x against every lattice element."""
-        q, n = self.params.q, self.params.n
-        Q = self.coord_order
-        scale = qpow(q, -self.M)
-        # per-coordinate tables chi(x_i * y_i), combined by outer products
-        out = np.ones(1, dtype=np.complex128)
-        for i in range(n):
-            xi = Fraction(x_coords[i])
-            tab = np.array(
-                [character_value(xi * (u * scale), q) for u in range(Q)],
-                dtype=np.complex128,
-            )
-            out = np.multiply.outer(tab, out).ravel()
-        return out
-
     # -- enumeration ---------------------------------------------------------
 
     def ball_coord_values(self, k: int) -> range:

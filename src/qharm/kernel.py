@@ -178,9 +178,11 @@ def kernel_series(
 
     Raises :class:`CancellationError` when |z| * ||x||**(-alpha) exceeds
     ``_SERIES_SWITCH``, or when the largest intermediate term exceeds 1/tol
-    times the result magnitude.  The returned bound includes a roundoff
-    certificate proportional to the largest term.  The guard is checked in
-    logs first; inside it an ||x|| past the floats raises WindowOverflowError.
+    times the result magnitude; :class:`ToleranceError` when a term leaves
+    the float range or the tail misses tol within ``tail_budget`` terms.
+    The returned bound includes a roundoff certificate proportional to the
+    largest term.  The guard is checked in logs first; inside it an ||x||
+    past the floats raises WindowOverflowError.
     """
     z = _as_time(z)
     q, n, alpha = params.q, params.n, params.alpha
@@ -207,7 +209,15 @@ def kernel_series(
     for k in range(1, cfg.tail_budget + 1):
         p *= -u / k
         env *= abs(u) * qa / k
-        term = p * gamma_qn(k * alpha + n, params) * xn
+        try:
+            term = p * gamma_qn(k * alpha + n, params) * xn
+        except OverflowError:
+            term = math.inf
+        if not cmath.isfinite(term):
+            raise ToleranceError(
+                f"kernel series term k={k}, with Gamma_q^(n)({k * alpha + n:g}), leaves "
+                f"the float range before the tail reaches tol={cfg.tol} (k_x={k_x}, z={z})"
+            )
         acc += term
         max_term = max(max_term, abs(term))
         ratio = abs(u) * qa / (k + 2)

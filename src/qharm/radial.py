@@ -105,9 +105,6 @@ class RadialProfile:
             return self.tail
         return complex(self.coeffs[k - self.kmin])
 
-    def crowns(self) -> np.ndarray:
-        return np.arange(self.kmin, self.kmax + 1)
-
     def padded(self, kmin: int, kmax: int) -> "RadialProfile":
         """Same function on an enlarged window (0 outward, tail inward)."""
         if kmin > self.kmin or kmax < self.kmax:

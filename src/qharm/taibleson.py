@@ -150,19 +150,3 @@ def levy_khinchin_check(
     g = gamma_qn(-params.alpha, params)
     rhs = -S / g.real
     return (xa, rhs)
-
-
-def real_part_variant_check(x_index: int, lattice: QuotientLattice) -> float:
-    """|Im sum_{y != 0} chi(x . y) ||y||**(-alpha-n) mu(coset)| on the lattice.
-
-    Vanishes by the y -> -y pairing: each sphere is symmetric and chi
-    conjugates under negation, so only the real part of the character
-    survives the improper sum.
-    """
-    params = lattice.params
-    alpha, n = params.alpha, params.n
-    norms = lattice.norms()
-    chi = lattice.character_table(lattice.coords(x_index))
-    mask = norms > 0
-    total = np.sum(chi[mask] * norms[mask] ** (-(alpha + n)))
-    return abs(float(total.imag) * float(lattice.coset_measure))

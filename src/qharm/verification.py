@@ -63,8 +63,8 @@ def baselines_path() -> Path:
     return Path(str(importlib.resources.files("qharm") / "baselines.txt"))
 
 
-def load_baselines(path: Path | None = None) -> dict:
-    path = baselines_path() if path is None else path
+def load_baselines() -> dict:
+    path = baselines_path()
     out: dict = {}
     if not path.exists():
         return out
@@ -77,17 +77,14 @@ def load_baselines(path: Path | None = None) -> dict:
     return out
 
 
-def save_baselines(baselines: dict, path: Path | None = None) -> None:
-    path = baselines_path() if path is None else path
+def save_baselines(baselines: dict) -> None:
     lines = ["# suite q n alpha value"]
     for (suite, q, n, alpha), value in sorted(baselines.items()):
         lines.append(f"{suite} {q} {n} {alpha} {value!r}")
-    path.write_text("\n".join(lines) + "\n")
+    baselines_path().write_text("\n".join(lines) + "\n")
 
 
-def _bkey(suite: str, params: FieldParams | None = None) -> tuple:
-    if params is None:
-        return (suite, "-", "-", "-")
+def _bkey(suite: str, params: FieldParams) -> tuple:
     return (suite, str(params.q), str(params.n), repr(params.alpha))
 
 
@@ -298,10 +295,12 @@ def verify_semigroup() -> dict:
 # -- criterion 6: kernel estimates against checked-in baselines -----------------
 
 
-def _sector_zs():
+def _sector_grid(params: FieldParams):
+    """(z, kernel_l1_norm(z), bound_ratios(z, (-2, 2))) at each sector grid point."""
     for arg in np.linspace(-1.4, 1.4, 7):
         for mod in np.logspace(-2, 2, 5):
-            yield complex(mod * math.cos(arg), mod * math.sin(arg))
+            z = complex(mod * math.cos(arg), mod * math.sin(arg))
+            yield z, kernel.kernel_l1_norm(z, params), kernel.bound_ratios(z, (-2, 2), params)
 
 
 def verify_kernel_bounds(update: bool = False) -> dict:
@@ -312,45 +311,24 @@ def verify_kernel_bounds(update: bool = False) -> dict:
         for n in (1, 2):
             for alpha in (0.5, 1.0, 2.0):
                 params = FieldParams(q, n, alpha)
-                max_bound = 0.0
-                max_l1 = 0.0
-                max_maj = 0.0
-                for z in _sector_zs():
-                    res = kernel.kernel_l1_norm(z, params)
-                    max_l1 = max(max_l1, res.l1 * z.real / abs(z))
-                    max_maj = max(max_maj, res.majorant_l1 * z.real / abs(z))
+                top = {"bound": 0.0, "l1": 0.0, "majorant_l1": 0.0}
+                for z, res, (_, ratios) in _sector_grid(params):
+                    top["l1"] = max(top["l1"], res.l1 * z.real / abs(z))
+                    top["majorant_l1"] = max(top["majorant_l1"], res.majorant_l1 * z.real / abs(z))
                     if res.majorant_l1 < res.l1 - 1e-12:
                         ok = False  # the majorant must dominate
-                    ratios = kernel.bound_ratios(z, (-2, 2), params)[1]
-                    max_bound = max(max_bound, *ratios.tolist())
-                if not all(map(math.isfinite, (max_bound, max_l1, max_maj))):
+                    top["bound"] = max(top["bound"], *ratios.tolist())
+                if not all(map(math.isfinite, top.values())):
                     ok = False
-                ok_b, ref_b = _check_baseline(
-                    baselines, _bkey("kernel_bound_ratio", params), max_bound, update
-                )
-                ok_l, ref_l = _check_baseline(
-                    baselines, _bkey("kernel_l1_ratio", params), max_l1, update
-                )
-                ok_m, ref_m = _check_baseline(
-                    baselines,
-                    _bkey("kernel_majorant_l1_ratio", params),
-                    max_maj,
-                    update,
-                )
-                ok = ok and ok_b and ok_l and ok_m
-                combos.append(
-                    {
-                        "q": q,
-                        "n": n,
-                        "alpha": alpha,
-                        "max_bound_ratio": max_bound,
-                        "baseline_bound_ratio": ref_b,
-                        "max_l1_ratio": max_l1,
-                        "baseline_l1_ratio": ref_l,
-                        "max_majorant_l1_ratio": max_maj,
-                        "baseline_majorant_l1_ratio": ref_m,
-                    }
-                )
+                combo = {"q": q, "n": n, "alpha": alpha}
+                for name, value in top.items():
+                    key = _bkey(f"kernel_{name}_ratio", params)
+                    ok_c, combo[f"baseline_{name}_ratio"] = _check_baseline(
+                        baselines, key, value, update
+                    )
+                    combo[f"max_{name}_ratio"] = value
+                    ok = ok and ok_c
+                combos.append(combo)
     if update:
         save_baselines(baselines)
     return {"suite": "kernel-bounds", "combos": combos, "slack": SLACK, "pass": ok}
@@ -657,10 +635,8 @@ def verify_maxreg(update: bool = False) -> dict:
 def kernel_sweep_rows(params: FieldParams) -> list[dict]:
     """One row per sector grid point: kernel modulus and both estimate ratios."""
     rows = []
-    for z in _sector_zs():
-        l1 = kernel.kernel_l1_norm(z, params)
+    for z, l1, (mags, ratios) in _sector_grid(params):
         l1_ratio = l1.l1 * z.real / abs(z)
-        mags, ratios = kernel.bound_ratios(z, (-2, 2), params)
         for k_x, mag, ratio in zip(range(-2, 3), mags.tolist(), ratios.tolist()):
             rows.append(
                 {

@@ -26,11 +26,10 @@ from qharm.calculus import (
     hinf_apply_contour,
     hinf_apply_direct,
     rademacher_ratio,
-    resolvent_apply,
     semigroup_apply,
     square_function,
 )
-from qharm.errors import QuadratureError, SpectrumError, WindowOverflowError
+from qharm.errors import QuadratureError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import default_mass_window, kernel_profile
 from qharm.radial import (
@@ -38,7 +37,6 @@ from qharm.radial import (
     convolve,
     fourier_multiplier_apply,
     lp_norm,
-    radial_fourier,
 )
 from qharm.taibleson import taibleson_fourier
 from qharm.verification import (
@@ -199,37 +197,6 @@ class TestSymbolFunction:
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             SymbolFunction(lambda t: t / (1 + t) ** 2, (1.0, 1.1), 3.5)
-
-
-class TestResolvent:
-    def test_eigenlayer_scaling(self):
-        m0 = 1
-        e = radial_fourier(RadialProfile(P21, m0, m0, [1.0]))
-        z = -2.0 + 0.5j
-        lam = 2.0 ** (-m0)
-        out = resolvent_apply(z, e)
-        assert lp_norm(out - (1.0 / (z - lam)) * e, 2) < 1e-13
-
-    def test_resolvent_identity(self, rng):
-        g = make_profile(rng, P21, -3, 4, tail=0.2)
-        z, w = -1.5 + 0.4j, 2.7 + 3.0j
-        lhs = resolvent_apply(z, g) - resolvent_apply(w, g)
-        rhs = (w - z) * resolvent_apply(z, resolvent_apply(w, g))
-        assert lp_norm(lhs - rhs, 2) <= 1e-11 * max(1.0, lp_norm(lhs, 2))
-
-    def test_sectorial_bound_negative_axis(self, rng):
-        g = make_profile(rng, P21, -4, 4)
-        for z in (-1e-3, -1.0, -1e3):
-            assert lp_norm(z * resolvent_apply(z, g), 2) <= lp_norm(g, 2) * (1 + 1e-12)
-
-    def test_spectrum_standoff(self, rng):
-        g = make_profile(rng, P21, -2, 2)
-        with pytest.raises(SpectrumError):
-            resolvent_apply(2.0, g)  # an eigenvalue
-        with pytest.raises(SpectrumError):
-            resolvent_apply(0.0, g)
-        with pytest.raises(SpectrumError):
-            resolvent_apply(2.0 * (1 + 1e-9), g)
 
 
 class TestDirectCalculus:
@@ -596,14 +563,13 @@ class TestWindowExtension:
             lambda f: fourier_multiplier_apply(f, lambda lam: lam),
             taibleson_fourier,
             lambda f: semigroup_apply(1.0, f),
-            lambda f: resolvent_apply(-1.0, f),
             lambda f: hinf_apply_direct(PHI, f),
             lambda f: hinf_apply_contour(PHI, f),
             lambda f: square_function(f, PHI),
             lambda f: rademacher_ratio([1.0], 2.0, 1, 0, f.params, (f.kmin, f.kmax)),
         ],
-        ids=["multiplier", "taibleson", "semigroup", "resolvent", "direct", "contour",
-             "squarefn", "rademacher"],
+        ids=["multiplier", "taibleson", "semigroup", "direct", "contour", "squarefn",
+             "rademacher"],
     )
     def test_eigenvalue_past_float_range_raises_before_any_warning(self, route):
         with warnings.catch_warnings():
@@ -630,16 +596,15 @@ class TestWindowExtension:
         [
             lambda f: fourier_multiplier_apply(f, lambda lam: lam),
             lambda f: semigroup_apply(1.0, f),
-            lambda f: resolvent_apply(-1.0, f),
         ],
-        ids=["multiplier", "semigroup", "resolvent"],
+        ids=["multiplier", "semigroup"],
     )
     def test_multiplier_routes_check_back_transform_window(self, route):
         # decay exponent 1 at alpha = 0.05: the extension reaches Fourier crown
-        # 1064 (1084 for the resolvent), whose back-transform weight is no float
+        # 1064, whose back-transform weight is no float
         # (taibleson_fourier: test_taibleson.py)
         g = RadialProfile(FieldParams(2, 1, 0.05), -3, 3, np.ones(7), tail=0.3)
-        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(10[68]5\) at q=2"):
+        with pytest.raises(WindowOverflowError, match=r"^crown weight q\*\*\(1065\) at q=2"):
             route(g)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qharm import verification
 from qharm.cli import (
     SWEEP_HEADER,
     _build_parser,
@@ -181,6 +182,14 @@ class TestVerify:
         assert err == (
             "ValueError: the taibleson suite takes all of q, n and alpha or none of them\n"
         )
+
+    def test_kernel_bounds_maxima_are_those_of_the_sweep_rows(self):
+        for combo in verification.verify_kernel_bounds()["combos"]:
+            rows = verification.kernel_sweep_rows(
+                FieldParams(combo["q"], combo["n"], combo["alpha"])
+            )
+            assert combo["max_bound_ratio"] == max(r["bound_ratio"] for r in rows)
+            assert combo["max_l1_ratio"] == max(r["l1_ratio"] for r in rows)
 
     def test_failing_baseline_exits_2(self, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "baselines.txt"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qharm import errors, gamma, kernel, radial, taibleson
-from qharm.errors import CancellationError, WindowOverflowError
+from qharm.errors import CancellationError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.radial import RadialProfile
 
@@ -20,7 +20,6 @@ P = FieldParams(2, 1, 1.0)
 Z = 1 + 0.5j
 TYPED = (
     errors.PoleError,
-    errors.SpectrumError,
     errors.CancellationError,
     errors.ToleranceError,
     errors.LatticeWindowError,
@@ -62,6 +61,26 @@ REPROS = {
         # inside the guard, but ||x|| = 2**-1100 underflows to 0
         lambda: kernel.kernel_series(1e-3, 1100, FieldParams(2, 1, 0.01)),
         WindowOverflowError, r"^crown weight q\*\*\(1100\) at q=2 leaves the float range$",
+    ),
+    "series_gamma_q2": (
+        # the tail test cannot stop before q**(k alpha) of Gamma_q^(n) overflows
+        lambda: kernel.kernel_series(Z, 0, FieldParams(2, 1, 10.0)),
+        ToleranceError, r"^kernel series term k=103, with Gamma_q\^\(n\)\(1031\), leaves",
+    ),
+    "series_gamma_q7": (
+        lambda: kernel.kernel_series(Z, 0, FieldParams(7, 2, 3.0)),
+        ToleranceError, r"^kernel series term k=122, with Gamma_q\^\(n\)\(368\), leaves",
+    ),
+    "series_gamma_budget": (
+        lambda: kernel.kernel_series(
+            0.2, 0, FieldParams(2, 1, 10.0), kernel.KernelEvalConfig(tail_budget=1000)
+        ),
+        ToleranceError, r"^kernel series term k=103, with Gamma_q\^\(n\)\(1031\), leaves",
+    ),
+    "series_term": (
+        # Gamma_q^(n)(3) is finite; the term times ||x||**(-n) = 2**1020 is not
+        lambda: kernel.kernel_series(7 * 2.0**-1020, 1020, P),
+        ToleranceError, r"^kernel series term k=2, with Gamma_q\^\(n\)\(3\), leaves",
     ),
     "levy_out": (
         lambda: taibleson.levy_khinchin_check(-1100, P),

@@ -14,7 +14,6 @@ from qharm.radial import RadialProfile, lp_norm, radial_fourier
 from qharm.taibleson import (
     hypersingular_constant,
     levy_khinchin_check,
-    real_part_variant_check,
     taibleson_fourier,
     taibleson_hypersingular,
     taibleson_hypersingular_lattice,
@@ -291,27 +290,6 @@ class TestConstants:
         assert abs(
             hypersingular_constant(params) - 1.0 / gamma_qn(-alpha, params).real
         ) < 1e-12 * abs(hypersingular_constant(params))
-
-
-class TestRealPartVariant:
-    def test_imaginary_part_vanishes(self):
-        lat = QuotientLattice(quotient_params(2, 1), 3, 3)
-        worst = max(real_part_variant_check(i, lat) for i in range(lat.size))
-        assert worst <= 1e-13
-
-    def test_zero_point(self):
-        lat = QuotientLattice(quotient_params(3, 1), 2, 2)
-        assert real_part_variant_check(0, lat) == 0.0
-
-    def test_stable_under_refinement(self):
-        params = quotient_params(2, 1)
-        a = max(
-            real_part_variant_check(i, QuotientLattice(params, 2, 2)) for i in range(3)
-        )
-        b = max(
-            real_part_variant_check(i, QuotientLattice(params, 2, 4)) for i in range(3)
-        )
-        assert a <= 1e-13 and b <= 1e-13
 
 
 class TestConditionalNegativeDefiniteness:
