@@ -11,10 +11,14 @@ agrees with that form to a few ulps, so the same tolerance holds there.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qharm
 from qharm import radial
 from qharm.calculus import rademacher_ratio, semigroup_apply, square_function
 from qharm.evolution import (
@@ -34,6 +38,58 @@ REL = 1e-13
 # the field triples of the benchmark's diagonal workload
 DIAG = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0))
 DIAG_IDS = ["q2n1a1", "q3n2a0.5", "q2n2a2"]
+
+
+# square_function (tuple and scalar p, the standard symbols), semigroup_apply,
+# rademacher_ratio (one family over three blocks) and solve_master on the DIAG
+# fields and windows: one SHA-256 a field of every output's bytes, in a fresh
+# process at the BLAS thread count the environment sets (one when it sets
+# none).  No sum on these routes depends on that count: the digests are the
+# same at one and two threads.
+PIN_SCRIPT = """
+import hashlib
+import math
+
+import numpy as np
+from qharm.calculus import rademacher_ratio, semigroup_apply, square_function
+from qharm.evolution import ForcingSignal, solve_master
+from qharm.field import FieldParams
+from qharm.radial import RadialProfile
+from qharm.verification import rbound_family, standard_symbols
+
+
+def update(digest, prof):
+    digest.update(np.array([prof.kmin, prof.kmax]).tobytes())
+    digest.update(prof.coeffs.tobytes())
+    digest.update(np.array([prof.tail], dtype=complex).tobytes())
+
+
+for params in (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0)):
+    top = math.floor(math.log(16.0) / (params.alpha * math.log(params.q))) - 1
+    kmin, kmax = top - 5, top
+    rng = np.random.default_rng(20240810)
+    digest = hashlib.sha256()
+    gs = [RadialProfile(params, kmin, kmax, rng.standard_normal(6) + 1j * rng.standard_normal(6),
+                        tail=tail) for tail in (0.0, 0.3, -0.4 + 0.2j)]
+    for g in gs:
+        for sym in standard_symbols():
+            digest.update(np.array(square_function(g, sym, (2.0, 1.5, 3.0))).tobytes())
+            digest.update(np.array(square_function(g, sym, 4.0)).tobytes())
+        for z in (0.5, 1.0 + 2.0j, 30.0 - 0.5j):
+            update(digest, semigroup_apply(z, g))
+    for theta, trials in ((1.3, 40), (0.7, 3)):
+        ratio = rademacher_ratio(rbound_family(theta, 16), 4.0, trials, 99, params, (kmin, kmax))
+        digest.update(np.array(ratio).tobytes())
+    forcing = ForcingSignal((0.0, 0.3, 0.7, 1.0), tuple(gs))
+    for prof in solve_master(gs[0], forcing, [0.0, 0.1, 0.55, 1.0]):
+        update(digest, prof)
+    print(digest.hexdigest())
+"""
+DIAG_SHA256 = [
+    "73a4953ae0f24b3e4cd16cab9c1b7485dc9f24ef43964537622b5b25249a3637",
+    "d69cafa8824e6268cfabac158f1771b7d544fa23dc42898818e9a49b64b59fa9",
+    "72fc0c66e978928dbccf3c7cd65da22eba4368dc75d87e7c0a87b20e7e8e1688",
+]
 
 
 def diag_window(params):
@@ -211,3 +267,11 @@ def test_max_regularity_matches_loop(params, rng):
     for p in (2.0, 4.0):
         ref = max_regularity_loop(forcing, p, p, 1025)
         assert abs(max_regularity_report(forcing, p, p, n_time=1025) - ref) <= REL * ref
+
+
+def test_diag_outputs_pinned():
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           **os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qharm.__file__))}
+    out = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == DIAG_SHA256
