@@ -270,13 +270,14 @@ def square_function(
         raise ValueError(f"p must be one value >= 1 or a nonempty sequence of them, got {p!r}")
     ghat = radial._extended_hat(g, phi.decay)[0]
     K0, K1, params, m = ghat.kmin, ghat.kmax, g.params, ghat.coeffs.size
-    G = _toeplitz_kernel(phi, params.alpha * math.log(params.q))[0][: m + 1]
-    G = np.pad(G, (0, m + 1 - G.size))
+    Gd = _toeplitz_kernel(phi, params.alpha * math.log(params.q))[0][: m + 1]
+    (G, v, e), Q = np.zeros((3, m + 1), complex), np.zeros(m + 1)
+    G[: Gd.size] = Gd
     b = ghat.coeffs * radial._sphere_measures(params.q, params.n, K0, K1)
     # v[i] = v_s and e[i] = e_{s+1} for s = K0 - 1 + i; e_{K0} = 0
-    v = np.append(np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :], 0.0)
-    e = np.append(0.0, b / (1.0 - float(params.q) ** params.n))
-    Q = np.append(np.cumsum((np.abs(b) ** 2 * G[0] + 2.0 * b * v[1:]).real[::-1])[::-1], 0.0)
+    v[:m] = np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :]
+    np.divide(b, 1.0 - float(params.q) ** params.n, out=e[1:])
+    np.cumsum((np.abs(b) ** 2 * G[0] + 2.0 * b * v[1:]).real[::-1], out=Q[m - 1 :: -1])
     root = np.sqrt(np.maximum(Q + (2.0 * e * v + np.abs(e) ** 2 * G[0]).real, 0.0))
     norms = [radial._lp_norms(params, -K1 - 1, -K0, root[None, ::-1], root[:1], x)[0] for x in ps]
     return norms if seq else norms[0]
@@ -297,9 +298,11 @@ def rademacher_ratio(
     ||sum_j eps_j g_j||_p; the maximum over trials is returned.
     Deterministic given the seed, drawn trial by trial.  Up to
     ``_BLOCK_ROWS // len(family)`` trials are one transform block, a row per
-    (trial, z) and one factor row exp(-z lam) per z, on the Fourier window of
-    the deepest row extension: every decay is (1, |z|), so that of the row
-    with the largest |z| |tail| / max(1, |tail|).
+    (trial, z), on the Fourier window of the deepest row extension: every
+    decay is (1, |z|), so that of the row with the largest |z| |tail| /
+    max(1, |tail|).  The factor rows exp(-z lam), one per z, multiply into
+    the (trials, z, crowns) view of the block by broadcasting; both sums over
+    j add the z rows in family order, as a one-trial loop does.
     """
     kmin, kmax = window
     if trials < 1 or kmin > kmax:
@@ -328,13 +331,13 @@ def rademacher_ratio(
         k = int(np.argmax(mods * sizes / np.maximum(1.0, sizes)))
         top = radial._hat_depth(params, hkmax, float(sizes.flat[k]), _semigroup_decay(zs[k % nz]))
         hats, lams = radial._extend(params, hkmin, hkmax, hats, htails, hkmin, top)
-        hats *= np.tile(_semigroup_factors(zcol, lams), (count, 1))
-        okmin, okmax, outs, otails = radial._fourier_block(params, hkmin, top, hats, htails)
-        # rows summed in order, the inner tails riding in the last column
-        outs = np.column_stack((outs, otails)).reshape(count, nz, -1)
-        num = ((eps * coss)[:, :, None] * outs).sum(axis=1)
+        rows = hats.reshape(count, nz, -1)  # a view: the factors multiply in by broadcast
+        rows *= _semigroup_factors(zcol, lams)
+        okmin, okmax, outs, _ = radial._fourier_block(params, hkmin, top, hats, htails)
+        # the axis-1 reduces add the z rows in z order; the last output crown is the inner tail
+        num = ((eps * coss)[:, :, None] * outs.reshape(count, nz, -1)).sum(axis=1)
         den = (eps[:, :, None] * gs).sum(axis=1)
         dvals = radial._lp_norms(params, kmin, kmax, den, np.zeros(count), p)
-        nvals = radial._lp_norms(params, okmin, okmax, num[:, :-1], num[:, -1], p)
+        nvals = radial._lp_norms(params, okmin, okmax, num, num[:, -1], p)
         best = max([best] + [nv / dv for nv, dv in zip(nvals, dvals) if dv > 0])
     return best

@@ -69,13 +69,10 @@ class RadialProfile:
     def __post_init__(self) -> None:
         if self.kmin > self.kmax:
             raise ValueError(f"empty crown window [{self.kmin}, {self.kmax}]")
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = np.array(self.coeffs, dtype=np.complex128)  # a copy, made read-only
         if arr.shape != (self.kmax - self.kmin + 1,):
-            raise ValueError(
-                f"expected {self.kmax - self.kmin + 1} crown values, "
-                f"got shape {arr.shape}"
-            )
-        arr = arr.copy()
+            msg = f"expected {self.kmax - self.kmin + 1} crown values, got shape {arr.shape}"
+            raise ValueError(msg)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "tail", complex(self.tail))
@@ -201,18 +198,20 @@ def lp_norm(f: RadialProfile, p: float) -> float:
 def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails=None):
     """Transform every row of the (rows, crowns) block C on [kmin, kmax], row
     i with inner tail tails[i] (default 0); returns ``(out_kmin, out_kmax,
-    OUT, out_tails)``.  Each row equals its one-row transform bit for bit."""
+    OUT, out_tails)``, out_tails a view of OUT's last crown.  Each row equals
+    its one-row transform bit for bit."""
     q, n = params.q, params.n
-    terms = C * _sphere_measures(q, n, kmin, kmax)
-    # T[:, m] = sum_{k >= m} c_k mu(S_k) for m = kmin..kmax+1 (index m - kmin)
-    T = np.empty((C.shape[0], kmax - kmin + 2), dtype=complex)
-    T[:, -1] = 0.0 if tails is None else tails * _ball_measure(q, n, kmax + 1)
-    T[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1] + T[:, -1:]
-
-    # for ascending j, -j runs kmax+1 .. kmin and -j-1 runs kmax .. kmin-1
-    prev = np.concatenate((C[:, ::-1], np.zeros((C.shape[0], 1))), axis=1)
-    OUT = T[:, ::-1] - prev * _out_weights(q, n, kmin, kmax)
-    return -kmax - 1, -kmin, OUT, T[:, 0]
+    mu = _sphere_measures(q, n, kmin, kmax)  # the range check, before the ball measure
+    top = np.zeros((len(C), 1)) if tails is None else tails[:, None] * _ball_measure(q, n, kmax + 1)
+    # column i, crown j = i - kmax - 1: T_{-j} - c_{-j-1} q**(n j), in order over C reversed once
+    rev = C[:, ::-1].copy()
+    OUT = np.empty((len(C), kmax - kmin + 2), dtype=complex)
+    np.cumsum(np.multiply(rev, mu[::-1], out=OUT[:, 1:]), axis=1, out=OUT[:, 1:])
+    OUT[:, :1] = top
+    OUT[:, 1:] += top
+    rev *= _out_weights(q, n, kmin, kmax)[:-1]
+    OUT[:, :-1] -= rev
+    return -kmax - 1, -kmin, OUT, OUT[:, -1]
 
 
 def radial_fourier(f: RadialProfile) -> RadialProfile:
@@ -264,12 +263,9 @@ def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
 
 def majorant(f: RadialProfile) -> RadialProfile:
     """Radially decreasing majorant: running sup of |c| from the outside in."""
-    mags = np.abs(f.coeffs)
-    run = np.maximum.accumulate(mags)
+    run = np.maximum.accumulate(np.abs(f.coeffs))
     tail = max(float(run[-1]) if run.size else 0.0, abs(f.tail))
-    return RadialProfile(
-        f.params, f.kmin, f.kmax, run.astype(complex), tail=complex(tail)
-    )
+    return RadialProfile(f.params, f.kmin, f.kmax, run, tail=tail)
 
 
 def _extension_depth(

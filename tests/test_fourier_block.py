@@ -209,18 +209,24 @@ def max_regularity_loop(forcing, p, q_space, n_time):
 
 
 @pytest.mark.parametrize("params", [*DIAG, FieldParams(5, 1, 0.5)], ids=[*DIAG_IDS, "q5n1"])
-@pytest.mark.parametrize("rows, kmin, kmax", [(1, 0, 0), (3, -3, 4), (17, -12, 9)])
+@pytest.mark.parametrize(
+    "rows, kmin, kmax", [(1, 0, 0), (3, -3, 4), (17, -12, 9), (256, -30, 35)]
+)
 def test_block_rows_equal_one_row_transforms(params, rows, kmin, kmax, rng):
+    """Every row bit for bit, for C contiguous and for C a view with reversed
+    rows and reversed, strided crowns; the 256-row block on 66 crowns has
+    the shape of the Rademacher back transform."""
     m = kmax - kmin + 1
-    C = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    wide = rng.standard_normal((rows, 2 * m)) + 1j * rng.standard_normal((rows, 2 * m))
     tails = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-    okmin, okmax, out, out_tails = radial._fourier_block(params, kmin, kmax, C, tails)
-    for i in range(rows):
-        f = RadialProfile(params, kmin, kmax, C[i], tail=tails[i])
-        for ref in (radial_fourier(f), fourier_1d(f)):
-            assert (okmin, okmax) == (ref.kmin, ref.kmax)
-            assert np.array_equal(out[i], ref.coeffs)
-            assert out_tails[i] == ref.tail
+    for C in (np.ascontiguousarray(wide[:, :m]), wide[::-1, ::-2]):
+        okmin, okmax, out, out_tails = radial._fourier_block(params, kmin, kmax, C, tails)
+        for i in range(rows):
+            f = RadialProfile(params, kmin, kmax, C[i], tail=tails[i])
+            for ref in (radial_fourier(f), fourier_1d(f)):
+                assert (okmin, okmax) == (ref.kmin, ref.kmax)
+                assert np.array_equal(out[i], ref.coeffs)
+                assert out_tails[i] == ref.tail
 
 
 def test_block_default_tails_are_zero(rng):

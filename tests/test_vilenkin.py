@@ -374,6 +374,23 @@ class TestGroupDFT:
             expect = np.conj(dualpair(lat, dual, xi, y)) * mu
             assert abs(F.values[xi] - expect) < 1e-13
 
+    @pytest.mark.parametrize("spec", LATTICE_SPECS[:12], ids=str)
+    def test_dual_crown_projects_onto_a_martingale_difference(self, rng, spec):
+        """The inverse DFT of f's transform restricted to dual crown j is
+        A_{-j} f - A_{-j-1} f, with A_{-M-1} f = 0 on the dual zero coset
+        j = M; on seeded non-radial f, the benchmark's twelve lattices."""
+        lat = spec_lattice(spec)
+        f = random_qf(rng, lat)
+        assert not is_radial(f)
+        fhat = group_dft(f, "forward")
+        scales = fhat.lattice.scales()
+        for j in range(-lat.N, lat.M + 1):
+            part = QuotientFunction(fhat.lattice, np.where(scales == j, fhat.values, 0.0))
+            coarse = average_Ai(f, -j - 1).values if j < lat.M else 0.0
+            want = average_Ai(f, -j).values - coarse
+            gap = np.max(np.abs(group_dft(part, "inverse").values - want))
+            assert gap <= 1e-13 * np.max(np.abs(f.values))
+
     def test_nd_convolution_matches_direct(self, rng):
         lat = lattice(q=2, n=2, M=2, N=2)
         f, g = random_qf(rng, lat), random_qf(rng, lat)
