@@ -40,12 +40,12 @@ DIAG = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0))
 DIAG_IDS = ["q2n1a1", "q3n2a0.5", "q2n2a2"]
 
 
-# square_function (tuple and scalar p, the standard symbols), semigroup_apply,
-# rademacher_ratio (one family over three blocks) and solve_master on the DIAG
-# fields and windows: one SHA-256 a field of every output's bytes, in a fresh
-# process at the BLAS thread count the environment sets (one when it sets
-# none).  No sum on these routes depends on that count: the digests are the
-# same at one and two threads.
+# square_function (tuple and scalar p, the standard symbols), semigroup_apply
+# and solve_master on the DIAG fields and windows, and apart from them
+# rademacher_ratio (one family over three blocks): two SHA-256 a field of
+# every output's bytes, in a fresh process at the BLAS thread count the
+# environment sets (one when it sets none).  No sum on these routes depends
+# on that count: the digests are the same at one and two threads.
 PIN_SCRIPT = """
 import hashlib
 import math
@@ -68,7 +68,7 @@ for params in (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2,
     top = math.floor(math.log(16.0) / (params.alpha * math.log(params.q))) - 1
     kmin, kmax = top - 5, top
     rng = np.random.default_rng(20240810)
-    digest = hashlib.sha256()
+    digest, ratios = hashlib.sha256(), hashlib.sha256()
     gs = [RadialProfile(params, kmin, kmax, rng.standard_normal(6) + 1j * rng.standard_normal(6),
                         tail=tail) for tail in (0.0, 0.3, -0.4 + 0.2j)]
     for g in gs:
@@ -79,16 +79,21 @@ for params in (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2,
             update(digest, semigroup_apply(z, g))
     for theta, trials in ((1.3, 40), (0.7, 3)):
         ratio = rademacher_ratio(rbound_family(theta, 16), 4.0, trials, 99, params, (kmin, kmax))
-        digest.update(np.array(ratio).tobytes())
+        ratios.update(np.array(ratio).tobytes())
     forcing = ForcingSignal((0.0, 0.3, 0.7, 1.0), tuple(gs))
     for prof in solve_master(gs[0], forcing, [0.0, 0.1, 0.55, 1.0]):
         update(digest, prof)
-    print(digest.hexdigest())
+    print(digest.hexdigest(), ratios.hexdigest())
 """
 DIAG_SHA256 = [
-    "73a4953ae0f24b3e4cd16cab9c1b7485dc9f24ef43964537622b5b25249a3637",
-    "d69cafa8824e6268cfabac158f1771b7d544fa23dc42898818e9a49b64b59fa9",
-    "72fc0c66e978928dbccf3c7cd65da22eba4368dc75d87e7c0a87b20e7e8e1688",
+    "04407cf63ad0a62d3975d963157a1d9b594f3dae73ab6b99581720fb27cf24ca",
+    "b43b6f47a3ea9ad799711cce7ab1ec8b6779fd736bd9fdf97aa923516f1d4691",
+    "c3297fcf0def960e8b5959fae4c0f21590dc7ef4290a3407616fbe9935d07641",
+]
+RATIO_SHA256 = [
+    "56c9cc27edb816702511eddbc677d1375b9d33512e7d2ccff4be41d42c74ebbe",
+    "f4ad6e6edfafe6b193a5ae8e7a89d563601b57b26f5769119ea578c9e4fd7ca6",
+    "4cac89fbd3aa29730b191a182ef310dc1b07b2e5aa62a067e265ca7ff79ec9d0",
 ]
 
 
@@ -275,9 +280,19 @@ def test_max_regularity_matches_loop(params, rng):
         assert abs(max_regularity_report(forcing, p, p, n_time=1025) - ref) <= REL * ref
 
 
-def test_diag_outputs_pinned():
+@pytest.fixture(scope="module")
+def diag_digests():
+    """The (routes, ratio) digest pair of each DIAG field, from one PIN_SCRIPT run."""
     env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
            **os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qharm.__file__))}
     out = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == DIAG_SHA256
+    return [line.split() for line in out.splitlines()]
+
+
+def test_diag_outputs_pinned(diag_digests):
+    assert [routes for routes, _ in diag_digests] == DIAG_SHA256
+
+
+def test_diag_ratio_pinned(diag_digests):
+    assert [ratio for _, ratio in diag_digests] == RATIO_SHA256
