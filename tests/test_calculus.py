@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -65,6 +66,11 @@ ONES = RadialProfile(P21, -3, 2, np.ones(6))
 # the field triples of the benchmark's diagonal workload
 DIAG = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0))
 DIAG_IDS = ["q2n1a1", "q3n2a0.5", "q2n2a2"]
+# semigroup times with a NaN or infinite part; each has Re z > 0 or a NaN real part
+NONFINITE_TIMES = (
+    complex(1, math.nan), complex(math.nan, 1), complex(math.inf, 0), complex(1, math.inf)
+)
+NONFINITE_IDS = ["nan-im", "nan-re", "inf-re", "inf-im"]
 # standard_symbols() in mpmath arithmetic, and their G(0) = int_0^oo |phi(u)|**2 du/u
 MP_SYMBOLS = (
     lambda t: t / (1 + t) ** 2,
@@ -375,6 +381,15 @@ class TestContourNodes:
 
 
 class TestSemigroup:
+    @pytest.mark.parametrize("z", NONFINITE_TIMES, ids=NONFINITE_IDS)
+    def test_nonfinite_z_refused_before_any_work(self, z, monkeypatch):
+        def no_transform(*args):
+            raise AssertionError("the Fourier transform ran before z was checked")
+
+        monkeypatch.setattr(radial, "_fourier_block", no_transform)
+        with pytest.raises(ValueError, match=f"must be finite, got {re.escape(str(z))}"):
+            semigroup_apply(z, ONES)
+
     def test_strong_continuity_at_zero(self, rng):
         g = make_profile(rng, P21, -3, 3, tail=0.4)
         for t in (1e-3, 1e-6):
@@ -631,6 +646,15 @@ class TestRademacher:
         with pytest.raises(ValueError, match="p must be >= 1"):
             rademacher_ratio(rbound_family(1.3, 16), p, 200, 1, P21)
 
+    @pytest.mark.parametrize("z", NONFINITE_TIMES, ids=NONFINITE_IDS)
+    def test_nonfinite_z_refused_before_any_work(self, z, monkeypatch):
+        def no_transform(*args):
+            raise AssertionError("the Fourier transform ran before z was checked")
+
+        monkeypatch.setattr(radial, "_fourier_block", no_transform)
+        with pytest.raises(ValueError, match=f"must be finite, got {re.escape(str(z))}"):
+            rademacher_ratio([0.5 + 0.5j, z], 4.0, 20, 1, P21)
+
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             rademacher_ratio([-1.0 + 0j], 2.0, 10, 0, P21)
@@ -660,3 +684,12 @@ class TestRademacher:
         fam = rbound_family(1.2, 16)
         ref = rademacher_trial_loop(fam, 3.0, 40, 11, params, window)
         assert abs(rademacher_ratio(fam, 3.0, 40, 11, params, window) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+    @pytest.mark.parametrize("p", [1.0, 4.0, math.inf])
+    @pytest.mark.parametrize("points", [6, 10])
+    def test_ragged_blocks_match_trial_loop(self, points, p, params):
+        # 55 trials run as blocks of 42 + 13 (6 points) or 25 + 25 + 5 (10 points)
+        fam = rbound_family(1.3, points)
+        ref = rademacher_trial_loop(fam, p, 55, 5, params)
+        assert abs(rademacher_ratio(fam, p, 55, 5, params) - ref) <= 1e-14 * ref

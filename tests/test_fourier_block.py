@@ -91,9 +91,9 @@ DIAG_SHA256 = [
     "c3297fcf0def960e8b5959fae4c0f21590dc7ef4290a3407616fbe9935d07641",
 ]
 RATIO_SHA256 = [
-    "56c9cc27edb816702511eddbc677d1375b9d33512e7d2ccff4be41d42c74ebbe",
-    "f4ad6e6edfafe6b193a5ae8e7a89d563601b57b26f5769119ea578c9e4fd7ca6",
-    "4cac89fbd3aa29730b191a182ef310dc1b07b2e5aa62a067e265ca7ff79ec9d0",
+    "ddeea75de2902720cea52fe073a28ab00c87b909020dcd49f50adbd22ad488bb",
+    "7d124d1b4dc10291a33fe0752e5827de4551dfa4c63d38a0144d0e5534305540",
+    "4b93fcdbd8239112621415db90573ebcbfc22e8f36dc97327e559d37e712e80e",
 ]
 
 
