@@ -350,9 +350,9 @@ def rademacher_ratio(
         rows *= _semigroup_factors(zcol, lams)
         weights = eps * coss
         rows *= weights[:, :, None]
-        # reduces over a non-contiguous axis add the z rows in family order (numpy
-        # pairs the terms of a contiguous one); the last output crown is the inner tail
-        wtails = np.ascontiguousarray((weights * htails.reshape(count, nz)).T).sum(axis=0)
+        # the axis-1 reduce and the cumsum add the z rows in family order (a reduce
+        # over the contiguous axis pairs them); the last output crown is the inner tail
+        wtails = np.cumsum(weights * htails.reshape(count, nz), axis=1)[:, -1]
         okmin, okmax, num, _ = radial._fourier_block(params, hkmin, top, rows.sum(axis=1), wtails)
         den = (eps[:, :, None] * gs).sum(axis=1)
         dvals = radial._lp_norms(params, kmin, kmax, den, np.zeros(count), p)
