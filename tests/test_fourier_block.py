@@ -8,6 +8,8 @@ few hundred float64 ulps.  The square function is the exception: it is an
 exact quadratic form in time, and its reference is the log-midpoint time
 grid it replaced, which for a symbol of decay exponent 1 on these windows
 agrees with that form to a few ulps, so the same tolerance holds there.
+The Rademacher witness sums its z rows before the back transform, not
+after; that reorders sums by a few ulps, within the same tolerance.
 """
 
 import math
