@@ -30,15 +30,15 @@ import numpy as np
 from . import radial
 from .errors import QuadratureError
 from .field import FieldParams
-from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply
+from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
 
 _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
 _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
 _G_EPS = 1e-17  # discretisation and truncation budget of each G(d)
-_G_CACHE = 32  # (symbol, step) pairs whose Toeplitz kernel G is kept
-_NODES_PER_DECADE = 24  # contour nodes per decade of radius
-_CONTOUR_TOL = 1e-6  # relative node-doubling move the contour route accepts
-_RAY_TOL = 1e-8  # relative ray truncation error of the contour radius range
+_G_CACHE = 32  # entries each memo below keeps: G per (symbol, step), a contour rule per angle too
+_CONTOUR_EPS = 1e-14  # quadrature budget of each contour factor, per unit of ||g||_2
+_CONTOUR_TOL = 1e-6  # relative error bound the contour route accepts
+_CONTOUR_NODES = 1 << 16  # most nodes a contour rule may have
 
 
 @dataclass(frozen=True)
@@ -115,91 +115,92 @@ def semigroup_apply(z, g: RadialProfile) -> RadialProfile:
 
 
 class ContourResult(NamedTuple):
-    """``error_estimate`` is the relative L^2 move from the coarse rule to the
-    fine one: no bound, as both rules share the rays' truncation."""
+    """``bound`` certifies ||profile - hinf_apply_direct(sym, g)||_2 up to
+    roundoff: the rule's bound on every factor times ||g||_2, by Plancherel."""
 
     profile: RadialProfile
-    error_estimate: float
+    bound: float
 
 
-def _contour_nodes(lams: np.ndarray, s: float, step: float):
-    """``(h, K, d, r, w)`` of the contour serving the eigenvalues ``lams`` of a
-    symbol of decay exponent s at the field step alpha ln q.  The radius range
-    is [min lams, max lams] padded by (log10(1/_RAY_TOL) + 2) / s decades, so
-    the rays' truncation error is below _RAY_TOL relative; nodes r = e**(d h),
-    h = step / (2K), K = ceil(step _NODES_PER_DECADE / ln 10), d = d0..d1 over
-    the range rounded outward to even d; trapezoid weights in log r of step h
-    (w[0]) and 2h on the even d (w[1]).  A range or node that is not a normal
-    float raises :class:`QuadratureError`."""
-    pad = (math.log10(1.0 / _RAY_TOL) + 2.0) / s
-    lam_min, lam_max = float(lams.min()), float(lams.max())
-    try:
-        r0, r1 = lam_min * 10.0 ** (-pad), lam_max * 10.0**pad
-    except OverflowError:
-        r0 = r1 = math.inf
-    if not (r0 > 0.0 and math.isfinite(r1)):
-        span = f"[{lam_min:.3e}e-{pad:.0f}, {lam_max:.3e}e+{pad:.0f}]"
-        raise QuadratureError(f"contour radius range {span} leaves the float range")
-    K = math.ceil(step * _NODES_PER_DECADE / math.log(10.0))
-    h = step / (2 * K)
-    d0 = 2 * math.floor(math.log(r0) / (2 * h))
-    d = np.arange(d0, max(2 * math.ceil(math.log(r1) / (2 * h)), d0 + 2) + 1)
+def _contour_nodes(decay, theta: float, nu: float, step: float, eps: float):
+    """``(h, K, D, bound)``: nodes r = e**(d h), d = -D..D, of weight h = step / K
+    (on the eigenvalue lattice of the field step alpha ln q) on the rays
+    arg z = -+nu, and a bound on the error of (1/(2 pi i)) int f(z)/(z - lam) dz
+    at every lam > 0, for |f(z)| <= C min(|z|**s, |z|**-s), ``decay = (s, C)``,
+    on the sector of half-angle theta.  As |z/(z - lam)| <= 1/sin(min(|arg z|, pi/2)):
+    - truncation: the nodes past either end sum to at most
+      C e**(-s D h) / (pi s sin nu); D is the least that makes this eps / 4;
+    - discretisation: on the strip |Im log r| < a < min(nu, theta - nu) a ray's
+      integrand has an L^1 norm of at most M = 2 C / (s sin(nu - a)), so the
+      rule errs by at most (2 M / pi) / (e**(2 pi a / h) - 1) (Trefethen and
+      Weideman, SIAM Review 56, 2014, Thm 5.1); K is the least that makes this
+      eps / 2 at some a of a grid, and the bound takes the best a.
+    A radius range or node that is not a normal float, or more than
+    _CONTOUR_NODES nodes, raises :class:`QuadratureError` before any array."""
+    s, C = decay
+    sin_nu = math.sin(min(nu, math.pi / 2))
+    a = min(nu, theta - nu) * np.arange(1, 64) / 64
+    M = 2 * C / (s * np.sin(np.minimum(nu - a, math.pi / 2)))
+    K = math.ceil(step * np.min(np.log1p(4 * M / (math.pi * eps)) / a) / (2 * math.pi))
+    h, u0 = step / K, min(0.0, math.log(eps * math.pi * s * sin_nu / (4 * C)) / s)
+    lo = math.log(sys.float_info.min)  # e**(D h) <= e**(-lo) is a float too
+    if not u0 >= lo:
+        raise QuadratureError(f"contour radius range e**(+-{-u0:.1f}) leaves the normal floats")
+    D = math.ceil(-u0 / h)
+    if D * h > -lo:
+        raise QuadratureError(f"contour nodes e**(+-{D * h:.1f}) leave the normal floats")
+    if 2 * D >= _CONTOUR_NODES:
+        msg = f"contour angle {nu} in the sector of half-angle {theta} needs {2 * D + 1} nodes"
+        raise QuadratureError(f"{msg} (cap {_CONTOUR_NODES})")
     with np.errstate(over="ignore"):
-        r = np.exp(h * d)
-    if not (r[0] >= sys.float_info.min and r[-1] <= sys.float_info.max):
-        span = f"e**[{h * d[0]:.1f}, {h * d[-1]:.1f}]"
-        raise QuadratureError(f"contour nodes {span} leave the normal float range")
-    w = np.zeros((2, d.size))
-    w[0], w[1, ::2] = h, 2.0 * h
-    w[:, [0, -1]] /= 2.0
-    return h, K, d, r, w
+        strip = np.min(2 * M / math.pi / np.expm1(2 * math.pi * a / h))
+    return h, K, D, 2 * C * math.exp(-s * D * h) / (math.pi * s * sin_nu) + float(strip)
 
 
-def _contour_factors(
-    params: FieldParams, kmin: int, lams: np.ndarray, sym: SymbolFunction, nu: float
-) -> np.ndarray:
-    """(1/(2 pi i)) int f(z)/(z - lam) dz over the sector rays at lams =
-    q**(-m alpha), m = kmin.., by the fine and the coarse rule (rows 0, 1) on
-    the nodes z = e**(d h -+ i nu) of :func:`_contour_nodes`: every d (fine)
-    or the even d only (coarse).
-
-    As dz = z du, a node of weight w carries w f(z) z / (z - lam) =
-    w f(z) (1 - t e^{-+i nu}) E, t = lam / r, where
-    E = 1 / ((t - cos nu)**2 + sin(nu)**2) <= 1 / sin(nu)**2 is the same on
-    both rays and cannot cancel.  With cm, cp = w f(z) outward along -nu and
-    inward along +nu, the integral at lam_j is
-    sum_d ((cm - cp)_d - lam_j ((cm e^{-i nu} - cp e^{i nu}) / r)_d) E_jd.
-    As t = e**(-(2K m + d) h), E is one vector over the lags 2K m + d, read
-    as an (eigenvalues x nodes) matrix of row stride 2K: both rules are one
-    real product.  Where the square overflows, E is 0 (below the floats).
-    """
-    h, K, d, r, w = _contour_nodes(lams, sym.decay[0], params.alpha * math.log(params.q))
+@functools.lru_cache(maxsize=_G_CACHE)
+def _contour_rule(sym: SymbolFunction, nu: float, step: float, eps: float):
+    """``(h, K, D, W, bound)`` of :func:`_contour_nodes`, memoised per symbol,
+    angle, field step and budget.  As dz = z du, a node carries
+    h f(z) z / (z - lam) = h f(z) (1 - t e^{-+i nu}) E, t = lam / r, where
+    E = 1 / ((t - cos nu)**2 + sin(nu)**2) is the same on both rays.  With
+    cm, cp = h f(z) outward along -nu and inward along +nu, the integral at lam
+    is sum_d ((cm - cp)_d - lam ((cm e^{-i nu} - cp e^{i nu}) / r)_d) E_d: the
+    read-only real (nodes x 4) W holds the parts of the two sequences."""
+    h, K, D, bound = _contour_nodes(sym.decay, sym.sector_angle, nu, step, eps)
+    r = np.exp(h * np.arange(-D, D + 1))
     rot = cmath.exp(-1j * nu)
     fm, fp = np.broadcast_to(sym.fn(r * np.array([[rot], [rot.conjugate()]])), (2, r.size))
-    a, b = fm - fp, (fm * rot - fp * rot.conjugate()) / r
-    W = (w[:, None] * np.stack((a.real, a.imag, b.real, b.imag))).reshape(8, r.size)
-    lags = np.arange(2 * K * kmin + d[0], 2 * K * (kmin + lams.size - 1) + d[-1] + 1)
+    a, b = h * (fm - fp), h * (fm * rot - fp * rot.conjugate()) / r
+    W = np.stack((a.real, a.imag, b.real, b.imag), axis=1)
+    W.flags.writeable = False
+    return h, K, D, W, bound
+
+
+def _contour_factors(rule, kmin: int, lams: np.ndarray, nu: float) -> np.ndarray:
+    """The rule's integral at lams = q**(-m alpha), m = kmin..: as
+    t = e**(-(K m + d) h), E is one vector over the lags K m + d (0 where its
+    square overflows), read as an (eigenvalues x nodes) matrix of row stride K
+    and multiplied by W in row blocks of at most _BLOCK_ELEMS entries."""
+    h, K, D, W, _ = rule
+    lags = np.arange(K * kmin - D, K * (kmin + lams.size - 1) + D + 1)
     with np.errstate(over="ignore"):
         E = (np.exp(-h * lags) - math.cos(nu)) ** 2 + math.sin(nu) ** 2
     np.reciprocal(E, out=E)
-    E = np.lib.stride_tricks.as_strided(E, (lams.size, r.size), (2 * K * E.itemsize, E.itemsize))
-    R = (np.ascontiguousarray(E) @ W.T).T.reshape(2, 4, -1)
+    E = np.lib.stride_tricks.as_strided(E, (lams.size, 2 * D + 1), (K * E.itemsize, E.itemsize))
+    R, rows = np.empty((lams.size, 4)), max(1, _BLOCK_ELEMS // (2 * D + 1))
+    for j in range(0, lams.size, rows):
+        np.matmul(np.ascontiguousarray(E[j : j + rows]), W, out=R[j : j + rows])
     return ((R[:, 0] + 1j * R[:, 1]) - lams * (R[:, 2] + 1j * R[:, 3])) / (2j * math.pi)
 
 
 def hinf_apply_contour(sym: SymbolFunction, g: RadialProfile, nu: float = 0.5) -> ContourResult:
     """f(A) g by quadrature of resolvents on the boundary of the sector of
-    half-angle nu, 0 < nu < sym.sector_angle.
-
-    Counterclockwise boundary orientation: outward along arg z = -nu, inward
-    along arg z = +nu, on the nodes of :func:`_contour_nodes`, which cover the
-    spectrum padded per the symbol's decay.  The error estimate is the node
-    doubling from the even d to all d, not a bound on the error against
-    :func:`hinf_apply_direct`: ray truncation escapes it (1.0e-15 against an
-    error of 2.9e-12 seen at q=2, n=1, alpha=1).  :class:`QuadratureError`
-    is raised when it exceeds _CONTOUR_TOL (relative), or when the range or
-    a node is not a normal float; WindowOverflowError, before the
-    quadrature, when a window of either transform leaves the floats.
+    half-angle nu, 0 < nu < sym.sector_angle, counterclockwise (outward along
+    arg z = -nu, inward along +nu), on the rule of :func:`_contour_rule` sized
+    from the symbol's decay certificate alone to _CONTOUR_EPS per eigenvalue.
+    :class:`QuadratureError` is raised when the bound exceeds _CONTOUR_TOL
+    times ||result||_2, or the rule is refused; WindowOverflowError, before
+    the quadrature, when a window of either transform leaves the floats.
     """
     if not 0 < nu < sym.sector_angle:  # a NaN angle too
         raise ValueError(
@@ -208,19 +209,15 @@ def hinf_apply_contour(sym: SymbolFunction, g: RadialProfile, nu: float = 0.5) -
     # same tail extension rule as the direct route, so both routes truncate
     # the constant Fourier tail identically
     ghat, lams = radial._extended_hat(g, sym.decay)
-
-    hats = ghat.coeffs * _contour_factors(g.params, ghat.kmin, lams, sym, nu)
-    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats)
+    rule = _contour_rule(sym, nu, g.params.alpha * math.log(g.params.q), _CONTOUR_EPS)
+    hats = ghat.coeffs * _contour_factors(rule, ghat.kmin, lams, nu)
+    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats[None, :])
     prof = RadialProfile(g.params, kmin, kmax, out[0], tail=tails[0])
-    rows = np.stack((out[0] - out[1], out[0]))
-    diff, scale = radial._lp_norms(g.params, kmin, kmax, rows, [tails[0] - tails[1], tails[0]], 2)
-    scale = max(scale, 1e-300)
-    if diff > _CONTOUR_TOL * scale:
-        raise QuadratureError(
-            f"contour quadrature not converged: node doubling moved the "
-            f"result by {diff / scale:.3e} (tol {_CONTOUR_TOL})"
-        )
-    return ContourResult(prof, diff / scale)
+    bound, scale = rule[-1] * lp_norm(g, 2), max(lp_norm(prof, 2), 1e-300)
+    if bound > _CONTOUR_TOL * scale:
+        msg = f"its bound is {bound / scale:.3e} of the result (tol {_CONTOUR_TOL})"
+        raise QuadratureError(f"contour quadrature not certified: {msg}")
+    return ContourResult(prof, bound)
 
 
 @functools.lru_cache(maxsize=_G_CACHE)

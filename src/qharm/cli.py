@@ -376,6 +376,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_rbound(args) -> int:
+    if not math.isfinite(args.theta):
+        raise UsageError(f"--theta must be finite, got {args.theta!r}")
     params = FieldParams(args.q, args.n, args.alpha)
     fam = verification.rbound_family(args.theta, args.points)
     ratio = calculus.rademacher_ratio(fam, args.p, args.trials, args.seed, params)

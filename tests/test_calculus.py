@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ import qharm
 from qharm import calculus, radial, verification
 from qharm.calculus import (
     _BLOCK_ELEMS,
+    _CONTOUR_EPS,
+    _CONTOUR_NODES,
     _G_EPS,
-    _NODES_PER_DECADE,
-    _RAY_TOL,
     SymbolFunction,
     _contour_factors,
     _contour_nodes,
+    _contour_rule,
     _semigroup_decay,
     _semigroup_factors,
     _toeplitz_kernel,
@@ -57,8 +59,8 @@ ROOT = SymbolFunction(lambda t: np.sqrt(t) / (1 + t), (0.5, 1.2), 1.4)
 NARROW = SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0)
 # decay exponent 0.03: the cut-off eigenvalue (1e-16 / C)**(1/s) underflows
 SLOW = SymbolFunction(lambda t: t**0.03 / (1 + t**0.06), (0.03, 1.1), 1.0)
-# on ONES the padded contour radius range spans about 10**363, past the float
-# ratio r1 / r0; at s = 0.05 the cut-off eigenvalue is 1e-320, subnormal
+# the contour radius range of DECAY_01 spans about 10**(+-157), past the float
+# ratio r1 / r0; on ONES at s = 0.05 the cut-off eigenvalue is 1e-320, subnormal
 DECAY_01 = SymbolFunction(lambda t: t**0.1 / (1 + t) ** 0.2, (0.1, 2.0), 1.4)
 DECAY_005 = SymbolFunction(lambda t: t**0.05 / (1 + t) ** 0.1, (0.05, 1.0), 1.4)
 ONES = RadialProfile(P21, -3, 2, np.ones(6))
@@ -87,9 +89,16 @@ ROUTES = {
 
 CONTOUR_FIELDS = (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(5, 1, 2.0))
 CONTOUR_FIELD_IDS = ["q2n1a1", "q3n2a0.5", "q5n1a2"]
+# the grid of the bound's test: 5 fields x 4 symbols x 5 angles, less the two
+# (field, s = 0.2) pairs whose window extension leaves the floats: 90 cases
+BOUND_FIELDS = (*CONTOUR_FIELDS, FieldParams(2, 2, 2.0), FieldParams(2, 1, 0.25))
+BOUND_FIELD_IDS = [*CONTOUR_FIELD_IDS, "q2n2a2", "q2n1a0.25"]
+BOUND_SYMBOLS = (
+    *standard_symbols(), SymbolFunction(lambda t: t**0.2 / (1 + t) ** 0.4, (0.2, 1.0), 1.4)
+)
 # hinf_apply_contour(sym, g) of the standard symbols on seeded profiles with
 # and without a tail: one SHA-256 a field of every output window, coefficient
-# array, tail and error estimate, in a fresh process with BLAS at one thread
+# array, tail and error bound, in a fresh process with BLAS at one thread
 PIN_SCRIPT = """
 import hashlib
 
@@ -110,14 +119,14 @@ for params in (FieldParams(2, 1, 1.0), FieldParams(3, 2, 0.5), FieldParams(5, 1,
             p = res.profile
             digest.update(np.array([p.kmin, p.kmax]).tobytes())
             digest.update(p.coeffs.tobytes())
-            digest.update(np.array([p.tail, res.error_estimate], dtype=complex).tobytes())
+            digest.update(np.array([p.tail, res.bound], dtype=complex).tobytes())
     print(digest.hexdigest())
 """
 CONTOUR_SHA256 = [
-    "dae25ed0f475f556796d8c61095976b255fb852f04823f797a5d452f4ed384cb",
-    "df75e22065b50038e051ef2ba547b505898e01f51bee12c7d1fde3ba7211dc08",
-    "4afc437dd816f351e5dde9cf6027ed2b8dc62a4279208f53675dc6cdca75d18a",
-    "322189872b4b10817c27804616ba8793961121f47132bdd0992aa4dde78b392b",
+    "41b938de6023407177a3caa82b8bdf5009e173af4c7e6f7fa8c269473797fd6a",
+    "21582a6df8a902b66b84bd8bb3f59ba47ec113aea70c4d1f3351eb54374a2459",
+    "1b4641fbdc5bf0341d972460335f3ef0fde0570fd331bbc3f71d53152170cf56",
+    "c965911246ea77a3f9486316a89725e3f7c8bf876436c70f72b012c4adf49b79",
 ]
 
 
@@ -134,12 +143,6 @@ def contour_factors_rays(lams, sym, nu, u, w):
         integ = (w * sym.fn(zs) * zs)[:, None] / (zs[:, None] - lams[None, :])
         total += orient * integ.sum(axis=0)
     return total / (2j * math.pi)
-
-
-def trapezoid_weights(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
 
 
 def toeplitz_kernel_lags(phi, step, m):
@@ -242,7 +245,7 @@ class TestContourCalculus:
         res = hinf_apply_contour(sym, g)
         rel = lp_norm(res.profile - direct, 2) / lp_norm(direct, 2)
         assert rel <= 1e-6
-        assert res.error_estimate <= 1e-6
+        assert lp_norm(res.profile - direct, 2) <= res.bound <= 1e-6 * lp_norm(direct, 2)
 
     def test_nu_independence(self, rng):
         g = make_profile(rng, P21, -3, 4)
@@ -259,6 +262,37 @@ class TestContourCalculus:
             for nu in (0.3, 0.6, 0.95):
                 res = hinf_apply_contour(sym, g, nu)
                 assert lp_norm(res.profile - direct, 2) <= TOL_CONTOUR * lp_norm(direct, 2)
+
+    @pytest.mark.parametrize("params", BOUND_FIELDS, ids=BOUND_FIELD_IDS)
+    def test_bound_holds_on_the_grid(self, params, rng):
+        # every angle of the grid, nu = 0.1 too, is certified, and the bound holds
+        g = make_profile(rng, params, -3, 4, tail=0.25 - 0.1j)
+        for sym in BOUND_SYMBOLS:
+            try:
+                direct = hinf_apply_direct(sym, g)
+            except WindowOverflowError:  # s = 0.2 past the floats: both routes refuse
+                with pytest.raises(WindowOverflowError):
+                    hinf_apply_contour(sym, g)
+                continue
+            for nu in (0.1, 0.3, 0.5, 0.9, 0.95 * sym.sector_angle):
+                res = hinf_apply_contour(sym, g, nu)
+                assert lp_norm(res.profile - direct, 2) <= res.bound
+                assert res.bound <= _CONTOUR_EPS * lp_norm(g, 2)
+
+    def test_edge_angle_refused_before_any_allocation(self):
+        # at nu = 0.999 theta the least rule has about 350,000 nodes
+        sym, g = standard_symbols()[2], RadialProfile(P21, -3, 4, np.ones(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match=(
+                r"^contour angle 0\.999 in the sector of half-angle 1\.0 needs \d+ nodes "
+                rf"\(cap {_CONTOUR_NODES}\)$"
+            )):
+                hinf_apply_contour(sym, g, 0.999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the rule's W alone would take 11 MB
 
     def test_default_angle_pinned(self):
         # BLAS at one thread: the quadrature's matrix product sums in an order
@@ -290,21 +324,24 @@ class TestContourCalculus:
     def test_factors_match_per_ray_division(self, sym, rng):
         g = make_profile(rng, P21, -3, 4, tail=0.25)
         ghat, lams = radial._extended_hat(g, sym.decay)
-        h, _K, d, _r, _w = _contour_nodes(lams, sym.decay[0], math.log(2.0))
-        fine, coarse = _contour_factors(P21, ghat.kmin, lams, sym, 0.5)
-        rules = ((h * d, trapezoid_weights(d.size, h), fine),
-                 (h * d[::2], trapezoid_weights(d[::2].size, 2.0 * h), coarse))
-        for u, w, got in rules:
-            ref = contour_factors_rays(lams, sym, 0.5, u, w)
-            err = np.max(np.abs(got - ref))
-            assert err <= 1e-13 * np.max(np.abs(ref))
+        rule = _contour_rule(sym, 0.5, math.log(2.0), _CONTOUR_EPS)
+        h, D = rule[0], rule[2]
+        got = _contour_factors(rule, ghat.kmin, lams, 0.5)
+        ref = contour_factors_rays(lams, sym, 0.5, h * np.arange(-D, D + 1), h)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_one_symbol_call_per_apply(self, rng):
+        # one call builds the rule; it is memoised per (symbol, angle, step)
         calls = []
         sym = SymbolFunction(lambda t: calls.append(t.size) or PHI.fn(t), PHI.decay, 1.4)
         calls.clear()  # the construction's spot check
         hinf_apply_contour(sym, make_profile(rng, P21, -3, 4, tail=0.25))
         assert len(calls) == 1
+        hinf_apply_contour(sym, make_profile(rng, P21, -2, 5))
+        assert len(calls) == 1
+        hinf_apply_contour(sym, make_profile(rng, P21, -2, 5), 0.7)
+        assert len(calls) == 2
+        assert not _contour_rule(sym, 0.5, math.log(2.0), _CONTOUR_EPS)[3].flags.writeable
 
     def test_radius_range_past_the_float_ratio(self):
         res = hinf_apply_contour(DECAY_01, ONES)
@@ -312,71 +349,93 @@ class TestContourCalculus:
         assert lp_norm(res.profile - direct, 2) <= TOL_CONTOUR * lp_norm(direct, 2)
 
     def test_nonconvergence_detected(self, rng, monkeypatch):
-        monkeypatch.setattr(calculus, "_NODES_PER_DECADE", 2)
+        # a rule sized for 1e-4 cannot certify a result to 1e-10
+        monkeypatch.setattr(calculus, "_CONTOUR_EPS", 1e-4)
         monkeypatch.setattr(calculus, "_CONTOUR_TOL", 1e-10)
         g = make_profile(rng, P21, -2, 2)
-        with pytest.raises(QuadratureError, match=r"not converged: .* \(tol 1e-10\)$"):
+        with pytest.raises(QuadratureError, match=r"not certified: .* \(tol 1e-10\)$"):
             hinf_apply_contour(PHI, g)
 
 
 class TestContourNodes:
-    """The contour nodes sit on the eigenvalue lattice of the field step and
-    cover the spectrum padded by DECADES / s decades."""
+    """The contour nodes sit on the eigenvalue lattice of the field step, and
+    the range and step are the least that meet the a-priori bound."""
 
-    DECADES = math.log10(1.0 / _RAY_TOL) + 2.0
-    # (spectrum, decay exponent s, padded radius range), field step
+    # (decay (s, C), sector angle theta, angle nu), field step
     CONFIGS = [
-        ((np.array([1.0]), 1.25, (1e-8, 1e8)), math.log(2.0)),
-        ((np.array([2.9, 3.1e-2, 0.5]), 2.0, (3.1e-7, 2.9e5)), 0.5 * math.log(3.0)),
-        ((np.array([1.0]), 10.0 / 3.0, (1e-3, 1e3)), 2.0 * math.log(5.0)),
-        ((np.array([1.0]), 1.0 / 30.0, (1e-300, 1e300)), 0.5 * math.log(2.0)),
-        ((np.array([1.0]), 10.0 / 3.0, (1e-3, 1e3)), 0.002 * math.log(2.0)),  # K = 1
+        (((1.0, 1.1), 1.4, 0.5), math.log(2.0)),
+        (((0.5, 1.2), 1.4, 0.1), 0.5 * math.log(3.0)),
+        (((1.0, 1.3), 1.0, 0.95), 2.0 * math.log(5.0)),
+        (((0.2, 1.0), 1.4, 1.33), 0.5 * math.log(2.0)),
+        (((10.0 / 3.0, 1.0), 2.0, 1.7), 0.002 * math.log(2.0)),  # K = 1, nu > pi / 2
     ]
+
+    @staticmethod
+    def end_term(contour, h, D):
+        """The truncation bound of the nodes past one end of d = -D..D."""
+        (s, C), _theta, nu = contour
+        return C * math.exp(-s * D * h) / (math.pi * s * math.sin(min(nu, math.pi / 2)))
+
+    @staticmethod
+    def strip_terms(contour, h):
+        """The discretisation bound at every a of the rule's grid."""
+        (s, C), theta, nu = contour
+        a = min(nu, theta - nu) * np.arange(1, 64) / 64
+        M = 2 * C / (s * np.sin(np.minimum(nu - a, math.pi / 2)))
+        with np.errstate(over="ignore"):
+            return 2 * M / math.pi / np.expm1(2 * math.pi * a / h)
 
     @pytest.mark.parametrize("contour, step", CONFIGS)
     def test_lattice_spacing_and_cover(self, contour, step):
-        lams, s, (r0, r1) = contour
-        h, K, d, r, _w = _contour_nodes(lams, s, step)
-        assert 2 * K * h == pytest.approx(step, rel=1e-15)
-        assert 2.0 * h <= math.log(10.0) / _NODES_PER_DECADE
-        assert np.array_equal(d, np.arange(d[0], d[-1] + 1))
-        assert d[0] % 2 == 0 and d[-1] % 2 == 0
-        # the padded range, rounded outward to the next even d at each end
-        lo, hi = math.log(r0), math.log(r1)
-        assert lo - 2.0 * h < d[0] * h <= lo + 1e-9 and hi - 1e-9 <= d[-1] * h < hi + 2.0 * h
-        assert np.array_equal(r, np.exp(h * d))
-        assert np.all(r >= sys.float_info.min) and np.all(np.isfinite(r))
+        h, K, D, _bound = _contour_nodes(contour[0], *contour[1:], step, _CONTOUR_EPS)
+        assert K * h == pytest.approx(step, rel=1e-15)
+        # the range e**(+-D h) is the least whose either end meets eps / 4
+        assert self.end_term(contour, h, D) <= _CONTOUR_EPS / 4 < self.end_term(contour, h, D - 1)
+        assert math.exp(-D * h) >= sys.float_info.min and math.isfinite(math.exp(D * h))
 
     @pytest.mark.parametrize("contour, step", CONFIGS)
-    def test_coarse_nodes_are_the_even_fine_nodes(self, contour, step):
-        h, _K, d, _r, w = _contour_nodes(*contour[:2], step)
-        assert np.array_equal(d[w[1] > 0], d[::2])  # d[0] is even
-        assert np.array_equal(w[0], trapezoid_weights(d.size, h))
-        assert np.array_equal(w[1][::2], trapezoid_weights(d[::2].size, 2.0 * h))
-        assert not np.any(w[1][1::2])
+    def test_step_is_the_least_meeting_the_bound(self, contour, step):
+        h, K, D, bound = _contour_nodes(contour[0], *contour[1:], step, _CONTOUR_EPS)
+        assert self.strip_terms(contour, h).min() <= _CONTOUR_EPS / 2
+        assert K == 1 or self.strip_terms(contour, step / (K - 1)).min() > _CONTOUR_EPS / 2
+        strip = self.strip_terms(contour, h).min()
+        assert bound == pytest.approx(2 * self.end_term(contour, h, D) + strip, rel=1e-14)
+        assert bound <= _CONTOUR_EPS
 
-    @pytest.mark.parametrize(
-        "radius_range, crown",
-        [((sys.float_info.min, 1.0), -4), ((1e-320, 1.0), -26),
-         ((1.0, 0.99 * sys.float_info.max), 4)],
-        ids=["min-normal", "subnormal", "max"],
-    )
-    def test_nodes_past_the_normal_floats_refused(self, radius_range, crown):
-        # at q = 3 the even lattice points miss both ends of the float range,
-        # so rounding these ranges outward leaves it
-        r0, r1 = radius_range
-        lams = np.array([r0 * 10.0**100, r1 * 10.0**-100])
-        with pytest.raises(QuadratureError, match="normal float range"):
-            _contour_nodes(lams, self.DECADES / 100, math.log(3.0))
-        # the spectrum {3**crown, 3**(crown + 1)}, no extension (negligible
-        # tail), padded for the decay s to reach the same end of the range
-        g = 1e-30 * RadialProfile.ball_indicator(FieldParams(3, 1, 1.0), crown)
-        if r0 < 1.0:
-            s = self.DECADES / (crown * math.log10(3.0) - math.log10(r0))
-        else:
-            s = self.DECADES / (math.log10(r1) - (crown + 1) * math.log10(3.0))
+    @staticmethod
+    def float_edge():
+        """Decay exponents ok > bad on either side of where the rule for
+        C = 1.1, theta = 1.0, nu = 0.5 at q = 3 first leaves the normal floats."""
+        ok, bad = 0.1, 0.03
+        for _ in range(40):
+            mid = 0.5 * (ok + bad)
+            try:
+                _contour_nodes((mid, 1.1), 1.0, 0.5, math.log(3.0), _CONTOUR_EPS)
+                ok = mid
+            except QuadratureError:
+                bad = mid
+        return ok, bad
+
+    @pytest.mark.parametrize("end", ["min-normal", "subnormal", "max"])
+    def test_nodes_past_the_normal_floats_refused(self, end):
+        # min-normal: the range is normal, the node rounded outward is not;
+        # subnormal: the range itself is not; max: the widest rule accepted,
+        # whose end nodes are normal floats
+        ok, bad = self.float_edge()
+        s = {"min-normal": bad, "subnormal": 0.03, "max": ok}[end]
         sym = SymbolFunction(lambda t: t**s / (1 + t ** (2 * s)), (s, 1.1), 1.0)
-        with pytest.raises(QuadratureError, match="normal float range"):
+        g = 1e-30 * RadialProfile.ball_indicator(FieldParams(3, 1, 1.0), 0)  # no extension
+        if end == "max":
+            h, _K, D, _bound = _contour_nodes((s, 1.1), 1.0, 0.5, math.log(3.0), _CONTOUR_EPS)
+            assert math.exp(-D * h) >= sys.float_info.min and math.isfinite(math.exp(D * h))
+            res = hinf_apply_contour(sym, g)
+            assert np.all(np.isfinite(_contour_rule(sym, 0.5, math.log(3.0), _CONTOUR_EPS)[3]))
+            assert lp_norm(res.profile - hinf_apply_direct(sym, g), 2) <= res.bound
+            return
+        what = "contour nodes" if end == "min-normal" else "contour radius range"
+        with pytest.raises(QuadratureError, match=f"^{what} .* leaves? the normal floats$"):
+            _contour_nodes((s, 1.1), 1.0, 0.5, math.log(3.0), _CONTOUR_EPS)
+        with pytest.raises(QuadratureError, match=f"^{what} .* leaves? the normal floats$"):
             hinf_apply_contour(sym, g)
 
 
@@ -561,8 +620,8 @@ class TestWindowExtension:
         assert np.all(np.isfinite(out.coeffs))
 
     def test_contour_radius_range_past_float_range_refused(self):
-        # no extension is needed, but the radius range padded for s = 0.03
-        # spans 10**(+-333)
+        # no extension is needed, but the radius range sized for s = 0.03
+        # spans e**(+-1303)
         g = 1e-30 * RadialProfile.ball_indicator(P21, 0)
         with pytest.raises(QuadratureError):
             hinf_apply_contour(SLOW, g)

@@ -223,6 +223,13 @@ class TestRbound:
         assert payload["seed"] == 99
         assert payload["trials"] == 10
 
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_theta_is_usage_error(self, capsys, theta):
+        # inf gave "ValueError: math domain error", nan a semigroup-time error
+        code, out, err = run_cli(capsys, "rbound", f"--theta={theta}", "--trials", "4")
+        assert code == 1 and out == ""
+        assert err == f"usage error: --theta must be finite, got {float(theta)!r}\n"
+
     @pytest.mark.parametrize("p", ["nan", "0.5"])
     def test_p_outside_range_exits_1(self, capsys, p):
         code, out, err = run_cli(capsys, "rbound", "--p", p, "--trials", "4")
