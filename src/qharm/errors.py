@@ -24,4 +24,5 @@ class WindowOverflowError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature failed to converge under node doubling."""
+    """A quadrature rule leaves the normal floats or its node cap, or its
+    a-priori error bound exceeds the tolerance."""
