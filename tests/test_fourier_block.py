@@ -97,6 +97,43 @@ RATIO_SHA256 = [
     "7d124d1b4dc10291a33fe0752e5827de4551dfa4c63d38a0144d0e5534305540",
     "4b93fcdbd8239112621415db90573ebcbfc22e8f36dc97327e559d37e712e80e",
 ]
+# the one-profile multiplier routes on wide windows: hinf_apply_direct for the
+# standard symbols, semigroup_apply and taibleson_fourier on seeded profiles
+# of 190 and 910 crowns, with and without a tail, on four fields of small
+# alpha (long tail extensions); one SHA-256 a field of every output window,
+# coefficient array and tail, in a fresh process with BLAS at one thread
+WIDE_PIN_SCRIPT = """
+import hashlib
+
+import numpy as np
+from qharm.calculus import hinf_apply_direct, semigroup_apply
+from qharm.field import FieldParams
+from qharm.radial import RadialProfile
+from qharm.taibleson import taibleson_fourier
+from qharm.verification import standard_symbols
+
+for params in (FieldParams(2, 1, 0.25), FieldParams(2, 1, 0.5), FieldParams(3, 1, 0.25),
+               FieldParams(3, 1, 0.5)):
+    rng = np.random.default_rng(20240810)
+    digest = hashlib.sha256()
+    for m in (190, 910):
+        for tail in (0.0, 0.3 - 0.2j):
+            vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            g = RadialProfile(params, -(m // 2), m - m // 2 - 1, vals, tail=tail)
+            outs = [hinf_apply_direct(sym, g) for sym in standard_symbols()]
+            outs += [semigroup_apply(z, g) for z in (0.5, 1.0 + 2.0j)]
+            for p in [*outs, taibleson_fourier(g)]:
+                digest.update(np.array([p.kmin, p.kmax]).tobytes())
+                digest.update(p.coeffs.tobytes())
+                digest.update(np.array([p.tail], dtype=complex).tobytes())
+    print(digest.hexdigest())
+"""
+WIDE_SHA256 = [
+    "4d89ce6b0f5a7359e90446203b5aaf29921837db9d9c375f9fb7a32a3ee35a97",
+    "b52c951caa3c3c5d723b5f75f2ee009815ad9a58fb00f6952f58f7b37f6c05b4",
+    "43a706acbc31b234af053f5e1b4cd22c72fcb92b618c1ab01a32088fe8f06f5c",
+    "4acf0daf33f5d4577ea0555aca3281b8780b03a89eeabe4c2acdd05b5b3f859f",
+]
 
 
 def diag_window(params):
@@ -298,3 +335,11 @@ def test_diag_outputs_pinned(diag_digests):
 
 def test_diag_ratio_pinned(diag_digests):
     assert [ratio for _, ratio in diag_digests] == RATIO_SHA256
+
+
+def test_wide_outputs_pinned():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.path.dirname(os.path.dirname(qharm.__file__))}
+    out = subprocess.run([sys.executable, "-c", WIDE_PIN_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == WIDE_SHA256
