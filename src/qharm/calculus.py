@@ -197,7 +197,8 @@ def hinf_apply_contour(sym: SymbolFunction, g: RadialProfile, nu: float = 0.5) -
     """f(A) g by quadrature of resolvents on the boundary of the sector of
     half-angle nu, 0 < nu < sym.sector_angle, counterclockwise (outward along
     arg z = -nu, inward along +nu), on the rule of :func:`_contour_rule` sized
-    from the symbol's decay certificate alone to _CONTOUR_EPS per eigenvalue.
+    from the symbol's decay certificate alone to _CONTOUR_EPS per eigenvalue:
+    :func:`fourier_multiplier_apply` with the rule's factors as its symbol.
     :class:`QuadratureError` is raised when the bound exceeds _CONTOUR_TOL
     times ||result||_2, or the rule is refused; WindowOverflowError, before
     the quadrature, when a window of either transform leaves the floats.
@@ -206,14 +207,13 @@ def hinf_apply_contour(sym: SymbolFunction, g: RadialProfile, nu: float = 0.5) -
         raise ValueError(
             f"contour angle {nu} must lie inside the symbol sector (0, {sym.sector_angle})"
         )
-    # same tail extension rule as the direct route, so both routes truncate
-    # the constant Fourier tail identically
-    ghat, lams = radial._extended_hat(g, sym.decay)
-    rule = _contour_rule(sym, nu, g.params.alpha * math.log(g.params.q), _CONTOUR_EPS)
-    hats = ghat.coeffs * _contour_factors(rule, ghat.kmin, lams, nu)
-    kmin, kmax, out, tails = radial._fourier_block(g.params, ghat.kmin, ghat.kmax, hats[None, :])
-    prof = RadialProfile(g.params, kmin, kmax, out[0], tail=tails[0])
-    bound, scale = rule[-1] * lp_norm(g, 2), max(lp_norm(prof, 2), 1e-300)
+    step = g.params.alpha * math.log(g.params.q)
+    rule = functools.partial(_contour_rule, sym, nu, step, _CONTOUR_EPS)
+    # the symbol fetches the rule, so every window check comes first
+    prof = fourier_multiplier_apply(
+        g, lambda lams: _contour_factors(rule(), -g.kmax - 1, lams, nu), 0.0, sym.decay
+    )
+    bound, scale = rule()[-1] * lp_norm(g, 2), max(lp_norm(prof, 2), 1e-300)
     if bound > _CONTOUR_TOL * scale:
         msg = f"its bound is {bound / scale:.3e} of the result (tol {_CONTOUR_TOL})"
         raise QuadratureError(f"contour quadrature not certified: {msg}")
@@ -278,12 +278,12 @@ def square_function(
     ps = [float(x) for x in p] if seq else [float(p)]
     if not ps or not all(x >= 1 for x in ps):
         raise ValueError(f"p must be one value >= 1 or a nonempty sequence of them, got {p!r}")
-    ghat = radial._extended_hat(g, phi.decay)[0]
-    K0, K1, params, m = ghat.kmin, ghat.kmax, g.params, ghat.coeffs.size
+    K0, K1, ghat, _, _ = radial._extended_hat(g, phi.decay)
+    params, m = g.params, ghat.size
     Gd = _toeplitz_kernel(phi, params.alpha * math.log(params.q))[0][: m + 1]
     (G, v, e), Q = np.zeros((3, m + 1), complex), np.zeros(m + 1)
     G[: Gd.size] = Gd
-    b = ghat.coeffs * radial._sphere_measures(params.q, params.n, K0, K1)
+    b = ghat * radial._sphere_measures(params.q, params.n, K0, K1)
     # v[i] = v_s and e[i] = e_{s+1} for s = K0 - 1 + i; e_{K0} = 0
     v[:m] = np.correlate(b.conj(), G[1:].conj(), "full")[m - 1 :]
     np.divide(b, 1.0 - float(params.q) ** params.n, out=e[1:])

@@ -312,23 +312,20 @@ def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, l
     return H, np.power(float(params.q), -params.alpha * np.arange(lo, hi + 1, dtype=float))
 
 
-def _extended_hat(f: RadialProfile, decay) -> tuple[RadialProfile, np.ndarray]:
-    """f's transform padded per :func:`_hat_depth` by :func:`_extend`, and its
-    lams; the back transform's window [-hi-1, -kmin] is range-checked too."""
+def _extended_hat(f: RadialProfile, decay):
+    """``(kmin, hi, row, tail, lams)``: f's transform padded to [kmin, hi] per
+    :func:`_hat_depth`, its tail and lams; the back window [-hi-1, -kmin] is checked too."""
     params, tails = f.params, np.array([f.tail])
     kmin, kmax, out, tails = _fourier_block(params, f.kmin, f.kmax, f.coeffs[None, :], tails)
     tail = complex(tails[0])
     hi = _hat_depth(params, kmax, abs(tail), decay)
     H, lams = _extend(params, kmin, kmax, out, tails, kmin, hi)
     _sphere_measures(params.q, params.n, -hi - 1, -kmin)
-    return RadialProfile(params, kmin, hi, H[0], tail=tail), lams
+    return kmin, hi, H[0], tail, lams
 
 
 def fourier_multiplier_apply(
-    f: RadialProfile,
-    symbol,
-    limit_at_zero: complex = 0.0,
-    decay: tuple[float, float] = (1.0, 1.0),
+    f: RadialProfile, symbol, limit_at_zero: complex = 0.0, decay: tuple[float, float] = (1.0, 1.0)
 ) -> RadialProfile:
     """Apply a Fourier multiplier evaluated at the eigenvalues q**(-m*alpha).
 
@@ -336,10 +333,10 @@ def fourier_multiplier_apply(
     lam_m = ||xi||**alpha of the extended Fourier window, and returns the
     factors elementwise (or one scalar).  ``decay = (s, C)`` certifies
     |symbol(lam) - limit_at_zero| <= C * lam**s for small lam and sizes the
-    window extension (module docstring).
+    window extension (module docstring).  The result is the one profile built.
     """
-    fhat, lams = _extended_hat(f, decay)
-    vals = fhat.coeffs * np.asarray(symbol(lams), dtype=complex)
-    tail = fhat.tail * complex(limit_at_zero)
-    return radial_fourier(RadialProfile(f.params, fhat.kmin, fhat.kmax, vals, tail=tail))
-
+    kmin, hi, row, tail, lams = _extended_hat(f, decay)
+    row *= np.asarray(symbol(lams), dtype=complex)
+    tails = np.array([tail * complex(limit_at_zero)])
+    kmin, kmax, out, tails = _fourier_block(f.params, kmin, hi, row[None, :], tails)
+    return RadialProfile(f.params, kmin, kmax, out[0], tail=complex(tails[0]))

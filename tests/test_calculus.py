@@ -323,10 +323,10 @@ class TestContourCalculus:
     )
     def test_factors_match_per_ray_division(self, sym, rng):
         g = make_profile(rng, P21, -3, 4, tail=0.25)
-        ghat, lams = radial._extended_hat(g, sym.decay)
+        kmin, _, _, _, lams = radial._extended_hat(g, sym.decay)
         rule = _contour_rule(sym, 0.5, math.log(2.0), _CONTOUR_EPS)
         h, D = rule[0], rule[2]
-        got = _contour_factors(rule, ghat.kmin, lams, 0.5)
+        got = _contour_factors(rule, kmin, lams, 0.5)
         ref = contour_factors_rays(lams, sym, 0.5, h * np.arange(-D, D + 1), h)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

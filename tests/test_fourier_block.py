@@ -167,7 +167,7 @@ def fourier_1d(f: RadialProfile) -> RadialProfile:
 
 
 def square_function_loop(g, phi, p):
-    ghat, lams = radial._extended_hat(g, phi.decay)
+    kmin, kmax, ghat, _, lams = radial._extended_hat(g, phi.decay)
     # log-midpoint times with 12 per decade, t * lam covering [1e-7, 1e7]
     t_min, t_max = 1e-7 / float(lams.max()), 1e7 / float(lams.min())
     nn = math.ceil(12 * math.log10(t_max / t_min))
@@ -177,9 +177,7 @@ def square_function_loop(g, phi, p):
     acc, acc_tail = 0.0, 0.0
     for t in grid:
         factors = np.array([phi.fn(t * lam) for lam in lams], dtype=complex)
-        prof = radial_fourier(
-            RadialProfile(g.params, ghat.kmin, ghat.kmax, ghat.coeffs * factors)
-        )
+        prof = radial_fourier(RadialProfile(g.params, kmin, kmax, ghat * factors))
         acc = acc + np.abs(prof.coeffs) ** 2 * dlog
         acc_tail += abs(prof.tail) ** 2 * dlog
     s = RadialProfile(g.params, prof.kmin, prof.kmax, np.sqrt(acc), tail=math.sqrt(acc_tail))
