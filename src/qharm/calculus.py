@@ -30,7 +30,7 @@ import numpy as np
 from . import radial
 from .errors import QuadratureError
 from .field import FieldParams
-from .radial import LOG_FLOOR, RadialProfile, fourier_multiplier_apply, lp_norm
+from .radial import LOG_FLOOR, RadialProfile, _finite_time, fourier_multiplier_apply, lp_norm
 
 _BLOCK_ROWS = 256  # rows per Rademacher transform block, which bounds its memory
 _BLOCK_ELEMS = 1 << 18  # entries per lag block of the Toeplitz kernel G
@@ -94,14 +94,6 @@ def _semigroup_factors(z, lams: np.ndarray) -> np.ndarray:
 def _semigroup_decay(z: complex) -> tuple[float, float]:
     """|exp(-z lam) - 1| <= |z| lam for Re z >= 0."""
     return (1.0, max(abs(z), 1e-300))
-
-
-def _finite_time(z) -> complex:
-    """z as a complex semigroup time; a NaN or infinite part raises ValueError."""
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise ValueError(f"semigroup time must be finite, got {z}")
-    return zc
 
 
 def semigroup_apply(z, g: RadialProfile) -> RadialProfile:

@@ -55,7 +55,7 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """The triple (q, n, alpha) plus the concrete-field tag."""
+    """The triple (q, n, alpha), q**alpha a finite float, plus the concrete-field tag."""
 
     q: int
     n: int
@@ -67,12 +67,11 @@ class FieldParams:
             raise ValueError(f"residue cardinality q must be >= 2, got {self.q}")
         if self.n < 1:
             raise ValueError(f"dimension n must be >= 1, got {self.n}")
-        if not self.alpha > 0:
-            raise ValueError(f"exponent alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"exponent alpha must be positive and finite, got {self.alpha}")
+        _float_qpow(self.q, self.alpha, "field step")
         if self.model is FieldModel.QADIC_QUOTIENT and not _is_prime(self.q):
-            raise ValueError(
-                f"the q-adic quotient model needs q prime, got q={self.q}"
-            )
+            raise ValueError(f"the q-adic quotient model needs q prime, got q={self.q}")
 
 
 def qpow(q: int, e: int) -> Fraction:

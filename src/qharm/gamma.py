@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError, ToleranceError
+from .errors import PoleError, ToleranceError, WindowOverflowError
 from .field import FieldParams, sphere_character_integral
 
 _POLE_EPS = 1e-8  # closest approach to a pole gamma_qn evaluates
@@ -28,15 +28,20 @@ def _pole_distance(z: complex, q: int) -> float:
 
 
 def gamma_qn(z: complex, params: FieldParams) -> complex:
-    """(1 - q**(z-n)) / (1 - q**(-z)); raises PoleError near the pole lattice."""
+    """(1 - q**(z-n)) / (1 - q**(-z)); raises PoleError near the pole lattice
+    and WindowOverflowError when either power of q is no finite float."""
     q, n = params.q, params.n
     if _pole_distance(z, q) < _POLE_EPS:
-        raise PoleError(
-            f"z={z} is within {_POLE_EPS} of a pole of Gamma_q^(n) "
-            f"(lattice 2*pi*i/ln(q) * Z)"
-        )
+        msg = f"z={z} is within {_POLE_EPS} of a pole of Gamma_q^(n) (lattice 2*pi*i/ln(q) * Z)"
+        raise PoleError(msg)
     lnq = math.log(q)
-    return (1.0 - cmath.exp((z - n) * lnq)) / (1.0 - cmath.exp(-z * lnq))
+    try:
+        up, down = cmath.exp((z - n) * lnq), cmath.exp(-z * lnq)
+    except OverflowError:
+        up = down = math.inf
+    if cmath.isinf(up) or cmath.isinf(down):
+        raise WindowOverflowError(f"a power of q={q} in Gamma_q^({n})({z}) leaves the float range")
+    return (1.0 - up) / (1.0 - down)
 
 
 def reflection_defect(z: complex, params: FieldParams) -> float:

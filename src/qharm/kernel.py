@@ -38,14 +38,14 @@ import numpy as np
 from .errors import CancellationError, ToleranceError, WindowOverflowError
 from .field import FieldParams, _float_qpow
 from .gamma import gamma_qn
-from .radial import LOG_FLOOR, RadialProfile, _sphere_measures
+from .radial import LOG_FLOOR, RadialProfile, _finite_time, _sphere_measures
 
 _SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accepts
 
 
 def _as_time(z) -> complex:
-    """z as a complex time; Re z > 0 or ValueError."""
-    z = complex(z)
+    """z as a finite complex time; Re z > 0 or ValueError."""
+    z = _finite_time(z)
     if not z.real > 0:
         raise ValueError(f"complex time needs Re z > 0, got {z}")
     return z
@@ -99,7 +99,7 @@ def _exp_form_block(
     log_k0 = math.log1p(-float(q) ** -n) - t * float(q) ** (-m * alpha) - m * n * lnq
     # the terms from J on sum to at most exp(log_tail0 - J rate); the factor
     # 1 + 2**-36 covers the rounding in evaluating this bound
-    log_tail0 = math.log(_power_envelope(params) * abs(z)) + 2.0**-36
+    log_tail0 = math.log(_power_envelope(params, z)) + 2.0**-36
     log_scale = min(0.0, log_tail0 + kmin * rate, log_k0)
     J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
     j_first = _first_term(t, params)
@@ -146,29 +146,27 @@ def kernel_crown_sum(
     q, n, alpha = params.q, params.n, params.alpha
     n0 = -k_x  # ||x|| = q**n0
     xnorm = _float_qpow(q, n0, "norm")
-    _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers, the largest
+    _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers
     _float_qpow(q, -n0 * n)
+    # z times the largest eigenvalue formed, the correction's, is a float too
+    if abs(z) * _float_qpow(q, max(1, 1 - n0) * alpha, "eigenvalue") == math.inf:
+        raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
     rn = float(q) ** (-n)
-    acc = 0.0 + 0.0j
-    mag = 0.0  # sum of the terms' moduli
-    k = n0
-    for _ in range(cfg.tail_budget):
+    acc, mag = 0.0 + 0.0j, 0.0  # the sum and the sum of the terms' moduli
+    for k in range(n0, n0 + cfg.tail_budget):
         term = _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
         acc += term
         mag += abs(term)
-        k += 1
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
-        bound = float(q) ** (-k * n) / (1.0 - rn)
+        bound = float(q) ** (-(k + 1) * n) / (1.0 - rn)
         if bound * (1.0 - rn) < cfg.tol:  # tail of (1-q**-n) * sum
             corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
-            # summing k - n0 terms and subtracting corr rounds by at most
-            # k - n0 + 6 units of 2**-53 times the moduli summed
-            roundoff = 2.0**-53 * (k - n0 + 6) * ((1.0 - rn) * mag + abs(corr))
+            # summing k + 1 - n0 terms and subtracting corr rounds by at most
+            # k - n0 + 7 units of 2**-53 times the moduli summed
+            roundoff = 2.0**-53 * (k - n0 + 7) * ((1.0 - rn) * mag + abs(corr))
             return EvalResult((1.0 - rn) * acc - corr, bound * (1.0 - rn) + roundoff)
-    raise ToleranceError(
-        f"kernel crown sum did not reach tol={cfg.tol} within "
-        f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
-    )
+    msg = f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
+    raise ToleranceError(f"kernel crown sum did not reach tol={cfg.tol} within {msg}")
 
 
 def kernel_series(
@@ -209,9 +207,10 @@ def kernel_series(
     for k in range(1, cfg.tail_budget + 1):
         p *= -u / k
         env *= abs(u) * qa / k
-        try:
+        try:  # a term, or its modulus, past the float range
             term = p * gamma_qn(k * alpha + n, params) * xn
-        except OverflowError:
+            max_term = max(max_term, abs(term))
+        except (OverflowError, WindowOverflowError):
             term = math.inf
         if not cmath.isfinite(term):
             raise ToleranceError(
@@ -219,7 +218,6 @@ def kernel_series(
                 f"the float range before the tail reaches tol={cfg.tol} (k_x={k_x}, z={z})"
             )
         acc += term
-        max_term = max(max_term, abs(term))
         ratio = abs(u) * qa / (k + 2)
         if ratio < 1.0:
             tail = env_c * env * (abs(u) * qa / (k + 1)) / (1.0 - ratio)
@@ -284,11 +282,14 @@ def kernel_profile(
     return RadialProfile(params, kmin, kmax, np.asarray(vals, dtype=complex))
 
 
-def _power_envelope(params: FieldParams) -> float:
-    """Constant E with |K_z(x)| <= E * |z| / ||x||**(alpha+n), from the
-    termwise exp-form bounds: E = (q**alpha - 1) / (1 - q**(-alpha-n))."""
+def _power_envelope(params: FieldParams, z: complex) -> float:
+    """E |z|, with |K_z(x)| <= E |z| / ||x||**(alpha+n) by the termwise exp-form
+    bounds, E = (q**alpha - 1) / (1 - q**(-alpha-n)); no float: WindowOverflowError."""
     q, n, alpha = params.q, params.n, params.alpha
-    return (float(q) ** alpha - 1.0) / (1.0 - float(q) ** (-alpha - n))
+    env = (float(q) ** alpha - 1.0) / (1.0 - float(q) ** (-alpha - n)) * abs(z)
+    if env == math.inf:
+        raise WindowOverflowError(f"envelope E |z| at q={q}, alpha={alpha!r}, z={z} is no float")
+    return env
 
 
 def default_mass_window(z, params: FieldParams, tol: float = 1e-12) -> tuple[int, int]:
@@ -305,7 +306,7 @@ def _outer_mass(z: complex, params: FieldParams) -> float:
     """C with mass(K_z outside G_k) <= C q**((k-1) alpha): the sum over
     j < k of E |z| q**(j alpha) (1 - q**-n)."""
     q, n, alpha = params.q, params.n, params.alpha
-    outer = _power_envelope(params) * abs(z) * (1.0 - q ** float(-n))
+    outer = _power_envelope(params, z) * (1.0 - q ** float(-n))
     return outer / (1.0 - float(q) ** (-alpha))
 
 
@@ -377,10 +378,10 @@ def bound_ratios(
         with np.errstate(over="raise"):
             xnorm = float(q) ** -np.arange(kmin, kmax + 1, dtype=float)
             factor = (z.real ** (1.0 / alpha) + xnorm) ** (alpha + n)
+            return mags, mags * factor / abs(z)
     except (OverflowError, FloatingPointError):
         msg = f"estimate factor at Re z = {z.real!r}, ||x|| = {q}**{-kmin} is no finite float"
         raise WindowOverflowError(msg) from None
-    return mags, mags * factor / abs(z)
 
 
 def bound_ratio(

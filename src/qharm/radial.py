@@ -127,8 +127,7 @@ class RadialProfile:
             self.params, self.kmin, self.kmax, c * self.coeffs, tail=c * self.tail
         )
 
-    def __mul__(self, c: complex) -> "RadialProfile":
-        return self.__rmul__(c)
+    __mul__ = __rmul__
 
 
 def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProfile]:
@@ -266,6 +265,14 @@ def majorant(f: RadialProfile) -> RadialProfile:
     run = np.maximum.accumulate(np.abs(f.coeffs))
     tail = max(float(run[-1]) if run.size else 0.0, abs(f.tail))
     return RadialProfile(f.params, f.kmin, f.kmax, run, tail=tail)
+
+
+def _finite_time(z) -> complex:
+    """z as a complex semigroup time; a NaN or infinite part raises ValueError."""
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise ValueError(f"semigroup time must be finite, got {z}")
+    return zc
 
 
 def _extension_depth(

@@ -147,6 +147,4 @@ def levy_khinchin_check(
         S = w * float(q) ** ((n0 - 1) * alpha) / (1.0 - float(q) ** (-alpha)) + boundary
     else:
         S = _loop_sum(boundary, w * _qpowers(q, np.arange(n0 - budget, n0) * alpha)).real
-    g = gamma_qn(-params.alpha, params)
-    rhs = -S / g.real
-    return (xa, rhs)
+    return (xa, -S / gamma_qn(-params.alpha, params).real)

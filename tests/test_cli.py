@@ -1,12 +1,16 @@
 import configparser
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qharm
 from qharm import verification
 from qharm.cli import (
     SWEEP_HEADER,
@@ -560,3 +564,41 @@ class TestVerifyOverflow:
         )
         assert code == 1 and out == ""
         assert err == "WindowOverflowError: crown weight q**(497) at q=5 leaves the float range\n"
+
+
+class TestExponentDomain:
+    """An exponent or a Gamma argument past the floats exits 1 with one typed
+    error line, run as a fresh process so a traceback would reach stderr."""
+
+    CASES = {
+        "rbound-alpha-inf": (["rbound", "--alpha", "inf", "--trials", "2"],
+                             "ValueError: exponent alpha must be positive and finite, got inf"),
+        "levy-alpha-inf": (["verify", "levy", "--alpha", "inf"],
+                           "ValueError: exponent alpha must be positive and finite, got inf"),
+        "kernel-alpha-1e308": (
+            ["kernel", "--q", "2", "--n", "1", "--alpha", "1e308", "--z", "1", "--kx", "0"],
+            "WindowOverflowError: field step q**(1e+308) at q=2 leaves the float range",
+        ),
+        "kernel-alpha-1100": (
+            ["kernel", "--q", "2", "--n", "1", "--alpha", "1100", "--z", "1", "--kx", "0"],
+            "WindowOverflowError: field step q**(1100) at q=2 leaves the float range",
+        ),
+        **{
+            f"gamma-z{z}": (
+                ["gamma", "--q", "2", "--n", "1", f"--z={z}"],
+                f"WindowOverflowError: a power of q=2 in Gamma_q^(1)(({float(z):g}+0j)) "
+                "leaves the float range",
+            )
+            for z in ("-2000", "2000", "1e308")
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_typed_error_and_no_traceback(self, case):
+        argv, line = self.CASES[case]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qharm.__file__))}
+        out = subprocess.run([sys.executable, "-m", "qharm.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 1 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr == line + "\n"

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,17 @@ class TestFieldParams:
             FieldParams(2, 0, 1.0)
         with pytest.raises(ValueError):
             FieldParams(2, 1, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="^exponent alpha must be positive and finite"):
+            FieldParams(2, 1, alpha)
+
+    @pytest.mark.parametrize("q, alpha", [(2, 1024.0), (2, 1e308), (3, 647.0), (1009, 103.0)])
+    def test_field_step_past_the_floats_refused(self, q, alpha):
+        msg = f"field step q**({alpha:g}) at q={q} leaves the float range"
+        with pytest.raises(WindowOverflowError, match=f"^{re.escape(msg)}$"):
+            FieldParams(q, 1, alpha)
 
     def test_quotient_model_needs_prime(self):
         with pytest.raises(ValueError):

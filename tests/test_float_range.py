@@ -6,6 +6,7 @@ returned NaN, before the routes shared one checked power of q."""
 
 import cmath
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -152,6 +153,55 @@ def test_every_scale_finite_or_typed(name, params):
             except TYPED:
                 continue
         assert _finite(value), (name, k)
+
+
+def _largest_alpha(q: int) -> float:
+    """The largest alpha FieldParams(q, n, alpha) accepts, by bisection on the floats."""
+    lo, hi = 1.0, 2048.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        try:
+            FieldParams(q, 1, mid)
+            lo = mid
+        except WindowOverflowError:
+            hi = mid
+    return lo
+
+
+# the routes that raised a bare OverflowError at alpha = 1100, q = 2, when
+# FieldParams took every positive alpha
+EDGE_ROUTES = {
+    "exp_form": lambda z, k, p: kernel.kernel_exp_form(z, k, p),
+    "crown_sum": lambda z, k, p: kernel.kernel_crown_sum(z, k, p),
+    "series": lambda z, k, p: kernel.kernel_series(z, k, p),
+    "at_zero": lambda z, k, p: kernel.kernel_at_zero(z, p),
+    "ball_integral": lambda z, k, p: kernel.kernel_ball_integral(z, k, p),
+    "l1_norm": lambda z, k, p: kernel.kernel_l1_norm(z, p),
+    "bound_ratio": lambda z, k, p: kernel.bound_ratio(z, k, p),
+    "hypersingular": lambda z, k, p: taibleson.taibleson_hypersingular(
+        RadialProfile.ball_indicator(p, 0), k
+    ),
+    "levy": lambda z, k, p: taibleson.levy_khinchin_check(k, p),
+    "gamma": lambda z, k, p: gamma.gamma_qn(-p.alpha, p),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 1009])
+def test_largest_alpha_finite_or_typed(q):
+    alpha = _largest_alpha(q)
+    with pytest.raises(WindowOverflowError, match=r"^field step q\*\*\("):
+        FieldParams(q, 1, math.nextafter(alpha, math.inf))
+    for n in (1, 3):
+        params = FieldParams(q, n, alpha)
+        for name, route in EDGE_ROUTES.items():
+            for z in (1.0, 1 + 0.5j, 0.1 - 3j):
+                for k in (-1, 0, 1):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            value = route(z, k, params)
+                        except TYPED:
+                            continue
+                    assert _finite(value), (name, n, z, k)
 
 
 def _digest(params: FieldParams) -> str:

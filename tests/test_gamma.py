@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qharm import gamma
-from qharm.errors import PoleError, ToleranceError
+from qharm.errors import PoleError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.gamma import gamma_qn, gamma_via_integral, reflection_defect
 
@@ -98,3 +98,13 @@ def test_near_pole_query_allowed_with_smaller_eps(monkeypatch):
     monkeypatch.setattr(gamma, "_POLE_EPS", 1e-9)
     v = gamma_qn(1e-6, P21)
     assert cmath.isfinite(v)
+
+
+@pytest.mark.parametrize(
+    "q, z", [(2, -2000), (2, 2000), (2, 1e308), (5, -1e308), (5, 1.7e308), (3, 700 + 1j)]
+)
+def test_power_past_the_floats_refused(q, z):
+    # z ln q past ~709.8 overflows q**(z-n) or q**(-z); at q = 5, z = 1.7e308 the
+    # argument z ln q is itself infinite, which exp returns as inf without raising
+    with pytest.raises(WindowOverflowError, match=rf"^a power of q={q} in Gamma_q\^\(1\)"):
+        gamma_qn(z, FieldParams(q, 1, 1.0))

@@ -38,6 +38,37 @@ class TestComplexTime:
             with pytest.raises(ValueError, match=r"^complex time needs Re z > 0"):
                 kernel_at_zero(z, P21)
 
+    @pytest.mark.parametrize(
+        "z",
+        [math.inf, complex(math.inf, 1), complex(1, math.nan), complex(math.nan, 1),
+         complex(1, math.inf), complex(1, -math.inf)],
+        ids=["inf", "inf-re", "nan-im", "nan-re", "inf-im", "-inf-im"],
+    )
+    def test_nonfinite_time_refused_before_any_work(self, z, monkeypatch):
+        from qharm import kernel
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the kernel evaluated before z was checked")
+
+        for name in ("_exp_form_block", "_float_qpow", "_cexp", "gamma_qn", "_mass_window",
+                     "_sphere_measures", "_first_term"):
+            monkeypatch.setattr(kernel, name, no_work)
+        evaluators = [
+            lambda z: kernel_exp_form(z, 0, P21),
+            lambda z: kernel_crown_sum(z, 0, P21),
+            lambda z: kernel_series(z, 0, P21),
+            lambda z: kernel_at_zero(z, P21),
+            lambda z: kernel_ball_integral(z, 0, P21),
+            lambda z: kernel_profile(z, (-1, 1), P21),
+            lambda z: kernel_l1_norm(z, P21),
+            lambda z: default_mass_window(z, P21),
+            lambda z: bound_ratios(z, (-1, 1), P21),
+            lambda z: bound_ratio(z, 0, P21),
+        ]
+        for evaluator in evaluators:
+            with pytest.raises(ValueError, match="^semigroup time must be finite, got "):
+                evaluator(z)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KernelEvalConfig(tail_budget=4)

@@ -85,7 +85,7 @@ def _cut_index(tail_bound, z, params):
     """The J with tail_bound = E |z| q**(-J (n + alpha)) (module docstring),
     up to a rounding pad far below one factor q**(n + alpha)."""
     rate = (params.n + params.alpha) * math.log(params.q)
-    return round(math.log(kernel._power_envelope(params) * abs(z) / tail_bound) / rate)
+    return round(math.log(kernel._power_envelope(params, z) / tail_bound) / rate)
 
 
 @pytest.mark.parametrize(
