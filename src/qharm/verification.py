@@ -17,6 +17,7 @@ overrides its location.
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.resources
 import math
 import os
@@ -378,7 +379,8 @@ def verify_taibleson(
 # -- criterion 8: contour calculus ----------------------------------------------
 
 
-def standard_symbols() -> list[calculus.SymbolFunction]:
+@functools.cache  # built once, so the memoised contour rules and kernels G hit
+def standard_symbols() -> tuple[calculus.SymbolFunction, ...]:
     """The calculus suites' symbols, whose certificates (the contour's bound is
     only as strong as they are) hold on their sectors thus, with r = |z|:
     - z / (1 + z)**2 and sqrt(z) / (1 + z), theta = 1.4 <= pi / 2: |1 + z|**2 =
@@ -386,24 +388,23 @@ def standard_symbols() -> list[calculus.SymbolFunction]:
     - z / (1 + z**2), theta = 1.0: w = z**2 and 1 / w have |arg| <= 2 theta < pi,
       so their rays pass -1 at a distance >= sin 2 = 0.909, |1 + w| =
       |w| |1 + 1 / w| >= 0.909 max(1, r**2) and |f| <= 1.1 min(r, 1 / r)."""
-    return [
+    return (
         calculus.SymbolFunction(lambda t: t / (1 + t) ** 2, (1.0, 1.1), 1.4),
         calculus.SymbolFunction(lambda t: np.sqrt(t) / (1 + t), (0.5, 1.2), 1.4),
         calculus.SymbolFunction(lambda t: t / (1 + t * t), (1.0, 1.3), 1.0),
-    ]
+    )
 
 
 def verify_calculus() -> dict:
     rng = np.random.default_rng(SEED_PROFILES)
     params = FieldParams(2, 1, 1.0)
     g = RadialProfile(params, -3, 4, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    worst = 0.0
-    for sym in standard_symbols():
+    worst, symbols = 0.0, standard_symbols()
+    for sym in symbols:
         direct = calculus.hinf_apply_direct(sym, g)
         res = calculus.hinf_apply_contour(sym, g)
         worst = max(worst, lp_norm(res.profile - direct, 2) / max(lp_norm(direct, 2), 1e-300))
-    sym0 = standard_symbols()[0]
-    profs = [calculus.hinf_apply_contour(sym0, g, nu).profile for nu in (0.3, 0.6, 1.0)]
+    profs = [calculus.hinf_apply_contour(symbols[0], g, nu).profile for nu in (0.3, 0.6, 1.0)]
     worst_nu = max(lp_norm(profs[0] - p, 2) for p in profs[1:]) / lp_norm(profs[0], 2)
     return {
         "suite": "calculus",

@@ -752,3 +752,23 @@ class TestRademacher:
         fam = rbound_family(1.3, points)
         ref = rademacher_trial_loop(fam, p, 55, 5, params)
         assert abs(rademacher_ratio(fam, p, 55, 5, params) - ref) <= 1e-14 * ref
+
+
+class TestSuiteSymbols:
+    """The suites' symbols are built once, so their memoised contour rules and
+    Toeplitz kernels serve every later run of a suite in the process."""
+
+    def test_built_once(self):
+        assert verification.standard_symbols() is verification.standard_symbols()
+
+    def test_second_calculus_run_builds_no_rule(self):
+        first = verification.verify_calculus()
+        misses = _contour_rule.cache_info().misses
+        assert verification.verify_calculus() == first
+        assert _contour_rule.cache_info().misses == misses
+
+    def test_two_squarefn_runs_build_one_kernel(self):
+        _toeplitz_kernel.cache_clear()
+        first = verification.verify_squarefn()
+        assert verification.verify_squarefn() == first
+        assert _toeplitz_kernel.cache_info().misses == 1
