@@ -35,13 +35,12 @@ def gamma_qn(z: complex, params: FieldParams) -> complex:
         msg = f"z={z} is within {_POLE_EPS} of a pole of Gamma_q^(n) (lattice 2*pi*i/ln(q) * Z)"
         raise PoleError(msg)
     lnq = math.log(q)
-    try:
-        up, down = cmath.exp((z - n) * lnq), cmath.exp(-z * lnq)
-    except OverflowError:
-        up = down = math.inf
-    if cmath.isinf(up) or cmath.isinf(down):
-        raise WindowOverflowError(f"a power of q={q} in Gamma_q^({n})({z}) leaves the float range")
-    return (1.0 - up) / (1.0 - down)
+    if abs(z.real) * lnq != math.inf:  # past it exp returns inf rather than raise
+        try:
+            return (1.0 - cmath.exp((z - n) * lnq)) / (1.0 - cmath.exp(-z * lnq))
+        except OverflowError:
+            pass
+    raise WindowOverflowError(f"a power of q={q} in Gamma_q^({n})({z}) leaves the float range")
 
 
 def reflection_defect(z: complex, params: FieldParams) -> float:
