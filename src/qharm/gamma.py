@@ -35,7 +35,7 @@ def gamma_qn(z: complex, params: FieldParams) -> complex:
         msg = f"z={z} is within {_POLE_EPS} of a pole of Gamma_q^(n) (lattice 2*pi*i/ln(q) * Z)"
         raise PoleError(msg)
     lnq = math.log(q)
-    if abs(z.real) * lnq != math.inf:  # past it exp returns inf rather than raise
+    if z.real * lnq not in (math.inf, -math.inf):  # else exp returns inf, not raise
         try:
             return (1.0 - cmath.exp((z - n) * lnq)) / (1.0 - cmath.exp(-z * lnq))
         except OverflowError:

@@ -45,8 +45,9 @@ _SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accep
 
 def _as_time(z) -> complex:
     """z as a finite complex time; Re z > 0 or ValueError."""
-    z = _finite_time(z)
-    if not z.real > 0:
+    z = complex(z)
+    if not (z.real > 0 and cmath.isfinite(z)):
+        _finite_time(z)  # a NaN or infinite part: the semigroup's finite-time error
         raise ValueError(f"complex time needs Re z > 0, got {z}")
     return z
 
@@ -146,10 +147,10 @@ def kernel_crown_sum(
     q, n, alpha = params.q, params.n, params.alpha
     n0 = -k_x  # ||x|| = q**n0
     xnorm = _float_qpow(q, n0, "norm")
-    _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers
+    lam = _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers
     _float_qpow(q, -n0 * n)
     # z times the largest eigenvalue formed, the correction's, is a float too
-    if abs(z) * _float_qpow(q, max(1, 1 - n0) * alpha, "eigenvalue") == math.inf:
+    if abs(z) * float(q) ** alpha * max(1.0, lam) == math.inf:
         raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
     rn = float(q) ** (-n)
     acc, mag = 0.0 + 0.0j, 0.0  # the sum and the sum of the terms' moduli
