@@ -149,7 +149,7 @@ def kernel_crown_sum(
     xnorm = _float_qpow(q, n0, "norm")
     lam = _float_qpow(q, -n0 * alpha, "eigenvalue")  # the first term's powers
     _float_qpow(q, -n0 * n)
-    # z times the largest eigenvalue formed, the correction's, is a float too
+    # the correction forms z q**alpha, then z q**(alpha (1 + k_x)): both are floats too
     if abs(z) * float(q) ** alpha * max(1.0, lam) == math.inf:
         raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
     rn = float(q) ** (-n)

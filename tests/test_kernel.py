@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qharm import kernel
 from qharm.errors import CancellationError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.kernel import (
@@ -45,8 +46,6 @@ class TestComplexTime:
         ids=["inf", "inf-re", "nan-im", "nan-re", "inf-im", "-inf-im"],
     )
     def test_nonfinite_time_refused_before_any_work(self, z, monkeypatch):
-        from qharm import kernel
-
         def no_work(*args, **kwargs):
             raise AssertionError("the kernel evaluated before z was checked")
 
