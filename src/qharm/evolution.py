@@ -32,7 +32,7 @@ import numpy as np
 from . import radial
 from .errors import ToleranceError
 from .field import FieldParams
-from .radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
+from .radial import LOG_FLOOR, RadialProfile, lp_norm
 
 BLOCK_ELEMENTS = 1 << 15  # most time x crown values one report block holds
 
@@ -210,7 +210,9 @@ def solve_master_rk4(
             y = y + (d[r] * y + e[r])
         tail = tail + complex(htails[r + 1]) * (b_eff - a)  # lam = 0 integrates f directly
 
-    return radial_fourier(RadialProfile(x0.params, kmin, kmax, y, tail=tail))
+    kmin, kmax, out, otails = radial._fourier_block(x0.params, kmin, kmax, y[None, :],
+                                                     np.array([tail]))
+    return RadialProfile(x0.params, kmin, kmax, out[0], tail=complex(otails[0]))
 
 
 def max_regularity_report(

@@ -44,11 +44,14 @@ _SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accep
 
 
 def _as_time(z) -> complex:
-    """z as a finite complex time; Re z > 0 or ValueError."""
+    """z as a finite complex time; Re z > 0 or ValueError, |z| a float or
+    WindowOverflowError."""
     z = complex(z)
     if not (z.real > 0 and cmath.isfinite(z)):
         _finite_time(z)  # a NaN or infinite part: the semigroup's finite-time error
         raise ValueError(f"complex time needs Re z > 0, got {z}")
+    if math.hypot(z.real, z.imag) == math.inf:  # abs(z) would raise OverflowError
+        raise WindowOverflowError(f"|z| at z={z} leaves the float range")
     return z
 
 
@@ -86,6 +89,66 @@ def _first_term(t: float, params: FieldParams) -> int:
     return math.ceil(math.log(t / -LOG_FLOOR) / (params.alpha * math.log(params.q)))
 
 
+def _terms_fit(z: complex, params: FieldParams, j: int) -> bool:
+    """Whether term j's weight q**(-j n) and |z| lam_j (q**alpha - 1), the bound
+    of its exponent w (q**alpha - 1), are floats; both only grow as j falls."""
+    q, n, alpha = params.q, params.n, params.alpha
+    try:
+        float(q) ** (-n * j)
+        return abs(z) * float(q) ** (-alpha * j) * (float(q) ** alpha - 1.0) < math.inf
+    except OverflowError:
+        return False
+
+
+_NO_TERMS = (None, 0, 0, None)
+_terms_slot = _NO_TERMS  # (key, lo, hi, terms): the last time's terms for j in [lo, hi)
+
+
+def _exp_terms(z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
+    """q**(-j n) D_j for j = J - 1 down to j0, the inner end first: a slice of
+    one read-only array kept for the last time.  A term depends on (params,
+    z, j) alone, so the slice equals a cold call's terms bit for bit; sums are
+    not kept, since each window sets their cut and start.  A miss at the kept
+    time doubles the range on the side that ran short, never below j_first or
+    a j whose weight or exponent bound is no float; a new time computes
+    [j0, J).  A miss checks that bound at j0, so a hit, inside a checked
+    range, needs no check."""
+    global _terms_slot
+    # 1+0j == 1-0j, but -z carries the zero's sign into every term
+    key = (params, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+    kept, lo, hi, terms = _terms_slot
+    if kept == key and lo <= j0 and J <= hi:
+        return terms[hi - J : hi - j0]
+    if not _terms_fit(z, params, j0):  # the caller checked the weight
+        msg = f"exp-form exponent |z| lam_j (q**alpha - 1) at z={z}, j={j0} leaves the float range"
+        raise WindowOverflowError(msg)
+    if kept != key:
+        lo, hi = j0, J
+    else:
+        width = hi - lo
+        if j0 < lo:
+            grown = max(lo - width, _first_term(z.real, params))
+            lo = grown if grown < j0 and _terms_fit(z, params, grown) else j0
+        if J > hi:
+            hi = max(J, hi + width)
+    q, n, alpha = params.q, params.n, params.alpha
+    # q**(-j n) and w = -z lam_j for j = hi - 1 down to lo
+    weights = float(q**n) ** np.arange(1 - hi, 1 - lo, dtype=float)
+    w = weights ** (alpha / n) * -z
+    # D_j = -exp(w) expm1(w (q**alpha - 1)), cancellation-free
+    terms = np.exp(w) * np.expm1(w * (float(q) ** alpha - 1.0))
+    terms *= weights
+    terms.flags.writeable = False
+    _terms_slot = (key, lo, hi, terms)
+    return terms[hi - J : hi - j0]
+
+
+def _clear_terms() -> None:
+    """Empty the term slot, so that the next exp-form call computes cold."""
+    global _terms_slot
+    _terms_slot = _NO_TERMS
+
+
 def _exp_form_block(
     z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
 ) -> tuple[np.ndarray, float]:
@@ -94,10 +157,16 @@ def _exp_form_block(
     (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m with
     t lam_m <= n / alpha gives the inner scale."""
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
+    if alpha * t / n == 0.0 or t / -LOG_FLOOR == 0.0:  # the logs of the scales below
+        raise WindowOverflowError(f"exp-form time scale at Re z = {t!r} underflows to 0")
     lnq = math.log(q)
     rate = (n + alpha) * lnq
     m = math.ceil(math.log(alpha * t / n) / (alpha * lnq))
-    log_k0 = math.log1p(-float(q) ** -n) - t * float(q) ** (-m * alpha) - m * n * lnq
+    try:
+        tlam = t * float(q) ** (-m * alpha)
+    except OverflowError:  # t near the underflow: its bound n / alpha stands in
+        tlam = n / alpha
+    log_k0 = math.log1p(-float(q) ** -n) - tlam - m * n * lnq
     # the terms from J on sum to at most exp(log_tail0 - J rate); the factor
     # 1 + 2**-36 covers the rounding in evaluating this bound
     log_tail0 = math.log(_power_envelope(params, z)) + 2.0**-36
@@ -116,14 +185,8 @@ def _exp_form_block(
     j0 = max(-kmax, j_first)
     J = max(J, j0 + 1, 1 - kmin)
     _float_qpow(q, -n * j0)  # the largest weight
-    # q**(-j n) and w = -z lam_j for j = J - 1 down to j0, the inner end first
-    weights = float(q**n) ** np.arange(1 - J, 1 - j0, dtype=float)
-    w = weights ** (alpha / n) * -z
-    # D_j = -exp(w) expm1(w (q**alpha - 1)), cancellation-free
-    terms = np.exp(w) * np.expm1(w * (float(q) ** alpha - 1.0))
-    terms *= weights
     # S[i] sums the i + 1 innermost terms; crown k sums the j >= max(-k, j0)
-    S = terms.cumsum()
+    S = _exp_terms(z, params, j0, J).cumsum()
     vals = S[J + kmin - 1 : J + kmax]
     if vals.size <= kmax - kmin:
         vals = np.concatenate((vals, np.full(kmax - kmin + 1 - vals.size, S[-1])))

@@ -223,17 +223,24 @@ def radial_fourier(f: RadialProfile) -> RadialProfile:
 
 
 def convolve(g: RadialProfile, f: RadialProfile) -> RadialProfile:
-    """Convolution via the Fourier route: F^{-1}(Fg * Ff); a product or back
-    transform past the float range raises WindowOverflowError."""
-    gh, fh = align(radial_fourier(g), radial_fourier(f))
+    """Convolution via the Fourier route: F^{-1}(Fg * Ff), on the transformed
+    arrays until the one output profile; a product or back transform past
+    the float range raises WindowOverflowError."""
+    if f.params != g.params:
+        raise ValueError("profiles live on different fields")
+    params = g.params
+    hats = [_fourier_block(params, h.kmin, h.kmax, h.coeffs[None, :], np.array([h.tail]))
+            for h in (g, f)]
+    kmin, kmax = min(b[0] for b in hats), max(b[1] for b in hats)
+    (gh, gt), (fh, ft) = [(_pad(*b, kmin, kmax)[0], complex(b[3][0])) for b in hats]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = radial_fourier(RadialProfile(
-            gh.params, gh.kmin, gh.kmax, gh.coeffs * fh.coeffs, tail=gh.tail * fh.tail
-        ))
-    if not (np.isfinite(out.coeffs).all() and cmath.isfinite(out.tail)):
-        msg = f"convolution product on Fourier crowns [{gh.kmin}, {gh.kmax}] leaves the float range"
+        okmin, okmax, out, otails = _fourier_block(
+            params, kmin, kmax, (gh * fh)[None, :], np.array([gt * ft])
+        )
+    if not np.isfinite(out).all():
+        msg = f"convolution product on Fourier crowns [{kmin}, {kmax}] leaves the float range"
         raise WindowOverflowError(msg)
-    return out
+    return RadialProfile(params, okmin, okmax, out[0], tail=complex(otails[0]))
 
 
 def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
@@ -305,17 +312,23 @@ def _hat_depth(params: FieldParams, kmax: int, tail: float, decay) -> int:
     return _extension_depth(params, kmax, C * tail, s, _TAIL_EPS * max(1.0, tail))
 
 
-def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, lo: int, hi: int):
-    """``(H, lams)``: the rows of the transformed block OUT on [kmin, kmax],
-    row i with inner tail tails[i], padded to [lo, hi] (0 outward, the tail
-    inward), and lams = q**(-m*alpha) on [lo, hi].  A crown weight or top
-    eigenvalue past the float range raises WindowOverflowError first."""
-    _sphere_measures(params.q, params.n, lo, hi)
-    _float_qpow(params.q, -params.alpha * lo, "eigenvalue")
+def _pad(kmin: int, kmax: int, OUT: np.ndarray, tails, lo: int, hi: int) -> np.ndarray:
+    """The rows of the block OUT on [kmin, kmax], row i with inner tail
+    tails[i], padded to [lo, hi]: 0 outward, the tail inward."""
     H = np.empty((OUT.shape[0], hi - lo + 1), dtype=complex)
     H[:, : kmin - lo] = 0.0
     H[:, kmin - lo : kmax - lo + 1] = OUT
     H[:, kmax - lo + 1 :] = tails[:, None]
+    return H
+
+
+def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, lo: int, hi: int):
+    """``(H, lams)``: the transformed block OUT :func:`_pad`-ded to [lo, hi],
+    and lams = q**(-m*alpha) on [lo, hi].  A crown weight or top eigenvalue
+    past the float range raises WindowOverflowError first."""
+    _sphere_measures(params.q, params.n, lo, hi)
+    _float_qpow(params.q, -params.alpha * lo, "eigenvalue")
+    H = _pad(kmin, kmax, OUT, tails, lo, hi)
     return H, np.power(float(params.q), -params.alpha * np.arange(lo, hi + 1, dtype=float))
 
 

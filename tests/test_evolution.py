@@ -470,3 +470,14 @@ class TestOneBlockWindow:
             assert max_regularity_report(forcing, p, q_space, n_time) == max_regularity_per_profile(
                 forcing, p, q_space, n_time
             )
+
+
+def test_rk4_builds_one_profile(monkeypatch):
+    rng = np.random.default_rng(26)
+    x0 = make_profile(rng, P21, -2, 3, tail=0.5)
+    forcing = ForcingSignal.constant(make_profile(rng, P21, -1, 4, tail=0.25j), 1.0)
+    built = []
+    init = RadialProfile.__post_init__
+    monkeypatch.setattr(RadialProfile, "__post_init__", lambda self: built.append(init(self)))
+    solve_master_rk4(x0, forcing, 1.0, 64)
+    assert len(built) == 1

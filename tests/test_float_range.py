@@ -101,6 +101,26 @@ REPROS = {
         lambda: kernel.default_mass_window(1e-300, FieldParams(3, 2, 2.0)),
         WindowOverflowError, r"^mass window K_\{Re z\}\(0\) / tol = .* leaves the float range$",
     ),
+    # w (q**alpha - 1) overflowed at the first term: NaN values with finite bounds
+    "at_zero_exponent": (
+        lambda: kernel.kernel_at_zero(1e-300 - 0.0023j, FieldParams(2, 2, 117.72684532347425)),
+        WindowOverflowError, r"^exp-form exponent \|z\| lam_j \(q\*\*alpha - 1\) at z=.*, j=-8 ",
+    ),
+    "l1_norm_exponent": (
+        lambda: kernel.kernel_l1_norm(1e-300 + 0.1186j, FieldParams(4, 3, 124.91498888497475)),
+        WindowOverflowError, r"^exp-form exponent \|z\| lam_j \(q\*\*alpha - 1\) at z=.*, j=-4 ",
+    ),
+    "exp_form_subnormal_time": (
+        lambda: kernel.kernel_exp_form(5e-324 + 0.0206j, -6, FieldParams(3, 3, 17.915)),
+        WindowOverflowError, r"^exp-form time scale at Re z = 5e-324 underflows to 0$",
+    ),
+    "crown_sum_abs_z": (
+        # abs(z) itself raised OverflowError inside the crown sum's range guard
+        lambda: kernel.kernel_crown_sum(
+            1.7e308 + 1.7e308j, -268, FieldParams(7, 2, 0.0013561845965840875)
+        ),
+        WindowOverflowError, r"^\|z\| at z=\(1\.7e\+308\+1\.7e\+308j\) leaves the float range$",
+    ),
 }
 
 
@@ -111,6 +131,18 @@ def test_repro_refused(case):
         warnings.simplefilter("error")
         with pytest.raises(exc, match=msg):
             call()
+
+
+def test_exp_form_scale_past_the_floats_finite():
+    """At Re z = 1e-306 the inner-scale eigenvalue n / (alpha Re z) is no
+    float; its bound stands in, and the values agree with the crown sum."""
+    params = FieldParams(2, 3, 0.001)
+    for k in (-6, 0, 6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = kernel.kernel_exp_form(1e-306 + 0.02j, k, params)
+        b = kernel.kernel_crown_sum(1e-306 + 0.02j, k, params)
+        assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
 
 
 def _finite(v) -> bool:

@@ -108,3 +108,30 @@ def test_power_past_the_floats_refused(q, z):
     # argument z ln q is itself infinite, which exp returns as inf without raising
     with pytest.raises(WindowOverflowError, match=rf"^a power of q={q} in Gamma_q\^\(1\)"):
         gamma_qn(z, FieldParams(q, 1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "z", [complex(math.nan, 0), complex(1, math.inf), complex(1, math.nan), math.inf],
+    ids=["nan", "inf-im", "nan-im", "inf"],
+)
+def test_nonfinite_argument_refused_before_any_work(z, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("Gamma evaluated before z was checked")
+
+    for name in ("_pole_distance", "sphere_character_integral", "_crown_tail"):
+        monkeypatch.setattr(gamma, name, no_work)
+    for route in (gamma_qn, gamma_via_integral, reflection_defect):
+        with pytest.raises(ValueError, match=r"^Gamma_q\^\(n\) argument must be finite, got "):
+            route(z, P21)
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-300 + 1j, 1e-9])
+def test_integral_oracle_budget_refused_before_any_crown(z, monkeypatch):
+    """q**(-Re z) rounds to 1 (it divided by zero) or the tail bound misses
+    tol within the crown budget: ToleranceError before any crown is summed."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a crown was summed")
+
+    monkeypatch.setattr(gamma, "sphere_character_integral", no_work)
+    with pytest.raises(ToleranceError, match=r"^gamma integral does not reach tol=1e-12 within "):
+        gamma_via_integral(z, P21)

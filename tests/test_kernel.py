@@ -292,3 +292,93 @@ class TestSemigroupProfile:
         match = re.escape(f"crown weight q**({power}) at q=2 leaves the float range")
         with pytest.raises(WindowOverflowError, match=match):
             kernel_profile(t, window, params)
+
+
+def _bytes(res) -> bytes:
+    """Every value and bound of an evaluator's result, as raw bytes."""
+    if isinstance(res, tuple) and isinstance(res[0], np.ndarray):  # bound_ratios
+        return b"".join(a.tobytes() for a in res)
+    if hasattr(res, "coeffs"):  # a kernel profile
+        return res.coeffs.tobytes() + np.array([res.tail]).tobytes()
+    return np.array(res, dtype=complex).tobytes()
+
+
+def _warm_calls():
+    """Exp-form calls that share times: per-crown values in ascending,
+    descending and shuffled crown order, profile windows, K_z(0), bound
+    ratios and ball integrals, over interleaved fields, z = 1+0j against 1-0j, and real
+    and complex times."""
+    rng = np.random.default_rng(26)
+    fields = [P21, P31, FieldParams(3, 2, 0.5), FieldParams(2, 1, 0.05)]
+    times = [1 + 0j, complex(1, -0.0), 0.3, 2.0, 0.7 + 1.3j, 0.2 - 0.9j]
+    groups = []
+    for params in fields:
+        for z in times:
+            crowns = list(range(-8, 15))  # past -j_first, where the sums stop at j_first
+            shuffled = [int(k) for k in rng.permutation(crowns)]
+            calls = [
+                *[(kernel_exp_form, (z, k, params)) for k in crowns],
+                *[(kernel_exp_form, (z, k, params)) for k in crowns[::-1]],
+                *[(kernel_exp_form, (z, k, params)) for k in shuffled],
+                *[(kernel_profile, (z, w, params)) for w in ((-5, 5), (-2, 20), (0, 0), (-12, 3))],
+                (kernel_at_zero, (z, params)),
+                *[(bound_ratios, (z, w, params)) for w in ((-3, 3), (1, 6))],
+                *[(kernel_ball_integral, (z, k, params)) for k in (-4, 0, 5)],
+            ]
+            groups.append(calls)
+    order = [int(i) for i in rng.permutation(len(groups))]
+    seq = [call for i in order[: len(order) // 2] for call in groups[i]]  # whole groups
+    rest = [groups[i] for i in order[len(order) // 2 :]]
+    for pair in zip(rest[::2], rest[1::2]):  # two times alternating, call by call
+        seq += [call for both in zip(*pair) for call in both]
+    return seq
+
+
+def test_warm_equals_cold():
+    """The exp-form terms at one time are shared across calls, the sums are
+    not: every warm value and bound equals, byte for byte, a cold call's."""
+    kernel._clear_terms()
+    calls = _warm_calls()
+    warm = [_bytes(fn(*args)) for fn, args in calls]
+    for (fn, args), got in zip(calls, warm):
+        kernel._clear_terms()
+        assert got == _bytes(fn(*args)), (fn.__name__, args)
+
+
+def test_terms_keyed_on_signed_zero():
+    """1+0j == 1-0j, but -z carries the zero's sign into w: the two are two times."""
+    kernel._clear_terms()
+    kernel._exp_terms(1 + 0j, P21, 0, 6)
+    kept = kernel._terms_slot
+    minus = kernel._exp_terms(complex(1, -0.0), P21, 0, 6)
+    assert kernel._terms_slot is not kept
+    kernel._clear_terms()
+    assert minus.tobytes() == kernel._exp_terms(complex(1, -0.0), P21, 0, 6).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_growth_keeps_terms_finite(q):
+    """At the largest alpha a field takes, lam_j leaves the floats one crown
+    below j = 0: growing the kept range never computes a term there."""
+    lo, hi = 1.0, 2048.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):  # the largest alpha, by bisection
+        try:
+            FieldParams(q, 1, mid)
+            lo = mid
+        except WindowOverflowError:
+            hi = mid
+    for n in (1, 3):
+        params = FieldParams(q, n, lo)
+        for z in (1e-307, 1e-307 + 0.5j, 0.5, 0.3 - 0.4j):
+            for crowns in (range(-6, 3), range(2, -7, -1)):
+                kernel._clear_terms()
+                for k in crowns:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            kernel_exp_form(z, k, params)
+                        except WindowOverflowError:
+                            pass
+                    terms = kernel._terms_slot[3]
+                    assert terms is None or np.isfinite(terms).all(), (n, z, k)
+                    assert terms is None or not terms.flags.writeable

@@ -286,3 +286,23 @@ def test_window_validation():
         RadialProfile(P21, 2, 1, [])
     with pytest.raises(ValueError):
         RadialProfile(P21, 0, 1, [1.0])
+
+
+def test_convolve_builds_one_profile(monkeypatch):
+    """The transforms, their product and the back transform stay on arrays,
+    and agree with the profile route bit for bit."""
+    rng = np.random.default_rng(26)
+    g = make_profile(rng, P21, -3, 4, tail=0.5 - 0.25j)
+    f = make_profile(rng, P21, -1, 6, tail=0.25j)
+    gh, fh = radial.align(radial_fourier(g), radial_fourier(f))
+    ref = radial_fourier(RadialProfile(
+        P21, gh.kmin, gh.kmax, gh.coeffs * fh.coeffs, tail=gh.tail * fh.tail
+    ))
+    built = []
+    init = RadialProfile.__post_init__
+    monkeypatch.setattr(RadialProfile, "__post_init__", lambda self: built.append(init(self)))
+    out = convolve(g, f)
+    assert len(built) == 1
+    assert (out.kmin, out.kmax) == (ref.kmin, ref.kmax)
+    assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert np.array([out.tail]).tobytes() == np.array([ref.tail]).tobytes()
