@@ -9,7 +9,8 @@ sum to at most E |z| q**(-J (n+alpha)), E = (q**alpha - 1) / (1 - q**(-alpha-n))
 ``_exp_form_block`` sums a crown window as one cancellation-free reversed
 cumsum from the inner end, cut at the first J where that bound is below tol
 times the least of 1, the far-field envelope E |z| / ||x||**(alpha+n) at the
-outermost crown and a lower bound of K_{Re z}(0).  ``kernel_exp_form`` is its
+outermost crown and a lower bound of K_{Re z}(0); its terms are slices of
+one array kept per time (``_exp_terms``).  ``kernel_exp_form`` is its
 1x1 case, ``kernel_at_zero`` its crown past which every term flushes to 0 and
 ``kernel_ball_integral`` a summation by parts of one crown.  Two oracles:
 
@@ -90,8 +91,8 @@ def _first_term(t: float, params: FieldParams) -> int:
 
 
 def _terms_fit(z: complex, params: FieldParams, j: int) -> bool:
-    """Whether term j's weight q**(-j n) and |z| lam_j (q**alpha - 1), the bound
-    of its exponent w (q**alpha - 1), are floats; both only grow as j falls."""
+    """Whether the weight q**(-j n) and the exponent bound |z| lam_j (q**alpha - 1)
+    of term j are floats; both grow as j falls."""
     q, n, alpha = params.q, params.n, params.alpha
     try:
         float(q) ** (-n * j)
@@ -105,16 +106,14 @@ _terms_slot = _NO_TERMS  # (key, lo, hi, terms): the last time's terms for j in 
 
 
 def _exp_terms(z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
-    """q**(-j n) D_j for j = J - 1 down to j0, the inner end first: a slice of
-    one read-only array kept for the last time.  A term depends on (params,
-    z, j) alone, so the slice equals a cold call's terms bit for bit; sums are
-    not kept, since each window sets their cut and start.  A miss at the kept
-    time doubles the range on the side that ran short, never below j_first or
-    a j whose weight or exponent bound is no float; a new time computes
-    [j0, J).  A miss checks that bound at j0, so a hit, inside a checked
-    range, needs no check."""
+    """q**(-j n) D_j for j = J - 1 down to j0, the inner end first, sliced from
+    one read-only array kept for the last time.  A term depends on (params, z,
+    j) alone, a sum also on its window's cut and start, so only terms are kept.
+    A miss checks the exponent bound at j0, which every kept range has passed;
+    at the kept time it doubles the range on the side that ran short, to no j
+    below j_first or past the floats."""
     global _terms_slot
-    # 1+0j == 1-0j, but -z carries the zero's sign into every term
+    # 1+0j == 1-0j, but -z carries the zero's sign into w
     key = (params, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
     kept, lo, hi, terms = _terms_slot
     if kept == key and lo <= j0 and J <= hi:
@@ -124,13 +123,12 @@ def _exp_terms(z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
         raise WindowOverflowError(msg)
     if kept != key:
         lo, hi = j0, J
-    else:
-        width = hi - lo
-        if j0 < lo:
-            grown = max(lo - width, _first_term(z.real, params))
-            lo = grown if grown < j0 and _terms_fit(z, params, grown) else j0
-        if J > hi:
-            hi = max(J, hi + width)
+    width = hi - lo
+    if j0 < lo:
+        grown = max(lo - width, _first_term(z.real, params))
+        lo = grown if grown < j0 and _terms_fit(z, params, grown) else j0
+    if J > hi:
+        hi = max(J, hi + width)
     q, n, alpha = params.q, params.n, params.alpha
     # q**(-j n) and w = -z lam_j for j = hi - 1 down to lo
     weights = float(q**n) ** np.arange(1 - hi, 1 - lo, dtype=float)

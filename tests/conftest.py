@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qharm.errors import WindowOverflowError
 from qharm.field import FieldModel, FieldParams, QuotientLattice
 from qharm.radial import RadialProfile
 
@@ -9,6 +10,18 @@ from qharm.radial import RadialProfile
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240810)
+
+
+def largest_alpha(q: int) -> float:
+    """The largest alpha FieldParams(q, n, alpha) accepts, by bisection on the floats."""
+    lo, hi = 1.0, 2048.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        try:
+            FieldParams(q, 1, mid)
+            lo = mid
+        except WindowOverflowError:
+            hi = mid
+    return lo
 
 
 def make_profile(rng, params, kmin, kmax, tail=0.0):

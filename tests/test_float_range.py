@@ -17,6 +17,8 @@ from qharm.errors import CancellationError, ToleranceError, WindowOverflowError
 from qharm.field import FieldParams
 from qharm.radial import RadialProfile
 
+from conftest import largest_alpha
+
 P = FieldParams(2, 1, 1.0)
 Z = 1 + 0.5j
 TYPED = (
@@ -187,18 +189,6 @@ def test_every_scale_finite_or_typed(name, params):
         assert _finite(value), (name, k)
 
 
-def _largest_alpha(q: int) -> float:
-    """The largest alpha FieldParams(q, n, alpha) accepts, by bisection on the floats."""
-    lo, hi = 1.0, 2048.0
-    while (mid := (lo + hi) / 2) not in (lo, hi):
-        try:
-            FieldParams(q, 1, mid)
-            lo = mid
-        except WindowOverflowError:
-            hi = mid
-    return lo
-
-
 # the routes that raised a bare OverflowError at alpha = 1100, q = 2, when
 # FieldParams took every positive alpha
 EDGE_ROUTES = {
@@ -219,7 +209,7 @@ EDGE_ROUTES = {
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 1009])
 def test_largest_alpha_finite_or_typed(q):
-    alpha = _largest_alpha(q)
+    alpha = largest_alpha(q)
     with pytest.raises(WindowOverflowError, match=r"^field step q\*\*\("):
         FieldParams(q, 1, math.nextafter(alpha, math.inf))
     for n in (1, 3):

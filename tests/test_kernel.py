@@ -1,6 +1,8 @@
 import cmath
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +25,8 @@ from qharm.kernel import (
     kernel_series,
 )
 from qharm.radial import convolve, improper_integral, lp_norm
+
+from conftest import largest_alpha
 
 P21 = FieldParams(2, 1, 1.0)
 P31 = FieldParams(3, 1, 1.0)
@@ -306,8 +310,8 @@ def _bytes(res) -> bytes:
 def _warm_calls():
     """Exp-form calls that share times: per-crown values in ascending,
     descending and shuffled crown order, profile windows, K_z(0), bound
-    ratios and ball integrals, over interleaved fields, z = 1+0j against 1-0j, and real
-    and complex times."""
+    ratios and ball integrals, over interleaved fields, z = 1+0j against
+    1-0j, and real and complex times."""
     rng = np.random.default_rng(26)
     fields = [P21, P31, FieldParams(3, 2, 0.5), FieldParams(2, 1, 0.05)]
     times = [1 + 0j, complex(1, -0.0), 0.3, 2.0, 0.7 + 1.3j, 0.2 - 0.9j]
@@ -360,15 +364,8 @@ def test_terms_keyed_on_signed_zero():
 def test_growth_keeps_terms_finite(q):
     """At the largest alpha a field takes, lam_j leaves the floats one crown
     below j = 0: growing the kept range never computes a term there."""
-    lo, hi = 1.0, 2048.0
-    while (mid := (lo + hi) / 2) not in (lo, hi):  # the largest alpha, by bisection
-        try:
-            FieldParams(q, 1, mid)
-            lo = mid
-        except WindowOverflowError:
-            hi = mid
     for n in (1, 3):
-        params = FieldParams(q, n, lo)
+        params = FieldParams(q, n, largest_alpha(q))
         for z in (1e-307, 1e-307 + 0.5j, 0.5, 0.3 - 0.4j):
             for crowns in (range(-6, 3), range(2, -7, -1)):
                 kernel._clear_terms()
@@ -382,3 +379,37 @@ def test_growth_keeps_terms_finite(q):
                     terms = kernel._terms_slot[3]
                     assert terms is None or np.isfinite(terms).all(), (n, z, k)
                     assert terms is None or not terms.flags.writeable
+
+
+def test_threads_racing_on_the_slot_get_cold_values():
+    """The slot is read and rebound as one tuple: threads that race on it,
+    switching every microsecond, each get the values of a cold call."""
+    cases = [(z, k, params) for params in (P21, P31) for z in (0.5 + 0.2j, 1.5, 0.3 - 1j)
+             for k in range(-4, 5)]
+    want = {}
+    for case in cases:
+        kernel._clear_terms()
+        want[case] = _bytes(kernel_exp_form(*case))
+    wrong = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                case = cases[(offset + 7 * i) % len(cases)]
+                if _bytes(kernel_exp_form(*case)) != want[case]:
+                    wrong.append(case)
+        except Exception as exc:  # reported below, not lost in the thread
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
