@@ -66,9 +66,10 @@ def gamma_via_integral(z: complex, params: FieldParams, tol: float = 1e-12) -> c
     crown gives the single term -q**(z-n) exactly, and the m <= 0 terms form
     a series with geometric tail bound (1 - q**(-n)) * q**(-K*Re z) /
     (1 - q**(-Re z)) after K crowns, summed until the bound drops below tol.
-    A z that is not finite raises ValueError, and a Re z so small that the
-    bound misses tol within ``_MAX_CROWNS`` crowns ToleranceError, before
-    any crown is summed.
+    A z that is not finite raises ValueError, a Re z so small that the bound
+    misses tol within ``_MAX_CROWNS`` crowns ToleranceError, and a crown
+    power q**(m (z-n)) past the floats at the first or the last crown
+    WindowOverflowError, before any crown is summed.
     """
     _finite_argument(z)
     if not z.real > 0:
@@ -82,19 +83,35 @@ def gamma_via_integral(z: complex, params: FieldParams, tol: float = 1e-12) -> c
             f"gamma integral does not reach tol={tol} within "
             f"{_MAX_CROWNS} crowns (Re z = {z.real} too small)"
         )
+    # the last crown is the largest m <= 0 whose tail bound is below tol; the
+    # modulus of the crown power q**(m (z-n)) is monotone in m, so the first
+    # crown m = 1 and that last crown bound it
+    log_stop = math.log(tol * (1.0 - decay) / (1.0 - q ** float(-n))) / (z.real * lnq)
+    last = min(0, math.floor(log_stop) + 1)
+    while last < 0 and _crown_tail(q, n, z.real, lnq, last + 1, decay) < tol:
+        last += 1
+    while _crown_tail(q, n, z.real, lnq, last, decay) >= tol:
+        last -= 1
+    for m in (1, last):
+        try:  # formed as the loop forms it; exp of an infinite part returns inf
+            power = cmath.exp(m * (z - n) * lnq)
+        except OverflowError:
+            power = math.inf
+        if not cmath.isfinite(power):
+            raise WindowOverflowError(
+                f"crown power q**(m (z-n)) at m={m} of the gamma integral at q={q}, "
+                f"z={z} leaves the float range"
+            )
     unit_norm = 1  # ||u|| = 1 = q**0
     # crown ||x|| = q**m is the sphere at scale index -m
     total = cmath.exp((z - n) * lnq) * float(
         sphere_character_integral(-1, unit_norm, params)
     )
-    m = 0
-    while True:
+    for m in range(0, last - 1, -1):
         total += cmath.exp(m * (z - n) * lnq) * float(
             sphere_character_integral(-m, unit_norm, params)
         )
-        if _crown_tail(q, n, z.real, lnq, m, decay) < tol:
-            return total
-        m -= 1
+    return total
 
 
 def _crown_tail(q: int, n: int, x: float, lnq: float, m: int, decay: float) -> float:

@@ -9,10 +9,9 @@ sum to at most E |z| q**(-J (n+alpha)), E = (q**alpha - 1) / (1 - q**(-alpha-n))
 ``_exp_form_block`` sums a crown window as one cancellation-free reversed
 cumsum from the inner end, cut at the first J where that bound is below tol
 times the least of 1, the far-field envelope E |z| / ||x||**(alpha+n) at the
-outermost crown and a lower bound of K_{Re z}(0); its terms are slices of
-one array kept per time (``_exp_terms``).  ``kernel_exp_form`` is its
-1x1 case, ``kernel_at_zero`` its crown past which every term flushes to 0 and
-``kernel_ball_integral`` a summation by parts of one crown.  Two oracles:
+outermost crown and a lower bound of K_{Re z}(0).  ``kernel_exp_form`` is
+its 1x1 case, ``kernel_at_zero`` its crown past which every term flushes to 0
+and ``kernel_ball_integral`` a summation by parts of one crown.  Two oracles:
 
 * ``kernel_crown_sum``: the Fourier integral crown by crown,
       (1 - q**-n) * sum_{k >= n0} exp(-z q**(-k alpha)) q**(-k n)
@@ -25,11 +24,23 @@ one array kept per time (``_exp_terms``).  ``kernel_exp_form`` is its
 Every evaluator returns the value and a rigorous bound on its truncation
 error, plus roundoff for the oracles and the ball integral; compare with
 value +- bound.
+
+Per-time state.  What depends on (params, z) alone is kept for the last time
+only, in one tuple rebound whole and keyed by (params, z) and the signs of
+Re z and Im z (1+0j == 1-0j, but -z carries the zero's sign): the exp form's
+scales (``_exp_scales``), its terms q**(-j n) D_j as one array grown by
+doubling (``_exp_terms``), and the crown-sum terms exp(-z q**(-k alpha))
+q**(-k n), filled by k as calls reach them.  The series' factors
+Gamma_q^(n)(k alpha + n) do not depend on z and are kept by field and k in a
+bounded cache.  Each call keeps its own cut, sum, bound and checks, and a
+call that raises keeps nothing of its error, so a warm call returns a cold
+call's bytes or raises its error; ``_clear_state`` empties both.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -101,31 +112,70 @@ def _terms_fit(z: complex, params: FieldParams, j: int) -> bool:
         return False
 
 
-_NO_TERMS = (None, 0, 0, None)
-_terms_slot = _NO_TERMS  # (key, lo, hi, terms): the last time's terms for j in [lo, hi)
+_NO_STATE = (None, None, 0, 0, None, None)
+# the last time's state, rebound as one tuple: (key, scales, lo, hi, terms, crowns)
+# with the exp form's scales, its terms for j in [lo, hi) and the crown-sum terms by k
+_state = _NO_STATE
 
 
-def _exp_terms(z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
-    """q**(-j n) D_j for j = J - 1 down to j0, the inner end first, sliced from
-    one read-only array kept for the last time.  A term depends on (params, z,
-    j) alone, a sum also on its window's cut and start, so only terms are kept.
-    A miss checks the exponent bound at j0, which every kept range has passed;
-    at the kept time it doubles the range on the side that ran short, to no j
-    below j_first or past the floats."""
-    global _terms_slot
-    # 1+0j == 1-0j, but -z carries the zero's sign into w
+def _time_state(z: complex, params: FieldParams) -> tuple:
+    """The state kept for time z on params; another time's gives way to an empty one."""
+    global _state
+    # 1+0j == 1-0j, but -z carries the zero's sign into every exponent
     key = (params, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-    kept, lo, hi, terms = _terms_slot
-    if kept == key and lo <= j0 and J <= hi:
+    state = _state
+    if state[0] != key:
+        state = _state = (key, None, 0, 0, None, {})
+    return state
+
+
+def _clear_state() -> None:
+    """Empty the state and the series' Gamma factors, so that the next kernel
+    call computes cold."""
+    global _state
+    _state = _NO_STATE
+    _series_gamma.cache_clear()
+
+
+def _exp_scales(z: complex, params: FieldParams) -> tuple:
+    """(lnq, rate, m, log_k0, log_tail0, j_first) of the exp form at z.
+    K_{Re z}(0) >= (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m
+    with t lam_m <= n / alpha gives the inner scale exp(log_k0)."""
+    q, n, alpha, t = params.q, params.n, params.alpha, z.real
+    if alpha * t / n == 0.0 or t / -LOG_FLOOR == 0.0:  # the logs of the scales below
+        raise WindowOverflowError(f"exp-form time scale at Re z = {t!r} underflows to 0")
+    lnq = math.log(q)
+    m = math.ceil(math.log(alpha * t / n) / (alpha * lnq))
+    try:
+        tlam = t * float(q) ** (-m * alpha)
+    except OverflowError:  # t near the underflow: its bound n / alpha stands in
+        tlam = n / alpha
+    log_k0 = math.log1p(-float(q) ** -n) - tlam - m * n * lnq
+    # the terms from J on sum to at most exp(log_tail0 - J rate); the factor
+    # 1 + 2**-36 covers the rounding in evaluating this bound
+    log_tail0 = math.log(_power_envelope(params, z)) + 2.0**-36
+    return lnq, (n + alpha) * lnq, m, log_k0, log_tail0, _first_term(t, params)
+
+
+def _exp_terms(state: tuple, z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
+    """q**(-j n) D_j for j = J - 1 down to j0, the inner end first, sliced from
+    one read-only array kept in the time's state.  A term depends on (params,
+    z, j) alone, a sum also on its window's cut and start, so only terms are
+    kept.  A miss checks the exponent bound at j0, which every kept range has
+    passed; at the kept time it doubles the range on the side that ran short,
+    to no j below j_first or past the floats."""
+    global _state
+    key, scales, lo, hi, terms, crowns = state
+    if terms is not None and lo <= j0 and J <= hi:
         return terms[hi - J : hi - j0]
     if not _terms_fit(z, params, j0):  # the caller checked the weight
         msg = f"exp-form exponent |z| lam_j (q**alpha - 1) at z={z}, j={j0} leaves the float range"
         raise WindowOverflowError(msg)
-    if kept != key:
+    if terms is None:
         lo, hi = j0, J
     width = hi - lo
     if j0 < lo:
-        grown = max(lo - width, _first_term(z.real, params))
+        grown = max(lo - width, scales[5])
         lo = grown if grown < j0 and _terms_fit(z, params, grown) else j0
     if J > hi:
         hi = max(J, hi + width)
@@ -137,40 +187,24 @@ def _exp_terms(z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
     terms = np.exp(w) * np.expm1(w * (float(q) ** alpha - 1.0))
     terms *= weights
     terms.flags.writeable = False
-    _terms_slot = (key, lo, hi, terms)
+    _state = (key, scales, lo, hi, terms, crowns)
     return terms[hi - J : hi - j0]
-
-
-def _clear_terms() -> None:
-    """Empty the term slot, so that the next exp-form call computes cold."""
-    global _terms_slot
-    _terms_slot = _NO_TERMS
 
 
 def _exp_form_block(
     z: complex, kmin: int, kmax: int, params: FieldParams, cfg: KernelEvalConfig
 ) -> tuple[np.ndarray, float]:
     """K_z on the crowns kmin..kmax as one reversed cumsum from
-    :func:`_first_term` on, and the tail bound they share.  K_{Re z}(0) >=
-    (1 - q**-n) exp(-t lam_m) q**(-m n) at the first crown m with
-    t lam_m <= n / alpha gives the inner scale."""
+    :func:`_first_term` on, and the tail bound they share, from the time's
+    kept scales (:func:`_exp_scales`) and terms (:func:`_exp_terms`)."""
+    global _state
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
-    if alpha * t / n == 0.0 or t / -LOG_FLOOR == 0.0:  # the logs of the scales below
-        raise WindowOverflowError(f"exp-form time scale at Re z = {t!r} underflows to 0")
-    lnq = math.log(q)
-    rate = (n + alpha) * lnq
-    m = math.ceil(math.log(alpha * t / n) / (alpha * lnq))
-    try:
-        tlam = t * float(q) ** (-m * alpha)
-    except OverflowError:  # t near the underflow: its bound n / alpha stands in
-        tlam = n / alpha
-    log_k0 = math.log1p(-float(q) ** -n) - tlam - m * n * lnq
-    # the terms from J on sum to at most exp(log_tail0 - J rate); the factor
-    # 1 + 2**-36 covers the rounding in evaluating this bound
-    log_tail0 = math.log(_power_envelope(params, z)) + 2.0**-36
+    state = _time_state(z, params)
+    if state[1] is None:
+        state = _state = (state[0], _exp_scales(z, params), *state[2:])
+    lnq, rate, m, log_k0, log_tail0, j_first = state[1]
     log_scale = min(0.0, log_tail0 + kmin * rate, log_k0)
     J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
-    j_first = _first_term(t, params)
     if J - max(-kmin, j_first) > cfg.tail_budget:
         # count from the first term whose bound 2 exp(-t lam_j) q**(-j n) reaches
         # tol * scale; that bound is log-concave in j and peaks at m - 1 or m
@@ -184,7 +218,7 @@ def _exp_form_block(
     J = max(J, j0 + 1, 1 - kmin)
     _float_qpow(q, -n * j0)  # the largest weight
     # S[i] sums the i + 1 innermost terms; crown k sums the j >= max(-k, j0)
-    S = _exp_terms(z, params, j0, J).cumsum()
+    S = _exp_terms(state, z, params, j0, J).cumsum()
     vals = S[J + kmin - 1 : J + kmax]
     if vals.size <= kmax - kmin:
         vals = np.concatenate((vals, np.full(kmax - kmin + 1 - vals.size, S[-1])))
@@ -213,10 +247,13 @@ def kernel_crown_sum(
     # the correction forms z q**alpha, then z q**(alpha (1 + k_x)): both are floats too
     if abs(z) * float(q) ** alpha * max(1.0, lam) == math.inf:
         raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
+    crowns = _time_state(z, params)[5]  # the time's terms by k, shared by every call
     rn = float(q) ** (-n)
     acc, mag = 0.0 + 0.0j, 0.0  # the sum and the sum of the terms' moduli
     for k in range(n0, n0 + cfg.tail_budget):
-        term = _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
+        term = crowns.get(k)
+        if term is None:
+            term = crowns[k] = _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
         acc += term
         mag += abs(term)
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
@@ -270,7 +307,7 @@ def kernel_series(
         p *= -u / k
         env *= abs(u) * qa / k
         try:  # a term, or its modulus, past the float range
-            term = p * gamma_qn(k * alpha + n, params) * xn
+            term = p * _series_gamma(params, k) * xn
             max_term = max(max_term, abs(term))
         except (OverflowError, WindowOverflowError):
             term = math.inf
@@ -295,6 +332,14 @@ def kernel_series(
         f"kernel series did not reach tol={cfg.tol} within "
         f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
     )
+
+
+@functools.lru_cache(maxsize=2048)
+def _series_gamma(params: FieldParams, k: int) -> complex:
+    """Gamma_q^(n)(k alpha + n), the factor of the series' k-th term; it does
+    not depend on z, so the factors are kept by field and k.  An error is
+    raised afresh on every call, never kept."""
+    return gamma_qn(k * params.alpha + params.n, params)
 
 
 def kernel_at_zero(

@@ -135,3 +135,36 @@ def test_integral_oracle_budget_refused_before_any_crown(z, monkeypatch):
     monkeypatch.setattr(gamma, "sphere_character_integral", no_work)
     with pytest.raises(ToleranceError, match=r"^gamma integral does not reach tol=1e-12 within "):
         gamma_via_integral(z, P21)
+
+
+@pytest.mark.parametrize(
+    "z, params, m",
+    [(0.05, FieldParams(2, 3, 1.0), -890), (0.01, FieldParams(2, 2, 1.0), -4662),
+     (1100, P21, 1), (1e308, FieldParams(7, 1, 1.0), 1)],
+    ids=["last-n3", "last-n2", "first", "first-inf"],
+)
+def test_integral_crown_power_past_the_floats_refused_before_any_crown(z, params, m, monkeypatch):
+    """With n >= 2 and a small Re z < n the last crown's power q**(m (z-n))
+    overflows, past Re z of about 1025 at q = 2 the first crown's: each was a
+    bare OverflowError, now WindowOverflowError before any crown is summed.
+    At q = 7 and Re z = 1e308 the exponent itself is infinite, which exp
+    returns without raising: the oracle returned -inf+nanj."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a crown was summed")
+
+    monkeypatch.setattr(gamma, "sphere_character_integral", no_work)
+    match = rf"^crown power q\*\*\(m \(z-n\)\) at m={m} of the gamma integral at q={params.q}, z="
+    with pytest.raises(WindowOverflowError, match=match):
+        gamma_via_integral(z, params)
+
+
+def test_integral_near_the_crown_power_limit_agrees():
+    """Just inside the float range the oracle sums every crown and still
+    agrees with the closed form; at (2, 3, 1.0) and tol 1e-11 the last
+    crown's power leaves it below Re z = 0.1129."""
+    params = FieldParams(2, 3, 1.0)
+    for z in (0.114, 0.114 + 0.5j):
+        assert abs(gamma_via_integral(z, params, tol=1e-11) - gamma_qn(z, params)) < 1e-9
+    with pytest.raises(WindowOverflowError):
+        gamma_via_integral(0.1128, params, tol=1e-11)
+    assert cmath.isfinite(gamma_via_integral(1020, P21))

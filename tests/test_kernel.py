@@ -307,13 +307,25 @@ def _bytes(res) -> bytes:
     return np.array(res, dtype=complex).tobytes()
 
 
+def _outcome(fn, args):
+    """A call's bytes, or the type and message of the typed error it raised."""
+    try:
+        return _bytes(fn(*args))
+    except (CancellationError, ToleranceError, WindowOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+SMALL_BUDGET = KernelEvalConfig(tail_budget=8)  # every evaluator's budget ToleranceError
+
+
 def _warm_calls():
-    """Exp-form calls that share times: per-crown values in ascending,
-    descending and shuffled crown order, profile windows, K_z(0), bound
-    ratios and ball integrals, over interleaved fields, z = 1+0j against
-    1-0j, and real and complex times."""
+    """Calls that share times: per-crown exp-form, crown-sum and series values
+    in ascending, descending and shuffled crown order, profile windows by
+    block and crown by crown, K_z(0), bound ratios and ball integrals, the
+    budget ToleranceError and WindowOverflowError paths, over interleaved
+    fields, z = 1+0j against 1-0j, and real and complex times."""
     rng = np.random.default_rng(26)
-    fields = [P21, P31, FieldParams(3, 2, 0.5), FieldParams(2, 1, 0.05)]
+    fields = [P21, P31, FieldParams(3, 2, 0.5), FieldParams(2, 1, 0.05), FieldParams(2, 1, 10.0)]
     times = [1 + 0j, complex(1, -0.0), 0.3, 2.0, 0.7 + 1.3j, 0.2 - 0.9j]
     groups = []
     for params in fields:
@@ -322,42 +334,88 @@ def _warm_calls():
             shuffled = [int(k) for k in rng.permutation(crowns)]
             calls = [
                 *[(kernel_exp_form, (z, k, params)) for k in crowns],
+                *[(kernel_crown_sum, (z, k, params)) for k in shuffled],
                 *[(kernel_exp_form, (z, k, params)) for k in crowns[::-1]],
+                *[(kernel_series, (z, k, params)) for k in shuffled[:12]],
                 *[(kernel_exp_form, (z, k, params)) for k in shuffled],
+                *[(kernel_crown_sum, (z, k, params)) for k in crowns[::-1]],
                 *[(kernel_profile, (z, w, params)) for w in ((-5, 5), (-2, 20), (0, 0), (-12, 3))],
+                *[(kernel_profile, (z, (-3, 4), params, kernel.DEFAULT_CFG, ev))
+                  for ev in (kernel_exp_form, kernel_crown_sum)],
                 (kernel_at_zero, (z, params)),
-                *[(bound_ratios, (z, w, params)) for w in ((-3, 3), (1, 6))],
+                *[(bound_ratios, (z, w, params)) for w in ((-3, 3), (1, 6), (-1100, -1099))],
                 *[(kernel_ball_integral, (z, k, params)) for k in (-4, 0, 5)],
+                *[(fn, (z, k, params, SMALL_BUDGET)) for k in (-2, 3)
+                  for fn in (kernel_exp_form, kernel_crown_sum, kernel_series)],
+                (kernel_crown_sum, (z, -1100, params)),
+                *[(kernel_series, (z, k, params)) for k in crowns[::-1]],
             ]
             groups.append(calls)
     order = [int(i) for i in rng.permutation(len(groups))]
-    seq = [call for i in order[: len(order) // 2] for call in groups[i]]  # whole groups
-    rest = [groups[i] for i in order[len(order) // 2 :]]
+    cut = len(order) - len(order) // 4 * 2  # an even number of groups is left to pair
+    seq = [call for i in order[:cut] for call in groups[i]]  # whole groups
+    rest = [groups[i] for i in order[cut:]]
     for pair in zip(rest[::2], rest[1::2]):  # two times alternating, call by call
         seq += [call for both in zip(*pair) for call in both]
     return seq
 
 
 def test_warm_equals_cold():
-    """The exp-form terms at one time are shared across calls, the sums are
-    not: every warm value and bound equals, byte for byte, a cold call's."""
-    kernel._clear_terms()
+    """The exp-form terms and scales and the crown-sum terms at one time, and
+    the series' Gamma factors, are shared across calls, the sums are not:
+    every warm value and bound equals, byte for byte, a cold call's, and a
+    warm call that raises raises the cold call's error."""
+    kernel._clear_state()
     calls = _warm_calls()
-    warm = [_bytes(fn(*args)) for fn, args in calls]
+    warm = [_outcome(fn, args) for fn, args in calls]
     for (fn, args), got in zip(calls, warm):
-        kernel._clear_terms()
-        assert got == _bytes(fn(*args)), (fn.__name__, args)
+        kernel._clear_state()
+        assert got == _outcome(fn, args), (fn.__name__, args)
+    kinds = {(fn, got[0]) for (fn, _), got in zip(calls, warm) if isinstance(got, tuple)}
+    for path in [(fn, ToleranceError) for fn in (kernel_exp_form, kernel_crown_sum, kernel_series)] + [
+        (bound_ratios, WindowOverflowError), (kernel_crown_sum, WindowOverflowError),
+        (kernel_series, CancellationError),
+    ]:
+        assert path in kinds, path  # every error path ran
 
 
 def test_terms_keyed_on_signed_zero():
     """1+0j == 1-0j, but -z carries the zero's sign into w: the two are two times."""
-    kernel._clear_terms()
-    kernel._exp_terms(1 + 0j, P21, 0, 6)
-    kept = kernel._terms_slot
-    minus = kernel._exp_terms(complex(1, -0.0), P21, 0, 6)
-    assert kernel._terms_slot is not kept
-    kernel._clear_terms()
-    assert minus.tobytes() == kernel._exp_terms(complex(1, -0.0), P21, 0, 6).tobytes()
+    kernel._clear_state()
+    kernel_exp_form(1 + 0j, 0, P21)
+    kept = kernel._state
+    minus = _bytes(kernel_exp_form(complex(1, -0.0), 0, P21))
+    assert kernel._state[0] != kept[0] and kernel._state[4] is not kept[4]
+    kernel._clear_state()
+    assert minus == _bytes(kernel_exp_form(complex(1, -0.0), 0, P21))
+
+
+def test_crown_terms_keyed_on_signed_zero():
+    """The crown-sum terms at 1+0j and at 1-0j are kept apart, under the one
+    key of the time's state, and each time's value equals a cold call's."""
+    want = {}
+    for z in (1 + 0j, complex(1, -0.0)):
+        kernel._clear_state()
+        want[math.copysign(1.0, z.imag)] = _bytes(kernel_crown_sum(z, 0, P21))
+    kernel._clear_state()
+    kernel_crown_sum(1 + 0j, 0, P21)
+    plus = kernel._state[5]
+    assert _bytes(kernel_crown_sum(complex(1, -0.0), 0, P21)) == want[-1.0]
+    assert kernel._state[5] is not plus
+    assert _bytes(kernel_crown_sum(1 + 0j, 0, P21)) == want[1.0]
+
+
+def test_gamma_factors_keyed_on_the_field():
+    """(2, 1, 0.5) and (2, 1, 1.0) share q and n but not the factors
+    Gamma_q^(n)(k alpha + n): each field's series equals a cold call's."""
+    fields = (FieldParams(2, 1, 0.5), FieldParams(2, 1, 1.0))
+    want = {}
+    for params in fields:
+        kernel._clear_state()
+        want[params] = _bytes(kernel_series(0.4, 0, params))
+    kernel._clear_state()
+    for params in fields + fields[::-1]:
+        assert _bytes(kernel_series(0.4, 0, params)) == want[params], params
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -368,7 +426,7 @@ def test_growth_keeps_terms_finite(q):
         params = FieldParams(q, n, largest_alpha(q))
         for z in (1e-307, 1e-307 + 0.5j, 0.5, 0.3 - 0.4j):
             for crowns in (range(-6, 3), range(2, -7, -1)):
-                kernel._clear_terms()
+                kernel._clear_state()
                 for k in crowns:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
@@ -376,27 +434,28 @@ def test_growth_keeps_terms_finite(q):
                             kernel_exp_form(z, k, params)
                         except WindowOverflowError:
                             pass
-                    terms = kernel._terms_slot[3]
+                    terms = kernel._state[4]
                     assert terms is None or np.isfinite(terms).all(), (n, z, k)
                     assert terms is None or not terms.flags.writeable
 
 
 def test_threads_racing_on_the_slot_get_cold_values():
-    """The slot is read and rebound as one tuple: threads that race on it,
-    switching every microsecond, each get the values of a cold call."""
-    cases = [(z, k, params) for params in (P21, P31) for z in (0.5 + 0.2j, 1.5, 0.3 - 1j)
-             for k in range(-4, 5)]
+    """The state is read and rebound as one tuple: threads that race on it
+    with the three evaluators, switching every microsecond, each get the
+    values, or the error, of a cold call."""
+    cases = [(fn, z, k, params) for params in (P21, P31) for z in (0.5 + 0.2j, 1.5, 0.3 - 1j)
+             for k in range(-4, 5) for fn in (kernel_exp_form, kernel_crown_sum, kernel_series)]
     want = {}
     for case in cases:
-        kernel._clear_terms()
-        want[case] = _bytes(kernel_exp_form(*case))
+        kernel._clear_state()
+        want[case] = _outcome(case[0], case[1:])
     wrong = []
 
     def work(offset):
         try:
             for i in range(300):
                 case = cases[(offset + 7 * i) % len(cases)]
-                if _bytes(kernel_exp_form(*case)) != want[case]:
+                if _outcome(case[0], case[1:]) != want[case]:
                     wrong.append(case)
         except Exception as exc:  # reported below, not lost in the thread
             wrong.append(exc)
