@@ -83,13 +83,10 @@ def gamma_via_integral(z: complex, params: FieldParams, tol: float = 1e-12) -> c
             f"gamma integral does not reach tol={tol} within "
             f"{_MAX_CROWNS} crowns (Re z = {z.real} too small)"
         )
-    # the last crown is the largest m <= 0 whose tail bound is below tol; the
+    # the last crown is the first m <= 0 whose tail bound is below tol; the
     # modulus of the crown power q**(m (z-n)) is monotone in m, so the first
     # crown m = 1 and that last crown bound it
-    log_stop = math.log(tol * (1.0 - decay) / (1.0 - q ** float(-n))) / (z.real * lnq)
-    last = min(0, math.floor(log_stop) + 1)
-    while last < 0 and _crown_tail(q, n, z.real, lnq, last + 1, decay) < tol:
-        last += 1
+    last = 0
     while _crown_tail(q, n, z.real, lnq, last, decay) >= tol:
         last -= 1
     for m in (1, last):
