@@ -54,6 +54,37 @@ file = out.csv       ; optional, default stdout
 EVOLVE_CSV_SHA256 = "aedd79cc2daa24428d578489131fcaf76628ceaf6a1e903734af0b2debeea2de"
 
 
+# SHA-256 of the stdout of `qharm kernel --sweep` on three fields and of the
+# three kernel suites of `qharm verify`; each prints the kernel evaluators'
+# values, so their last bits are pinned here
+KERNEL_STDOUT_SHA256 = {
+    "sweep-q2n1a1": (
+        ["kernel", "--q", "2", "--n", "1", "--alpha", "1.0", "--sweep"],
+        "7206b9d08a5c670d0eab35de6c802b4bf20ce2e009f63ce9c2f6c33aab139271",
+    ),
+    "sweep-q3n2a0.5": (
+        ["kernel", "--q", "3", "--n", "2", "--alpha", "0.5", "--sweep"],
+        "e007685d99f8679886ce4fdb7ba1799c5f4dba93de49aa22b2c5f6d7a5087a0a",
+    ),
+    "sweep-q2n2a2": (
+        ["kernel", "--q", "2", "--n", "2", "--alpha", "2.0", "--sweep"],
+        "bc5cbbf8d2275eebd48379915191119744f4d42f97ed971d707f75c65a432a8e",
+    ),
+    "kernel-agree": (
+        ["verify", "kernel-agree"],
+        "bdaf16e3ee349359ce499c7746e6423e81bfb5a65ae514167564d3cfd05fbdbe",
+    ),
+    "kernel-bounds": (
+        ["verify", "kernel-bounds"],
+        "928693c04a31b28c36db5c6fed793a64b24b07464b8ff65f284d5397aa423aa7",
+    ),
+    "semigroup": (
+        ["verify", "semigroup"],
+        "047e6f92cf8070f5ce4cb78d87769a2df59b7c0f34af82a8e78234ad9bd18556",
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -148,6 +179,15 @@ class TestKernel:
             "WindowOverflowError: estimate factor at Re z = 1.0, ||x|| = 2**1100 "
             "is no finite float\n"
         )
+
+
+
+@pytest.mark.parametrize("name", list(KERNEL_STDOUT_SHA256))
+def test_kernel_stdout_pinned(capsys, name):
+    argv, digest = KERNEL_STDOUT_SHA256[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:
