@@ -25,21 +25,21 @@ Every evaluator returns the value and a rigorous bound on its truncation
 error, plus roundoff for the oracles and the ball integral; compare with
 value +- bound.
 
-Per-time state.  What depends on (params, z) alone is kept for the last time
-only, in one tuple rebound whole and keyed by (params, z) and the signs of
-Re z and Im z (1+0j == 1-0j, but -z carries the zero's sign): the exp form's
-scales (``_exp_scales``), its terms q**(-j n) D_j as one array grown by
-doubling (``_exp_terms``), and the crown-sum terms exp(-z q**(-k alpha))
-q**(-k n), filled by k as calls reach them.  The series' factors
-Gamma_q^(n)(k alpha + n) do not depend on z and are kept by field and k in a
-bounded cache.  Each call keeps its own cut, sum, bound and checks, and a
-call that raises keeps nothing of its error, so a warm call returns a cold
-call's bytes or raises its error; ``_clear_state`` empties both.
+Per-time state.  The exp form alone keeps state, for the last time, in one
+tuple rebound whole and keyed by (params, z, sign of Im z) (1+0j == 1-0j, but
+-z carries the zero's sign): its scales (``_exp_scales``) and its terms
+q**(-j n) D_j as one array grown by doubling (``_exp_terms``).  The oracles'
+z-free parts sit in bounded caches: the crown sum's powers and last crown by
+(params, ||x||, tol, budget), the series' factors Gamma_q^(n)(k alpha + n) by
+(params, k).  Each call keeps its own cut, sum, bound and checks, and a call
+that raises keeps nothing of its error, so a warm call returns a cold call's
+bytes or raises its error; ``_clear_state`` empties all three.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -53,6 +53,7 @@ from .gamma import gamma_qn
 from .radial import LOG_FLOOR, RadialProfile, _finite_time, _sphere_measures
 
 _SERIES_SWITCH = 8.0  # largest |z| * ||x||**(-alpha) the factorial series accepts
+_CROWN_MEMO = 256  # crown-sum keys kept: perfbench's kernel ops use 192, the kernel suites 60
 
 
 def _as_time(z) -> complex:
@@ -112,28 +113,17 @@ def _terms_fit(z: complex, params: FieldParams, j: int) -> bool:
         return False
 
 
-_NO_STATE = (None, None, 0, 0, None, None)
-# the last time's state, rebound as one tuple: (key, scales, lo, hi, terms, crowns)
-# with the exp form's scales, its terms for j in [lo, hi) and the crown-sum terms by k
-_state = _NO_STATE
-
-
-def _time_state(z: complex, params: FieldParams) -> tuple:
-    """The state kept for time z on params; another time's gives way to an empty one."""
-    global _state
-    # 1+0j == 1-0j, but -z carries the zero's sign into every exponent
-    key = (params, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-    state = _state
-    if state[0] != key:
-        state = _state = (key, None, 0, 0, None, {})
-    return state
+# the exp form's state at the last time: its scales, its terms for j in [lo, lo + len(terms))
+_TimeState = collections.namedtuple("_TimeState", "key scales lo terms")
+_state = None
 
 
 def _clear_state() -> None:
-    """Empty the state and the series' Gamma factors, so that the next kernel
-    call computes cold."""
+    """Empty the exp form's state and the oracles' caches, so that the next
+    kernel call computes cold."""
     global _state
-    _state = _NO_STATE
+    _state = None
+    _crown_powers.cache_clear()
     _series_gamma.cache_clear()
 
 
@@ -157,15 +147,16 @@ def _exp_scales(z: complex, params: FieldParams) -> tuple:
     return lnq, (n + alpha) * lnq, m, log_k0, log_tail0, _first_term(t, params)
 
 
-def _exp_terms(state: tuple, z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
+def _exp_terms(state: _TimeState, z: complex, params: FieldParams, j0: int, J: int) -> np.ndarray:
     """q**(-j n) D_j for j = J - 1 down to j0, the inner end first, sliced from
-    one read-only array kept in the time's state.  A term depends on (params,
-    z, j) alone, a sum also on its window's cut and start, so only terms are
-    kept.  A miss checks the exponent bound at j0, which every kept range has
-    passed; at the kept time it doubles the range on the side that ran short,
-    to no j below j_first or past the floats."""
+    the time's one read-only array.  A term depends on (params, z, j) alone, a
+    sum also on its window's cut and start, so only terms are kept.  A miss
+    checks the exponent bound at j0, which every kept range has passed, and
+    doubles the range on the side that ran short, to no j below j_first or
+    past the floats."""
     global _state
-    key, scales, lo, hi, terms, crowns = state
+    key, scales, lo, terms = state
+    hi = lo if terms is None else lo + len(terms)
     if terms is not None and lo <= j0 and J <= hi:
         return terms[hi - J : hi - j0]
     if not _terms_fit(z, params, j0):  # the caller checked the weight
@@ -187,7 +178,7 @@ def _exp_terms(state: tuple, z: complex, params: FieldParams, j0: int, J: int) -
     terms = np.exp(w) * np.expm1(w * (float(q) ** alpha - 1.0))
     terms *= weights
     terms.flags.writeable = False
-    _state = (key, scales, lo, hi, terms, crowns)
+    _state = _TimeState(key, scales, lo, terms)
     return terms[hi - J : hi - j0]
 
 
@@ -199,10 +190,11 @@ def _exp_form_block(
     kept scales (:func:`_exp_scales`) and terms (:func:`_exp_terms`)."""
     global _state
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
-    state = _time_state(z, params)
-    if state[1] is None:
-        state = _state = (state[0], _exp_scales(z, params), *state[2:])
-    lnq, rate, m, log_k0, log_tail0, j_first = state[1]
+    key = (params, z, math.copysign(1.0, z.imag))  # 1+0j == 1-0j, but not -(1+0j) == -(1-0j)
+    state = _state
+    if state is None or state.key != key:  # a new time, kept once its terms are
+        state = _TimeState(key, _exp_scales(z, params), 0, None)
+    lnq, rate, m, log_k0, log_tail0, j_first = state.scales
     log_scale = min(0.0, log_tail0 + kmin * rate, log_k0)
     J = math.floor((log_tail0 - math.log(cfg.tol) - log_scale) / rate) + 1
     if J - max(-kmin, j_first) > cfg.tail_budget:
@@ -247,25 +239,40 @@ def kernel_crown_sum(
     # the correction forms z q**alpha, then z q**(alpha (1 + k_x)): both are floats too
     if abs(z) * float(q) ** alpha * max(1.0, lam) == math.inf:
         raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
-    crowns = _time_state(z, params)[5]  # the time's terms by k, shared by every call
-    rn = float(q) ** (-n)
+    powers = _crown_powers(params, n0, cfg.tol, cfg.tail_budget)
+    if powers is None:
+        msg = f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
+        raise ToleranceError(f"kernel crown sum did not reach tol={cfg.tol} within {msg}")
+    lams, weights, tail = powers
+    w = -z * lams
     acc, mag = 0.0 + 0.0j, 0.0  # the sum and the sum of the terms' moduli
-    for k in range(n0, n0 + cfg.tail_budget):
-        term = crowns.get(k)
-        if term is None:
-            term = crowns[k] = _cexp(-z * float(q) ** (-k * alpha)) * float(q) ** (-k * n)
+    for term in (np.where(w.real < LOG_FLOOR, 0, np.exp(w)) * weights).tolist():
         acc += term
         mag += abs(term)
+    rn = float(q) ** (-n)
+    corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
+    # summing the K + 1 - n0 terms and subtracting corr rounds by at most
+    # K - n0 + 7 units of 2**-53 times the moduli summed
+    roundoff = 2.0**-53 * (len(lams) + 6) * ((1.0 - rn) * mag + abs(corr))
+    return EvalResult((1.0 - rn) * acc - corr, tail + roundoff)
+
+
+@functools.lru_cache(maxsize=_CROWN_MEMO)
+def _crown_powers(params: FieldParams, n0: int, tol: float, tail_budget: int):
+    """The crown sum's powers q**(-k alpha) and q**(-k n), read-only, for k = n0
+    up to the first K whose tail bound is below tol, and that bound; None past
+    the budget.  The caller has checked the powers at n0, the largest."""
+    q, n, alpha = params.q, params.n, params.alpha
+    rn = float(q) ** (-n)
+    for K in range(n0, n0 + tail_budget):
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
-        bound = float(q) ** (-(k + 1) * n) / (1.0 - rn)
-        if bound * (1.0 - rn) < cfg.tol:  # tail of (1-q**-n) * sum
-            corr = _cexp(-z * float(q) ** alpha * xnorm ** (-alpha)) * xnorm ** (-n)
-            # summing k + 1 - n0 terms and subtracting corr rounds by at most
-            # k - n0 + 7 units of 2**-53 times the moduli summed
-            roundoff = 2.0**-53 * (k - n0 + 7) * ((1.0 - rn) * mag + abs(corr))
-            return EvalResult((1.0 - rn) * acc - corr, bound * (1.0 - rn) + roundoff)
-    msg = f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
-    raise ToleranceError(f"kernel crown sum did not reach tol={cfg.tol} within {msg}")
+        bound = float(q) ** (-(K + 1) * n) / (1.0 - rn)
+        if bound * (1.0 - rn) < tol:
+            lams = np.array([float(q) ** (-k * alpha) for k in range(n0, K + 1)])
+            weights = np.array([float(q) ** (-k * n) for k in range(n0, K + 1)])
+            lams.flags.writeable = weights.flags.writeable = False
+            return lams, weights, bound * (1.0 - rn)
+    return None
 
 
 def kernel_series(
@@ -291,10 +298,8 @@ def kernel_series(
         xnorm = _float_qpow(q, -k_x, "norm")
         u = z * xnorm ** (-alpha)
     if abs(u) > _SERIES_SWITCH:
-        raise CancellationError(
-            f"|z| * ||x||**(-alpha) = {abs(u):.3g} exceeds the series guard "
-            f"{_SERIES_SWITCH}"
-        )
+        msg = f"|z| * ||x||**(-alpha) = {abs(u):.3g} exceeds the series guard {_SERIES_SWITCH}"
+        raise CancellationError(msg)
     xn = xnorm ** (-n)
     qa = float(q) ** alpha
     env_c = xn / (1.0 - float(q) ** (-alpha - n))  # |Gamma(k a + n)| <= q**(k a) * this
@@ -328,17 +333,14 @@ def kernel_series(
                         f"result {abs(acc):.3g}"
                     )
                 return EvalResult(acc, tail + roundoff)
-    raise ToleranceError(
-        f"kernel series did not reach tol={cfg.tol} within "
-        f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
-    )
+    msg = f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
+    raise ToleranceError(f"kernel series did not reach tol={cfg.tol} within {msg}")
 
 
 @functools.lru_cache(maxsize=2048)
 def _series_gamma(params: FieldParams, k: int) -> complex:
-    """Gamma_q^(n)(k alpha + n), the factor of the series' k-th term; it does
-    not depend on z, so the factors are kept by field and k.  An error is
-    raised afresh on every call, never kept."""
+    """Gamma_q^(n)(k alpha + n), the series' k-th factor, kept by field and k;
+    an error is raised afresh on every call, never kept."""
     return gamma_qn(k * params.alpha + params.n, params)
 
 
@@ -370,16 +372,12 @@ def kernel_ball_integral(
 
 
 def kernel_profile(
-    z,
-    window: tuple[int, int],
-    params: FieldParams,
-    cfg: KernelEvalConfig = DEFAULT_CFG,
+    z, window: tuple[int, int], params: FieldParams, cfg: KernelEvalConfig = DEFAULT_CFG,
     evaluator=None,
 ) -> RadialProfile:
     """Kernel values on a crown window as a radial profile: one exp-form
     block by default, else ``evaluator`` crown by crown.  The inner tail is
-    left at zero; :func:`kernel_ball_integral` recovers its mass exactly.
-    """
+    left at zero; :func:`kernel_ball_integral` recovers its mass exactly."""
     z = _as_time(z)
     kmin, kmax = window
     if evaluator is None:

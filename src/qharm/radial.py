@@ -178,15 +178,50 @@ def improper_integral(f: RadialProfile) -> complex:
 def _lp_norms(
     params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails, p: float
 ) -> list[float]:
-    """L^p norms, 1 <= p <= inf, of the rows of C with inner tails ``tails``."""
+    """L^p norms, 1 <= p <= inf, of the rows of C with inner tails ``tails``.
+    A row whose sum of p-th powers is no positive normal float is summed
+    again by :func:`_lp_norm_scaled`."""
     tails = np.asarray(tails).tolist()
     if p == math.inf:
         return [max(float(s), abs(t)) for s, t in zip(np.max(np.abs(C), axis=-1), tails)]
     if not p >= 1:  # a NaN p too
         raise ValueError(f"p must be >= 1, got {p}")
-    totals = (np.abs(C) ** p * _sphere_measures(params.q, params.n, kmin, kmax)).sum(axis=-1)
+    mu = _sphere_measures(params.q, params.n, kmin, kmax)
+    # a power past the floats, or one times an underflowed measure: the row is summed again
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = (np.abs(C) ** p * mu).sum(axis=-1).tolist()
     ball = _ball_measure(params.q, params.n, kmax + 1)
-    return [(float(s) + abs(t) ** p * ball) ** (1.0 / p) for s, t in zip(totals, tails)]
+    norms = []
+    for i, (s, t) in enumerate(zip(totals, tails)):
+        try:
+            s += abs(t) ** p * ball
+        except OverflowError:  # |t|**p past the floats
+            s = math.inf
+        if sys.float_info.min <= s < math.inf:
+            norms.append(s ** (1.0 / p))
+        else:
+            norms.append(_lp_norm_scaled(params, kmin, C[i], t, p))
+    return norms
+
+
+def _lp_norm_scaled(params: FieldParams, kmin: int, c: np.ndarray, t: complex, p: float) -> float:
+    """The L^p norm of one row c on crowns kmin.. with inner tail t, summed
+    over its largest |c| and the outermost measure, so that no term leaves the
+    floats; a norm past the floats raises WindowOverflowError."""
+    q, n = params.q, params.n
+    a = np.abs(c)
+    top = max(float(a.max()), abs(t))
+    if top == 0.0:
+        return 0.0
+    # mu(S_k) and mu(G_{kmax+1}) over q**(-kmin n), the ball's last
+    rel = np.power(float(q), -n * np.arange(len(c) + 1, dtype=float))
+    rel[:-1] *= 1.0 - float(q) ** -n
+    s = float(((a / top) ** p * rel[:-1]).sum() + (abs(t) / top) ** p * rel[-1])
+    root = (float(q) ** (-kmin * n / 2)) ** (1.0 / p)  # q**(-kmin n / p) in two factors
+    norm = top * s ** (1.0 / p) * root * root
+    if not norm < math.inf:
+        raise WindowOverflowError(f"L^{p:g} norm on crowns from {kmin} at q={q} is no float")
+    return norm
 
 
 def lp_norm(f: RadialProfile, p: float) -> float:

@@ -361,8 +361,8 @@ def _warm_calls():
 
 
 def test_warm_equals_cold():
-    """The exp-form terms and scales and the crown-sum terms at one time, and
-    the series' Gamma factors, are shared across calls, the sums are not:
+    """The exp-form terms and scales at one time, the crown sum's powers and
+    the series' Gamma factors are shared across calls, the sums are not:
     every warm value and bound equals, byte for byte, a cold call's, and a
     warm call that raises raises the cold call's error."""
     kernel._clear_state()
@@ -385,24 +385,36 @@ def test_terms_keyed_on_signed_zero():
     kernel_exp_form(1 + 0j, 0, P21)
     kept = kernel._state
     minus = _bytes(kernel_exp_form(complex(1, -0.0), 0, P21))
-    assert kernel._state[0] != kept[0] and kernel._state[4] is not kept[4]
+    assert kernel._state.key != kept.key and kernel._state.terms is not kept.terms
     kernel._clear_state()
     assert minus == _bytes(kernel_exp_form(complex(1, -0.0), 0, P21))
 
 
-def test_crown_terms_keyed_on_signed_zero():
-    """The crown-sum terms at 1+0j and at 1-0j are kept apart, under the one
-    key of the time's state, and each time's value equals a cold call's."""
-    want = {}
-    for z in (1 + 0j, complex(1, -0.0)):
-        kernel._clear_state()
-        want[math.copysign(1.0, z.imag)] = _bytes(kernel_crown_sum(z, 0, P21))
+def test_crown_sum_keeps_no_state():
+    """The crown sum neither reads nor writes the exp form's state: after
+    every call of the warm sequence, a crown-sum call at that call's time and
+    field, and one at another field, leaves the state as it was and returns
+    a cold call's bytes or raises its error."""
+    cold = {}
+
+    def crown_sum_cold(args):
+        if args not in cold:
+            saved = kernel._state
+            kernel._clear_state()
+            cold[args] = _outcome(kernel_crown_sum, args)
+            kernel._state = saved
+        return cold[args]
+
     kernel._clear_state()
-    kernel_crown_sum(1 + 0j, 0, P21)
-    plus = kernel._state[5]
-    assert _bytes(kernel_crown_sum(complex(1, -0.0), 0, P21)) == want[-1.0]
-    assert kernel._state[5] is not plus
-    assert _bytes(kernel_crown_sum(1 + 0j, 0, P21)) == want[1.0]
+    ks = [-8, -2, 0, 3, 14, -1100]
+    for i, (fn, args) in enumerate(_warm_calls()):
+        _outcome(fn, args)
+        params = next(a for a in args if isinstance(a, FieldParams))
+        for case in ((args[0], ks[i % len(ks)], params), (args[0], ks[i % 5], P31)):
+            kept = kernel._state
+            got = _outcome(kernel_crown_sum, case)
+            assert kernel._state is kept, (fn.__name__, args)
+            assert got == crown_sum_cold(case), (fn.__name__, args, case)
 
 
 def test_gamma_factors_keyed_on_the_field():
@@ -434,7 +446,7 @@ def test_growth_keeps_terms_finite(q):
                             kernel_exp_form(z, k, params)
                         except WindowOverflowError:
                             pass
-                    terms = kernel._state[4]
+                    terms = getattr(kernel._state, "terms", None)
                     assert terms is None or np.isfinite(terms).all(), (n, z, k)
                     assert terms is None or not terms.flags.writeable
 

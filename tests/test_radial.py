@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,75 @@ class TestLpNorm:
     def test_nan_and_minus_inf_p_rejected(self, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_norm(RadialProfile.ball_indicator(P21, 0), p)
+
+
+# the reproducers of the rows past the floats: p-th powers above them, below
+# them, and an inner tail whose p-th power leaves them
+SCALED_ROWS = [
+    (RadialProfile(P21, 0, 6, np.full(7, 1e10)), 40.0),
+    (RadialProfile(P21, 0, 6, np.full(7, 1e-10)), 40.0),
+    (RadialProfile(P21, 0, 6, np.ones(7), tail=1e200), 2.0),
+]
+
+
+def _mp_lp_norm(f: RadialProfile, p: float):
+    """The L^p norm of f in 50-digit arithmetic."""
+    q, n = f.params.q, f.params.n
+    with mpmath.workdps(50):
+        total = abs(mpmath.mpc(f.tail)) ** p * mpmath.mpf(q) ** (-(f.kmax + 1) * n)
+        for k, c in zip(range(f.kmin, f.kmax + 1), f.coeffs):
+            total += abs(mpmath.mpc(c)) ** p * (1 - mpmath.mpf(q) ** -n) * mpmath.mpf(q) ** (-k * n)
+        return total ** (1 / mpmath.mpf(p))
+
+
+def _rows_past_the_floats():
+    """The reproducers, then rows on four fields, p in {1, 2, 40, 300},
+    windows in [-300, 300] and |c| from 1e-200 to 1e200, with and without
+    tails; most p-th power sums of them leave the floats."""
+    yield from SCALED_ROWS
+    rng = np.random.default_rng(2028)
+    fields = [P21, FieldParams(3, 2, 0.5), FieldParams(2, 2, 2.0), FieldParams(5, 1, 0.5)]
+    for i in range(320):
+        width = int(rng.integers(0, 30))
+        kmin = int(rng.integers(-300, 301 - width))
+        base = rng.uniform(-200, 200)
+        mags = 10.0 ** np.clip(base + rng.normal(0, 4, width + 1), -200, 200)
+        coeffs = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, width + 1))
+        tail = 10.0 ** np.clip(base + rng.normal(0, 4), -200, 200) if i % 2 else 0.0
+        yield RadialProfile(fields[i % 4], kmin, kmin + width, coeffs, tail), (1.0, 2.0, 40.0, 300.0)[i // 4 % 4]
+
+
+class TestLpNormPastTheFloats:
+    def test_reproducers(self):
+        assert [lp_norm(f, p) for f, p in SCALED_ROWS] == [
+            9998039397.857906, 9.998039397857907e-11, 8.838834764831844e+198
+        ]
+
+    def test_rescaled_norms_match_mpmath(self, monkeypatch):
+        """Every row summed again, scaled, gives a norm within a few ulps of a
+        50-digit one, past the rounding of 1/p, which moves r**(1/p) by up to
+        |ln r**(1/p)| / 2 ulps at r = the norm over the row's largest |c|; a
+        norm past the floats raises WindowOverflowError."""
+        scaled = []
+        inner = radial._lp_norm_scaled
+        monkeypatch.setattr(radial, "_lp_norm_scaled", lambda *a: scaled.append(a) or inner(*a))
+        checked = refused = 0
+        for f, p in _rows_past_the_floats():
+            want = _mp_lp_norm(f, p)
+            count = len(scaled)
+            if want > mpmath.mpf(sys.float_info.max):
+                with pytest.raises(WindowOverflowError, match=r"^L\^\S+ norm on crowns from"):
+                    lp_norm(f, p)
+                refused += 1
+                continue
+            got = lp_norm(f, p)
+            if len(scaled) == count or want < sys.float_info.min:
+                continue  # an in-range row, or a norm below the normal floats
+            top = max(float(np.abs(f.coeffs).max()), abs(f.tail))
+            slack = 4 + abs(float(mpmath.log(want / top)))
+            assert abs(mpmath.mpf(got) - want) <= slack * math.ulp(float(want)), (f, p, got)
+            checked += 1
+        assert checked >= 150 and refused >= 3, (checked, refused)
 
 
 class TestFourier:

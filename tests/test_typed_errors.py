@@ -1,15 +1,16 @@
-"""The typed-error contract over the heat-kernel and Gamma routes.
+"""The typed-error contract over the heat-kernel, Gamma and L^p-norm routes.
 
 Every call returns a finite value, and a finite bound where it returns one,
 or raises a class from ``errors.py`` or a ValueError; with warnings as
 errors, so a NaN or overflow that numpy only warns about fails too.  The
 strategies draw finite floats across the whole range, every accepted
 ``FieldParams`` with q in 2..7, n in 1..3 and alpha in [1e-3, 1e3], and crown
-windows anywhere in [-1200, 1200].  Each reproducer found before is an
-explicit example.
+windows anywhere in [-1200, 1200] (for the norms [-300, 300], with |c| from
+1e-200 to 1e200).  Each reproducer found before is an explicit example.
 """
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from qharm import errors, gamma, kernel
 from qharm.field import FieldParams
 from qharm.kernel import KernelEvalConfig
-from qharm.radial import RadialProfile
+from qharm.radial import RadialProfile, lp_norm
 
 TYPED = (
     errors.PoleError,
@@ -140,3 +141,24 @@ def test_gamma_routes_finite_or_typed(route, z, low, params):
     if route == "integral" and not z.real >= low:
         z = complex(low, z.imag)
     _holds(lambda: GAMMA_ROUTES[route](z, params))
+
+
+@CONTRACT
+@given(
+    p=st.sampled_from([1.0, 2.0, 40.0, 300.0, math.inf]),
+    kmin=st.integers(-300, 300),
+    exponents=st.lists(st.floats(-200, 200), min_size=1, max_size=31),
+    phase=st.floats(0, 7),
+    tail=st.one_of(st.just(None), st.floats(-200, 200)),
+    params=fields(),
+)
+@example(40.0, 0, [10.0] * 7, 0.0, None, FieldParams(2, 1, 1.0))  # returned inf
+@example(40.0, 0, [-10.0] * 7, 0.0, None, FieldParams(2, 1, 1.0))  # returned 0.0
+@example(2.0, 0, [0.0] * 7, 0.0, 200.0, FieldParams(2, 1, 1.0))  # raised OverflowError
+def test_lp_norm_finite_or_typed(p, kmin, exponents, phase, tail, params):
+    """|c| = 10**exponents on crowns kmin.., at most to 300, and an inner
+    tail 10**tail or none."""
+    kmax = min(kmin + len(exponents) - 1, 300)
+    coeffs = 10.0 ** np.array(exponents[: kmax - kmin + 1]) * cmath.exp(1j * phase)
+    f = RadialProfile(params, kmin, kmax, coeffs, 0.0 if tail is None else 10.0**tail)
+    _holds(lambda: lp_norm(f, p))
