@@ -113,7 +113,8 @@ def _terms_fit(z: complex, params: FieldParams, j: int) -> bool:
         return False
 
 
-# the exp form's state at the last time: its scales, its terms for j in [lo, lo + len(terms))
+# the exp form's state at the last time, rebound whole: its scales, its terms for j in
+# [lo, lo + len(terms))
 _TimeState = collections.namedtuple("_TimeState", "key scales lo terms")
 _state = None
 
@@ -190,7 +191,7 @@ def _exp_form_block(
     kept scales (:func:`_exp_scales`) and terms (:func:`_exp_terms`)."""
     global _state
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
-    key = (params, z, math.copysign(1.0, z.imag))  # 1+0j == 1-0j, but not -(1+0j) == -(1-0j)
+    key = (params, z, math.copysign(1.0, z.imag))  # 1+0j == 1-0j, but -z carries the zero's sign
     state = _state
     if state is None or state.key != key:  # a new time, kept once its terms are
         state = _TimeState(key, _exp_scales(z, params), 0, None)

@@ -175,8 +175,9 @@ def improper_integral(f: RadialProfile) -> complex:
     return complex(total)
 
 
-# a p-th power past the floats, or one times an underflowed measure, only sends
-# its row to be summed again; the decorator costs half what a with-block does
+# a p-th power past the floats, or one times an underflowed measure (inf * 0),
+# only sends its row to be summed again; as a decorator, per call, the error
+# state costs half what a with-block does
 @np.errstate(over="ignore", invalid="ignore")
 def _lp_norms(
     params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tails, p: float

@@ -97,7 +97,8 @@ def _rows_past_the_floats():
         mags = 10.0 ** np.clip(base + rng.normal(0, 4, width + 1), -200, 200)
         coeffs = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, width + 1))
         tail = 10.0 ** np.clip(base + rng.normal(0, 4), -200, 200) if i % 2 else 0.0
-        yield RadialProfile(fields[i % 4], kmin, kmin + width, coeffs, tail), (1.0, 2.0, 40.0, 300.0)[i // 4 % 4]
+        p = (1.0, 2.0, 40.0, 300.0)[i // 4 % 4]
+        yield RadialProfile(fields[i % 4], kmin, kmin + width, coeffs, tail), p
 
 
 class TestLpNormPastTheFloats:
@@ -107,10 +108,11 @@ class TestLpNormPastTheFloats:
         ]
 
     def test_rescaled_norms_match_mpmath(self, monkeypatch):
-        """Every row summed again, scaled, gives a norm within a few ulps of a
-        50-digit one, past the rounding of 1/p, which moves r**(1/p) by up to
-        |ln r**(1/p)| / 2 ulps at r = the norm over the row's largest |c|; a
-        norm past the floats raises WindowOverflowError."""
+        """Every row summed again, scaled, gives a norm within
+        4 + |ln(norm / top)| ulps of a 50-digit one, top the row's largest |c|:
+        the log term is the rounding of 1/p, which moves x**(1/p) by up to
+        |ln x**(1/p)| / 2 units of 2**-52, relative.  A norm past the floats
+        raises WindowOverflowError."""
         scaled = []
         inner = radial._lp_norm_scaled
         monkeypatch.setattr(radial, "_lp_norm_scaled", lambda *a: scaled.append(a) or inner(*a))
