@@ -54,9 +54,10 @@ file = out.csv       ; optional, default stdout
 EVOLVE_CSV_SHA256 = "aedd79cc2daa24428d578489131fcaf76628ceaf6a1e903734af0b2debeea2de"
 
 
-# SHA-256 of the stdout of `qharm kernel --sweep` on three fields and of the
-# three kernel suites of `qharm verify`; each prints the kernel evaluators'
-# values, so their last bits are pinned here
+# SHA-256 of the stdout of `qharm kernel --sweep` on three fields, of the
+# three kernel suites of `qharm verify` and of the two suites that check the
+# field-layer oracles (brute sphere sums, the Gamma crown sum); each prints
+# the evaluators' values, so their last bits are pinned here
 KERNEL_STDOUT_SHA256 = {
     "sweep-q2n1a1": (
         ["kernel", "--q", "2", "--n", "1", "--alpha", "1.0", "--sweep"],
@@ -81,6 +82,14 @@ KERNEL_STDOUT_SHA256 = {
     "semigroup": (
         ["verify", "semigroup"],
         "047e6f92cf8070f5ce4cb78d87769a2df59b7c0f34af82a8e78234ad9bd18556",
+    ),
+    "spheres": (
+        ["verify", "spheres"],
+        "a072875f10140d2c8f3d117879cdf672631451d3fc481643ed54e83a6a5a19a5",
+    ),
+    "gamma": (
+        ["verify", "gamma"],
+        "9f9208a6f34639439f574c55e5e9ade57f1866753d7759da9abb664d1b13dcf2",
     ),
 }
 
