@@ -323,6 +323,12 @@ def brute_sphere_character_integral(k: int, x_coords, lattice: QuotientLattice) 
     Independent oracle for :func:`sphere_character_integral`: enumerates
     every coset of G_N inside S_k = G_k - G_{k+1} and sums the exact
     character values weighted by the coset measure.
+
+    Once chi(x . y) is coset-constant, every x_i has a q-power denominator,
+    so x . (u q**-M) = S / L over one q-power L with S an integer dot
+    product; the character is exp(2 pi i (S mod L) / L), and int / int
+    division rounds correctly, so each term has the bits of the reduced
+    fraction's.
     """
     params = lattice.params
     if k > lattice.N - 1:
@@ -330,6 +336,11 @@ def brute_sphere_character_integral(k: int, x_coords, lattice: QuotientLattice) 
             f"sphere at scale {k} is not resolved by N={lattice.N}"
         )
     check_local_constancy(lattice, x_coords)
+    xs = [Fraction(xi) for xi in x_coords]
+    lcm = math.lcm(*(xi.denominator for xi in xs))
+    den = lcm * params.q**lattice.M
+    # coordinates past len(x_coords) pair with 0, those past n with nothing
+    weights = [xi.numerator * (lcm // xi.denominator) for xi in xs] + [0] * params.n
 
     def ball_sum(scale: int) -> complex:
         per_coord = [list(lattice.ball_coord_values(scale))] * params.n
@@ -340,15 +351,12 @@ def brute_sphere_character_integral(k: int, x_coords, lattice: QuotientLattice) 
             raise LatticeWindowError(
                 f"ball enumeration of {count} cosets exceeds cap {_ELEMENT_CAP}"
             )
-        q = params.q
-        scale_frac = qpow(q, -lattice.M)
+        # S's terms w_i u_i, coordinate by coordinate
+        rows = [[w * u for u in vals] for w, vals in zip(weights, per_coord)]
         total = 0.0 + 0.0j
-        for combo in itertools.product(*per_coord):
-            dot = sum(
-                (Fraction(xi) * (u * scale_frac) for xi, u in zip(x_coords, combo)),
-                Fraction(0),
-            )
-            total += character_value(dot, q)
+        for terms in itertools.product(*rows):
+            r = sum(terms) % den
+            total += (1.0 + 0.0j) if r == 0 else cmath.exp(2j * math.pi * (r / den))
         return total
 
     sphere = ball_sum(k) - ball_sum(k + 1)

@@ -11,6 +11,7 @@ numerical oracle for the closed form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .errors import PoleError, ToleranceError, WindowOverflowError
@@ -18,6 +19,10 @@ from .field import FieldParams, sphere_character_integral
 
 _POLE_EPS = 1e-8  # closest approach to a pole gamma_qn evaluates
 _MAX_CROWNS = 200_000  # most crowns gamma_via_integral sums
+# crown measures kept, keyed (q, n, m): at Re z = 0.25 and tol 1e-11 perfbench's
+# four (q, n) pairs need 506 keys (at most 157 crowns each) and `verify gamma`'s
+# nine pairs 964, so one cache holds both
+_CROWN_MEASURES = 2048
 
 
 def _pole_distance(z: complex, q: int) -> float:
@@ -99,16 +104,19 @@ def gamma_via_integral(z: complex, params: FieldParams, tol: float = 1e-12) -> c
                 f"crown power q**(m (z-n)) at m={m} of the gamma integral at q={q}, "
                 f"z={z} leaves the float range"
             )
-    unit_norm = 1  # ||u|| = 1 = q**0
-    # crown ||x|| = q**m is the sphere at scale index -m
-    total = cmath.exp((z - n) * lnq) * float(
-        sphere_character_integral(-1, unit_norm, params)
-    )
+    total = cmath.exp((z - n) * lnq) * _crown_measure(q, n, 1)
     for m in range(0, last - 1, -1):
-        total += cmath.exp(m * (z - n) * lnq) * float(
-            sphere_character_integral(-m, unit_norm, params)
-        )
+        total += cmath.exp(m * (z - n) * lnq) * _crown_measure(q, n, m)
     return total
+
+
+@functools.lru_cache(maxsize=_CROWN_MEASURES)
+def _crown_measure(q: int, n: int, m: int) -> float:
+    """The sphere-character integral at a unit-norm point over the crown
+    ||x|| = q**m (the sphere at scale index -m), rounded once to a float and
+    kept by the ints (q, n, m); the integral reads only q and n, so the
+    field's alpha is immaterial."""
+    return float(sphere_character_integral(-m, 1, FieldParams(q, n, 1.0)))
 
 
 def _crown_tail(q: int, n: int, x: float, lnq: float, m: int, decay: float) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qharm.errors import LatticeWindowError, WindowOverflowError
 from qharm.field import (
+    _ELEMENT_CAP,
     _float_qpow,
     FieldModel,
     FieldParams,
@@ -17,6 +19,7 @@ from qharm.field import (
     brute_sphere_character_integral,
     character,
     character_value,
+    check_local_constancy,
     fractional_part,
     norm_exponent,
     qpow,
@@ -284,6 +287,96 @@ class TestBruteSphereIntegral:
                 brute = brute_sphere_character_integral(k, x, lat)
                 closed = float(sphere_character_integral(k, norm_x, params))
                 assert abs(brute - closed) < 1e-12
+
+
+def fraction_sphere_sum(k, x_coords, lattice):
+    """The brute sphere oracle's coset loop in exact Fraction arithmetic, one
+    dot product and one ``character_value`` per coset: the reference the
+    integer loop must match bit for bit."""
+    params = lattice.params
+    if k > lattice.N - 1:
+        raise LatticeWindowError(f"sphere at scale {k} is not resolved by N={lattice.N}")
+    check_local_constancy(lattice, x_coords)
+
+    def ball_sum(scale):
+        per_coord = [list(lattice.ball_coord_values(scale))] * params.n
+        count = math.prod(len(vals) for vals in per_coord)
+        if count > _ELEMENT_CAP:
+            raise LatticeWindowError(
+                f"ball enumeration of {count} cosets exceeds cap {_ELEMENT_CAP}"
+            )
+        scale_frac = qpow(params.q, -lattice.M)
+        total = 0.0 + 0.0j
+        for combo in itertools.product(*per_coord):
+            dot = sum(
+                (Fraction(xi) * (u * scale_frac) for xi, u in zip(x_coords, combo)),
+                Fraction(0),
+            )
+            total += character_value(dot, params.q)
+        return total
+
+    return (ball_sum(k) - ball_sum(k + 1)) * float(lattice.coset_measure)
+
+
+def _outcome(oracle, k, x, lat):
+    """The result's real and imaginary bits, or the error's type and message."""
+    try:
+        v = oracle(k, x, lat)
+    except (LatticeWindowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def _brute_grid():
+    """Seeded cases on q in {2, 3, 5, 7} and n in {1, 2}: every window with
+    M, N <= 2 and at most 4096 cosets, every scale from one past the outer
+    ball to the unresolved sphere k = N, and points whose coordinates have
+    q-power denominators up to q**(N+1) (past N the character is not
+    coset-constant) and numerators of either sign; scales near N on a window
+    of q**60 per coordinate, with numerators up to 2**62; then a non-q-power
+    denominator, a point shorter than n, and the cap."""
+    rng = np.random.default_rng(2929)
+    for q in (2, 3, 5, 7):
+        for n in (1, 2):
+            params = quotient_params(q, n)
+            for M, N in itertools.product(range(3), repeat=2):
+                if q ** ((M + N) * n) > 4096:
+                    continue
+                lat = QuotientLattice(params, M, N)
+                for k in range(-M - 1, N + 1):
+                    for _ in range(3):
+                        x = tuple(
+                            Fraction(int(rng.integers(-q**4, q**4 + 1)),
+                                     q ** int(rng.integers(0, N + 2)))
+                            for _ in range(n)
+                        )
+                        yield k, x, lat
+        # windows past 2**53 cosets a coordinate, where S and L are no exact floats
+        lat = QuotientLattice(quotient_params(q, 2), 30, 30)
+        for k in (28, 29):
+            for _ in range(4):
+                x = tuple(Fraction(int(rng.integers(-2**62, 2**62)), q**30) for _ in range(2))
+                yield k, x, lat
+    lat = QuotientLattice(quotient_params(3, 2), 1, 2)
+    yield 0, (Fraction(-5, 9), Fraction(1, 6)), lat  # 1/6: no 3-power denominator
+    yield 0, (Fraction(-7, 9),), lat  # the second coordinate pairs with 0
+    yield 0, (Fraction(0), Fraction(0)), QuotientLattice(quotient_params(2, 2), 0, 11)  # 4**11 cosets
+
+
+def test_brute_sphere_sum_matches_fraction_loop_bitwise():
+    outcomes = [
+        (_outcome(brute_sphere_character_integral, k, x, lat),
+         _outcome(fraction_sphere_sum, k, x, lat))
+        for k, x, lat in _brute_grid()
+    ]
+    assert all(new == ref for new, ref in outcomes)
+    # every path is exercised: values, the unresolved sphere, a ball outside
+    # the window, a character not coset-constant, no q-power, the cap
+    messages = " | ".join(str(new[1]) for new, _ in outcomes if isinstance(new[0], type))
+    for part in ("is not resolved by", "does not fit in", "is not constant on",
+                 "q-power denominator", "exceeds cap"):
+        assert part in messages
+    assert sum(not isinstance(new[0], type) for new, _ in outcomes) > 200
 
 
 def test_character_free_function():

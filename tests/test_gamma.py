@@ -118,7 +118,7 @@ def test_nonfinite_argument_refused_before_any_work(z, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("Gamma evaluated before z was checked")
 
-    for name in ("_pole_distance", "sphere_character_integral", "_crown_tail"):
+    for name in ("_pole_distance", "_crown_measure", "_crown_tail"):
         monkeypatch.setattr(gamma, name, no_work)
     for route in (gamma_qn, gamma_via_integral, reflection_defect):
         with pytest.raises(ValueError, match=r"^Gamma_q\^\(n\) argument must be finite, got "):
@@ -132,7 +132,7 @@ def test_integral_oracle_budget_refused_before_any_crown(z, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a crown was summed")
 
-    monkeypatch.setattr(gamma, "sphere_character_integral", no_work)
+    monkeypatch.setattr(gamma, "_crown_measure", no_work)
     with pytest.raises(ToleranceError, match=r"^gamma integral does not reach tol=1e-12 within "):
         gamma_via_integral(z, P21)
 
@@ -152,7 +152,7 @@ def test_integral_crown_power_past_the_floats_refused_before_any_crown(z, params
     def no_work(*args, **kwargs):
         raise AssertionError("a crown was summed")
 
-    monkeypatch.setattr(gamma, "sphere_character_integral", no_work)
+    monkeypatch.setattr(gamma, "_crown_measure", no_work)
     match = rf"^crown power q\*\*\(m \(z-n\)\) at m={m} of the gamma integral at q={params.q}, z="
     with pytest.raises(WindowOverflowError, match=match):
         gamma_via_integral(z, params)
@@ -168,3 +168,41 @@ def test_integral_near_the_crown_power_limit_agrees():
     with pytest.raises(WindowOverflowError):
         gamma_via_integral(0.1128, params, tol=1e-11)
     assert cmath.isfinite(gamma_via_integral(1020, P21))
+
+
+# (z, field) in call order: fields sharing (q, n) but not alpha, and fields
+# differing only in n, interleaved with the oracle's typed errors
+MEMO_FIELDS = [P21, FieldParams(2, 1, 0.5), FieldParams(2, 2, 1.0), FieldParams(2, 3, 2.0),
+               FieldParams(3, 1, 1.0), P32, FieldParams(3, 2, 0.25), FieldParams(5, 2, 1.0)]
+MEMO_CALLS = [
+    call
+    for z in (0.25, 1.5 + 0.4j, 4.0 - 2.0j)
+    for params in MEMO_FIELDS
+    for call in ((z, params), (1e-9, params), (-1.0, params))
+] + [(0.05, FieldParams(2, 3, 1.0)), (0.3, P21), (1100, P21), (0.3 + 1j, P32)]
+
+
+def _integral_outcome(z, params):
+    """The oracle's bits, or its error's type and message."""
+    try:
+        v = gamma_via_integral(z, params, tol=1e-11)
+    except (ToleranceError, WindowOverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_crown_measure_memo_warm_equals_cold():
+    """A call on a warm crown-measure memo returns the bytes, or raises the
+    error, of the same call on an empty one; the cold values agree with the
+    closed form."""
+    cold = []
+    for z, params in MEMO_CALLS:
+        gamma._crown_measure.cache_clear()
+        cold.append(_integral_outcome(z, params))
+    for (z, params), outcome in zip(MEMO_CALLS, cold):
+        if not isinstance(outcome[0], type):
+            value = complex(float.fromhex(outcome[0]), float.fromhex(outcome[1]))
+            assert abs(value - gamma_qn(z, params)) < 1e-9
+    gamma._crown_measure.cache_clear()
+    for _ in range(2):
+        assert [_integral_outcome(z, params) for z, params in MEMO_CALLS] == cold

@@ -1,4 +1,5 @@
-"""The typed-error contract over the heat-kernel, Gamma and L^p-norm routes.
+"""The typed-error contract over the heat-kernel, Gamma, L^p-norm and
+sphere-character routes.
 
 Every call returns a finite value, and a finite bound where it returns one,
 or raises a class from ``errors.py`` or a ValueError; with warnings as
@@ -6,19 +7,27 @@ errors, so a NaN or overflow that numpy only warns about fails too.  The
 strategies draw finite floats across the whole range, every accepted
 ``FieldParams`` with q in 2..7, n in 1..3 and alpha in [1e-3, 1e3], and crown
 windows anywhere in [-1200, 1200] (for the norms [-300, 300], with |c| from
-1e-200 to 1e200).  Each reproducer found before is an explicit example.
+1e-200 to 1e200; for the sphere routes q-adic lattices of at most 4096
+cosets).  Each reproducer found before is an explicit example.
 """
 
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qharm import errors, gamma, kernel
-from qharm.field import FieldParams
+from qharm.field import (
+    FieldModel,
+    FieldParams,
+    QuotientLattice,
+    brute_sphere_character_integral,
+    sphere_character_integral,
+)
 from qharm.kernel import KernelEvalConfig
 from qharm.radial import RadialProfile, lp_norm
 
@@ -119,7 +128,8 @@ GAMMA_ROUTES = {
     "closed_form": gamma.gamma_qn,
     "reflection": gamma.reflection_defect,
     # Re z is bounded below: near Re z = 1e-3 the oracle sums up to its crown
-    # budget in exact arithmetic, which a property test cannot afford
+    # budget, far more crowns than its measure memo holds, which a property
+    # test cannot afford
     "integral": gamma.gamma_via_integral,
 }
 
@@ -162,3 +172,40 @@ def test_lp_norm_finite_or_typed(p, kmin, exponents, phase, tail, params):
     coeffs = 10.0 ** np.array(exponents[: kmax - kmin + 1]) * cmath.exp(1j * phase)
     f = RadialProfile(params, kmin, kmax, coeffs, 0.0 if tail is None else 10.0**tail)
     _holds(lambda: lp_norm(f, p))
+
+
+@st.composite
+def sphere_cases(draw):
+    """(k, x, norm, lattice): a q-adic quotient lattice of at most 4096
+    cosets, a scale from one past its outer ball to its resolution,
+    and a point and a norm whose parts are q-powers, rationals with q-power
+    denominators and numerators of either sign, other rationals, finite
+    floats or 0."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    width = draw(st.integers(0, max(t for t in range(13) if q ** (t * n) <= 4096)))
+    M = draw(st.integers(0, width))
+    N = width - M
+    lattice = QuotientLattice(FieldParams(q, n, 1.0, FieldModel.QADIC_QUOTIENT), M, N)
+    part = st.one_of(
+        st.integers(-14, 14).map(lambda e: Fraction(q) ** e),
+        # denominators up to q**N keep chi(x . y) coset-constant, past it not
+        st.builds(lambda a, e: Fraction(a, q**e), st.integers(-q**8, q**8), st.integers(0, N)),
+        st.builds(lambda a, e: Fraction(a, q**e), st.integers(-q**8, q**8), st.integers(0, 14)),
+        st.fractions(max_denominator=10**6),
+        finite,
+        st.just(0),
+    )
+    k = draw(st.integers(-M - 1, N))
+    x = tuple(draw(part) for _ in range(n))
+    return k, x, draw(part), lattice
+
+
+@CONTRACT
+@given(case=sphere_cases())
+@example(case=(0, (0, 0), 1, QuotientLattice(FieldParams(2, 2, 1.0, FieldModel.QADIC_QUOTIENT),
+                                             0, 11)))  # 4**11 cosets: past the cap
+def test_sphere_routes_finite_or_typed(case):
+    k, x, norm, lattice = case
+    _holds(lambda: brute_sphere_character_integral(k, x, lattice))
+    _holds(lambda: sphere_character_integral(k, norm, lattice.params))
