@@ -55,9 +55,10 @@ EVOLVE_CSV_SHA256 = "aedd79cc2daa24428d578489131fcaf76628ceaf6a1e903734af0b2debe
 
 
 # SHA-256 of the stdout of `qharm kernel --sweep` on three fields, of the
-# three kernel suites of `qharm verify` and of the two suites that check the
-# field-layer oracles (brute sphere sums, the Gamma crown sum); each prints
-# the evaluators' values, so their last bits are pinned here
+# three kernel suites of `qharm verify`, of the two suites that check the
+# field-layer oracles (brute sphere sums, the Gamma crown sum) and of the
+# maximal-regularity suite (the exact solver, its RK4 oracle and the report);
+# each prints the evaluators' values, so their last bits are pinned here
 KERNEL_STDOUT_SHA256 = {
     "sweep-q2n1a1": (
         ["kernel", "--q", "2", "--n", "1", "--alpha", "1.0", "--sweep"],
@@ -90,6 +91,10 @@ KERNEL_STDOUT_SHA256 = {
     "gamma": (
         ["verify", "gamma"],
         "9f9208a6f34639439f574c55e5e9ade57f1866753d7759da9abb664d1b13dcf2",
+    ),
+    "maxreg": (
+        ["verify", "maxreg"],
+        "b059deb67696f6420737cd1a9dd8e024de64613b4c15b4939d05439013fcabed",
     ),
 }
 
