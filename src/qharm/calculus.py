@@ -325,10 +325,11 @@ def rademacher_ratio(
     best = 0.0
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        eps, draws = np.empty((count, nz)), np.empty((count, nz, 2, m))  # re, im parts
+        bits, draws = np.empty((count, nz)), np.empty((count, nz, 2, m))  # re, im parts
         for i in range(count):
-            eps[i] = rng.integers(0, 2, size=nz) * 2 - 1
+            bits[i] = rng.integers(0, 2, size=nz)
             rng.standard_normal(out=draws[i])
+        eps = bits * 2.0 - 1.0
         gs = draws[:, :, 0] + 1j * draws[:, :, 1]
         hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs.reshape(-1, m))
         sizes = np.abs(htails).reshape(count, nz)

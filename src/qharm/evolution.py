@@ -75,9 +75,10 @@ class ForcingSignal:
         return cls((0.0, T), (profile,))
 
 
-def _duhamel_factors(lams: np.ndarray, times: np.ndarray, a: float, b: float) -> np.ndarray:
+def _duhamel_factors(lams: np.ndarray, times: np.ndarray, a, b) -> np.ndarray:
     """int_a^{min(b,t)} exp(-lam (t-s)) ds for the column of ``times`` (rows)
-    and the eigenvalues ``lams`` (columns), stable for small lam * t."""
+    and the eigenvalues ``lams`` (columns), stable for small lam * t; for
+    arrays a and b of shape (intervals, 1, 1), one such block per interval."""
     b_eff = np.minimum(b, times)
     width = np.maximum(b_eff - a, 0.0)
     # exp(-lam(t-b')) - exp(-lam(t-a)) = -exp(-lam(t-b')) * expm1(-lam(b'-a))
@@ -143,8 +144,10 @@ def solve_master(
     ts = np.array(out_times, dtype=float)[:, None]  # one row per output time
     coef = H[0] * np.exp(-ts * lams)
     tails = np.full(len(out_times), htails[0])  # lam -> 0 limit of exp(-t lam) is 1
-    for fc, ft, a, b in zip(H[1:], htails[1:], bps, bps[1:]):
-        coef = coef + fc * _duhamel_factors(lams, ts, a, b)
+    edges = np.array(bps, dtype=float)[:, None, None]  # every interval's factors in one block
+    duhamel = _duhamel_factors(lams, ts, edges[:-1], edges[1:])
+    for fc, ft, D, a, b in zip(H[1:], htails[1:], duhamel, bps, bps[1:]):
+        coef = coef + fc * D
         tails = tails + ft * np.maximum(0.0, np.minimum(b, ts[:, 0]) - a)
     kmin, kmax, out, otails = radial._fourier_block(params, kmin, kmax, coef, tails)
     return [RadialProfile(params, kmin, kmax, row, tail=t) for row, t in zip(out, otails)]
@@ -243,13 +246,13 @@ def max_regularity_report(
 
     kmin, kmax, H, _, lams = _fourier_window(None, forcing.profiles, T)
 
-    norms = []
-    rows = max(1, BLOCK_ELEMENTS // lams.size)
+    norms, edges = [], np.array(forcing.breakpoints)[:, None, None]
+    rows = max(1, BLOCK_ELEMENTS // (lams.size * len(H)))  # a block holds every interval's
     for start in range(0, grid.size, rows):
         ts = grid[start : start + rows, None]
         coef = np.zeros((ts.shape[0], lams.size), dtype=complex)
-        for fc, a, b in zip(H, forcing.breakpoints, forcing.breakpoints[1:]):
-            coef += fc * _duhamel_factors(lams, ts, a, b)
+        for fc, D in zip(H, _duhamel_factors(lams, ts, edges[:-1], edges[1:])):
+            coef += fc * D
         okmin, okmax, out, otails = radial._fourier_block(params, kmin, kmax, coef * lams)
         norms += radial._lp_norms(params, okmin, okmax, out, otails, q_space)
 

@@ -125,8 +125,11 @@ def sphere_character_integral(
     """Integral of chi(x . y) over the sphere S_k, as a function of ||x||.
 
     Equals mu(S_k) for ||x|| <= q**k, the single negative value
-    -q**(-n*(k+1)) on ||x|| = q**(k+1), and 0 for ||x|| >= q**(k+2).
+    -q**(-n*(k+1)) on ||x|| = q**(k+1), and 0 for ||x|| >= q**(k+2).  A NaN
+    or infinite float norm raises ValueError.
     """
+    if isinstance(norm_x, float) and not math.isfinite(norm_x):  # before Fraction sees it
+        raise ValueError(f"sphere-character norm must be finite, got {norm_x}")
     q, n = params.q, params.n
     e = norm_exponent(q, norm_x)
     if e is None or e <= k:
@@ -328,8 +331,11 @@ def brute_sphere_character_integral(k: int, x_coords, lattice: QuotientLattice) 
     so x . (u q**-M) = S / L over one q-power L with S an integer dot
     product; the character is exp(2 pi i (S mod L) / L), and int / int
     division rounds correctly, so each term has the bits of the reduced
-    fraction's.
+    fraction's.  A NaN or infinite float coordinate raises ValueError before
+    any work.
     """
+    if any(isinstance(x, float) and not math.isfinite(x) for x in x_coords):
+        raise ValueError(f"sphere-character coordinates must be finite, got {tuple(x_coords)}")
     params = lattice.params
     if k > lattice.N - 1:
         raise LatticeWindowError(

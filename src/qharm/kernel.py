@@ -240,7 +240,7 @@ def kernel_crown_sum(
     # the correction forms z q**alpha, then z q**(alpha (1 + k_x)): both are floats too
     if abs(z) * float(q) ** alpha * max(1.0, lam) == math.inf:
         raise WindowOverflowError(f"crown-sum exponent at z={z}, k_x={k_x} leaves the float range")
-    powers = _crown_powers(params, n0, cfg.tol, cfg.tail_budget)
+    powers = _crown_powers(q, n, alpha, n0, cfg.tol, cfg.tail_budget)
     if powers is None:
         msg = f"{cfg.tail_budget} terms (k_x={k_x}, z={z})"
         raise ToleranceError(f"kernel crown sum did not reach tol={cfg.tol} within {msg}")
@@ -258,12 +258,12 @@ def kernel_crown_sum(
     return EvalResult((1.0 - rn) * acc - corr, tail + roundoff)
 
 
+# both memos are keyed by ints and floats: a FieldParams hashes in Python, 5x slower
 @functools.lru_cache(maxsize=_CROWN_MEMO)
-def _crown_powers(params: FieldParams, n0: int, tol: float, tail_budget: int):
+def _crown_powers(q: int, n: int, alpha: float, n0: int, tol: float, tail_budget: int):
     """The crown sum's powers q**(-k alpha) and q**(-k n), read-only, for k = n0
     up to the first K whose tail bound is below tol, and that bound; None past
     the budget.  The caller has checked the powers at n0, the largest."""
-    q, n, alpha = params.q, params.n, params.alpha
     rn = float(q) ** (-n)
     for K in range(n0, n0 + tail_budget):
         # |exp| <= 1 on the remaining crowns: geometric tail, exact constant
@@ -313,7 +313,7 @@ def kernel_series(
         p *= -u / k
         env *= abs(u) * qa / k
         try:  # a term, or its modulus, past the float range
-            term = p * _series_gamma(params, k) * xn
+            term = p * _series_gamma(q, n, alpha, k) * xn
             max_term = max(max_term, abs(term))
         except (OverflowError, WindowOverflowError):
             term = math.inf
@@ -339,10 +339,10 @@ def kernel_series(
 
 
 @functools.lru_cache(maxsize=2048)
-def _series_gamma(params: FieldParams, k: int) -> complex:
-    """Gamma_q^(n)(k alpha + n), the series' k-th factor, kept by field and k;
-    an error is raised afresh on every call, never kept."""
-    return gamma_qn(k * params.alpha + params.n, params)
+def _series_gamma(q: int, n: int, alpha: float, k: int) -> complex:
+    """Gamma_q^(n)(k alpha + n), the series' k-th factor, kept by (q, n, alpha)
+    and k; an error is raised afresh on every call, never kept."""
+    return gamma_qn(k * alpha + n, FieldParams(q, n, alpha))
 
 
 def kernel_at_zero(

@@ -39,7 +39,6 @@ to 0 or below the normal float range, raises :class:`WindowOverflowError`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -47,13 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowOverflowError
-from .field import FieldParams, _float_qpow, qpow
+from .field import FieldParams, _float_qpow
 
 # absolute floor the residual of the constant Fourier tail must fall below
 _TAIL_EPS = 1e-16
 LOG_FLOOR = -745.0  # exp() underflows to 0 below this
 MAX_EXT = 20000  # most crowns a window extension may add
-_WINDOW_CACHE = 32  # crown windows whose tables each memo below keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +104,8 @@ class RadialProfile:
         """Same function on an enlarged window (0 outward, tail inward)."""
         if kmin > self.kmin or kmax < self.kmax:
             raise ValueError("padded window must contain the current one")
-        out = np.full(kmax - kmin + 1, self.tail, dtype=complex)
-        out[: self.kmin - kmin] = 0.0
-        out[self.kmin - kmin : self.kmax - kmin + 1] = self.coeffs
-        return RadialProfile(self.params, kmin, kmax, out, tail=self.tail)
+        row = _pad(self.kmin, self.kmax, self.coeffs[None, :], np.array([self.tail]), kmin, kmax)
+        return RadialProfile(self.params, kmin, kmax, row[0], tail=self.tail)
 
     # -- linear structure -----------------------------------------------------
 
@@ -139,32 +135,50 @@ def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProf
     return f.padded(kmin, kmax), g.padded(kmin, kmax)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+# power tables, the oldest dropped past _MAX_TABLES: one round of perfbench's diagonal
+# op set uses 9, of wide_kernel_lattice 18 (26,327 floats), the 13 suites 15
+_MAX_TABLES = 64
+_QPOW_LOG2 = (-1100, 1023)  # log2 q**e of a table's powers: below, 0; above, maybe inf
+_TABLES: dict = {}  # (q, step, scale) -> (first k, scale * q**(step*k), the hull asked)
 
 
-@functools.lru_cache(maxsize=_WINDOW_CACHE)
+def _qpow_table(q: int, step, lo: int, hi: int, scale=1.0, what="crown weight") -> np.ndarray:
+    """scale * q**(step*k), k = lo..hi, each the np.power of its own exponent: a
+    read-only slice of one table per (q, step, scale), after WindowOverflowError
+    for a largest power past the floats.  A miss rebuilds the table on the hull
+    of the crowns asked, doubled toward the side that ran short and clamped to
+    _QPOW_LOG2; a window past that, or an empty one, is computed afresh."""
+    _float_qpow(q, step * (hi if step > 0 else lo), what)
+    first, table, ulo, uhi = _TABLES.get((q, step, scale), (lo, None, lo, hi))
+    low, high = table is None or lo < first, table is not None and hi >= first + table.size
+    if low or high:
+        down, up = sorted(x / (step * math.log2(q)) for x in _QPOW_LOG2)
+        ulo, uhi = min(ulo, lo), max(uhi, hi)
+        grow = 0 if table is None or (low and high) else uhi - ulo + 1
+        span = max(math.ceil(down), ulo - grow * low), min(math.floor(up), uhi + grow * high)
+        fresh = hi < lo or lo < span[0] or hi > span[1]
+        first, last = (lo, hi) if fresh else span
+        table = scale * np.power(float(q), step * np.arange(first, last + 1, dtype=float))
+        table.setflags(write=False)
+        if not fresh:
+            if len(_TABLES) >= _MAX_TABLES:
+                _TABLES.pop(next(iter(_TABLES)), None)
+            _TABLES[q, step, scale] = (first, table, ulo, uhi)
+    return table[lo - first : hi + 1 - first]
+
+
 def _sphere_measures(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:
-    """mu(S_k) for k = kmin..kmax, memoised read-only; raises
-    :class:`WindowOverflowError`, on every call, when the largest,
-    ~q**(-n*kmin), also a transform's largest output weight, is inf."""
-    _float_qpow(q, -n * kmin)
-    ks = np.arange(kmin, kmax + 1, dtype=float)
-    return _read_only((1.0 - float(q) ** (-n)) * np.power(float(q), -ks * n))
+    """mu(S_k) for k = kmin..kmax, read-only; raises :class:`WindowOverflowError`,
+    on every call, when the largest, ~q**(-n*kmin), also a transform's
+    largest output weight, is inf."""
+    return _qpow_table(q, -n, kmin, kmax, 1.0 - float(q) ** (-n))
 
 
-@functools.lru_cache(maxsize=_WINDOW_CACHE)
 def _ball_measure(q: int, n: int, k: int) -> float:
-    """mu(G_k) as a float, memoised."""
-    return float(qpow(q, -k * n))
-
-
-@functools.lru_cache(maxsize=_WINDOW_CACHE)
-def _out_weights(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:
-    """q**(n*j) on a transform's output crowns j = -kmax-1..-kmin, memoised
-    read-only; read after :func:`_sphere_measures`, which checks the range."""
-    return _read_only(np.power(float(q), n * np.arange(-kmax - 1, -kmin + 1, dtype=float)))
+    """mu(G_k) as a float, correctly rounded: int true division, as
+    ``float(qpow(q, -k * n))`` divides."""
+    e = -k * n
+    return q**e / 1 if e >= 0 else 1 / q**-e
 
 
 def improper_integral(f: RadialProfile) -> complex:
@@ -245,7 +259,7 @@ def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tai
     np.cumsum(np.multiply(rev, mu[::-1], out=OUT[:, 1:]), axis=1, out=OUT[:, 1:])
     OUT[:, :1] = top
     OUT[:, 1:] += top
-    rev *= _out_weights(q, n, kmin, kmax)[:-1]
+    rev *= _qpow_table(q, n, -kmax - 1, -kmin - 1)  # q**(n j) on the output crowns but the last
     OUT[:, :-1] -= rev
     return -kmax - 1, -kmin, OUT, OUT[:, -1]
 
@@ -293,7 +307,7 @@ def convolve_direct(g: RadialProfile, f: RadialProfile) -> RadialProfile:
     gp, fp = align(g, f)
     q, n = gp.params.q, gp.params.n
     smeas = _sphere_measures(q, n, gp.kmin, gp.kmax)
-    gball = np.power(float(q), -np.arange(gp.kmin + 1, gp.kmax + 2, dtype=float) * n)
+    gball = _qpow_table(q, -n, gp.kmin + 1, gp.kmax + 1)
     gc, fc = gp.coeffs, fp.coeffs
 
     cross = gc * fc * smeas
@@ -363,10 +377,9 @@ def _extend(params: FieldParams, kmin: int, kmax: int, OUT: np.ndarray, tails, l
     """``(H, lams)``: the transformed block OUT :func:`_pad`-ded to [lo, hi],
     and lams = q**(-m*alpha) on [lo, hi].  A crown weight or top eigenvalue
     past the float range raises WindowOverflowError first."""
-    _sphere_measures(params.q, params.n, lo, hi)
-    _float_qpow(params.q, -params.alpha * lo, "eigenvalue")
+    _float_qpow(params.q, -params.n * lo)
     H = _pad(kmin, kmax, OUT, tails, lo, hi)
-    return H, np.power(float(params.q), -params.alpha * np.arange(lo, hi + 1, dtype=float))
+    return H, _qpow_table(params.q, -params.alpha, lo, hi, what="eigenvalue")
 
 
 def _extended_hat(f: RadialProfile, decay):
@@ -377,7 +390,7 @@ def _extended_hat(f: RadialProfile, decay):
     tail = complex(tails[0])
     hi = _hat_depth(params, kmax, abs(tail), decay)
     H, lams = _extend(params, kmin, kmax, out, tails, kmin, hi)
-    _sphere_measures(params.q, params.n, -hi - 1, -kmin)
+    _float_qpow(params.q, -params.n * (-hi - 1))
     return kmin, hi, H[0], tail, lams
 
 

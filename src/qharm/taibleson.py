@@ -25,7 +25,7 @@ import numpy as np
 
 from .field import FieldParams, QuotientLattice, _float_qpow
 from .gamma import gamma_qn
-from .radial import RadialProfile, fourier_multiplier_apply
+from .radial import RadialProfile, _qpow_table, fourier_multiplier_apply
 
 
 def hypersingular_constant(params: FieldParams) -> float:
@@ -42,13 +42,6 @@ def taibleson_fourier(f: RadialProfile) -> RadialProfile:
     floor by window extension (decay exponent 1 in the eigenvalue).
     """
     return fourier_multiplier_apply(f, lambda lam: lam, limit_at_zero=0.0, decay=(1.0, 1.0))
-
-
-def _qpowers(q: int, exps: np.ndarray) -> np.ndarray:
-    """float(q) ** exps as one np.power, the largest exponent checked first."""
-    if exps.size:
-        _float_qpow(q, float(exps.max()))
-    return np.power(float(q), exps)
 
 
 def _loop_sum(start: complex, terms: np.ndarray) -> complex:
@@ -74,7 +67,7 @@ def taibleson_hypersingular(f: RadialProfile, k_x: int | None) -> complex:
     # integrand is f_j - fx; crowns beyond kmax carry f_j = tail = fx
     top = f.kmax + 1 if k_x is None else max(f.kmin, min(k_x, f.kmax + 1))
     crowns = f.coeffs[: top - f.kmin] - fx
-    total = _loop_sum(0j, crowns * _qpowers(q, np.arange(f.kmin, top) * alpha) * w)
+    total = _loop_sum(0j, crowns * _qpow_table(q, alpha, f.kmin, top - 1) * w)
     # outer tail j < kmin: f_j = 0
     total -= fx * w * _float_qpow(q, (f.kmin - 1) * alpha) / (1.0 - float(q) ** (-alpha))
     if k_x is None:
@@ -88,7 +81,9 @@ def taibleson_hypersingular(f: RadialProfile, k_x: int | None) -> complex:
     if lo <= f.kmax:  # the crown measures q**(-m n) themselves stay floats
         _float_qpow(q, -lo * n)
     inner = (f.tail - fx) * _float_qpow(q, e - max(k_x + 1, f.kmax + 1) * n)
-    weights = _qpowers(q, e - np.arange(lo, f.kmax + 1) * n)
+    if lo <= f.kmax:  # the largest weight, checked before the array is formed
+        _float_qpow(q, e - lo * n)
+    weights = np.power(float(q), e - np.arange(lo, f.kmax + 1) * n)
     total += _loop_sum(inner, (f.coeffs[lo - f.kmin :] - fx) * w * weights)
     return C * total
 
@@ -146,5 +141,5 @@ def levy_khinchin_check(
     if mode == "closed_form":
         S = w * float(q) ** ((n0 - 1) * alpha) / (1.0 - float(q) ** (-alpha)) + boundary
     else:
-        S = _loop_sum(boundary, w * _qpowers(q, np.arange(n0 - budget, n0) * alpha)).real
+        S = _loop_sum(boundary, w * _qpow_table(q, alpha, n0 - budget, n0 - 1)).real
     return (xa, -S / gamma_qn(-params.alpha, params).real)

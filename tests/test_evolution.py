@@ -471,6 +471,24 @@ class TestOneBlockWindow:
                 forcing, p, q_space, n_time
             )
 
+    def test_one_duhamel_pass_per_block(self, problem, monkeypatch):
+        """solve_master takes every interval's factors in one call; the report
+        in one call per block of at most BLOCK_ELEMENTS values."""
+        forcing, x0 = problem
+        sizes, factors = [], evolution._duhamel_factors
+
+        def counted(*args):
+            out = factors(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(evolution, "_duhamel_factors", counted)
+        solve_master(x0, forcing, [0.0, 0.3, 0.5, 1.0])
+        assert len(sizes) == 1
+        sizes.clear()
+        max_regularity_report(forcing, 2.0, 2.0, 4097)
+        assert len(sizes) > 1 and max(sizes) <= evolution.BLOCK_ELEMENTS
+
 
 def test_rk4_builds_one_profile(monkeypatch):
     rng = np.random.default_rng(26)

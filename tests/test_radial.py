@@ -240,10 +240,8 @@ class TestExtend:
 
 
 class TestWindowMemo:
-    """Each crown window's constant tables are memoised, read-only and equal
-    to the direct formulas bit for bit."""
-
-    MEMOS = (radial._sphere_measures, radial._ball_measure, radial._out_weights)
+    """The constant tables of a crown window are read-only slices of one
+    power table per (q, step), equal to the direct formulas bit for bit."""
 
     @pytest.mark.parametrize("field", [(2, 1), (3, 2), (5, 3)], ids=str)
     @pytest.mark.parametrize("window", [(4, 4), (-3, 4), (-50, 849)], ids=["1", "8", "900"])
@@ -255,15 +253,75 @@ class TestWindowMemo:
         assert np.array_equal(radial._sphere_measures(q, n, kmin, kmax), sphere)
         ball = float(ball_measure(kmax + 1, FieldParams(q, n, 1.0)))
         assert radial._ball_measure(q, n, kmax + 1) == ball
-        assert np.array_equal(radial._out_weights(q, n, kmin, kmax), np.power(float(q), n * js))
+        out_weights = radial._qpow_table(q, n, -kmax - 1, -kmin)
+        assert np.array_equal(out_weights, np.power(float(q), n * js))
+        # the eigenvalues of _extend and the crown powers of taibleson_hypersingular;
+        # a window whose largest power is no float is refused
+        for alpha in (0.001, 0.37, 1.0, 2.5):
+            with np.errstate(over="ignore"):
+                lams = np.power(float(q), -alpha * ks)
+                crowns = np.power(float(q), np.arange(kmin, kmax + 1) * alpha)
+            for step, ref in ((-alpha, lams), (alpha, crowns)):
+                if np.isfinite(ref).all():
+                    assert np.array_equal(radial._qpow_table(q, step, kmin, kmax), ref)
+                else:
+                    with pytest.raises(WindowOverflowError):
+                        radial._qpow_table(q, step, kmin, kmax)
 
-    def test_read_only_and_shared(self):
-        for table in (radial._sphere_measures(2, 1, -3, 4), radial._out_weights(2, 1, -3, 4)):
+    def test_ball_measure_correctly_rounded(self):
+        """mu(G_k) is the correctly rounded q**(-k n), which np.power misses on
+        some triples, or OverflowError where that is no float."""
+        for q in range(2, 8):
+            for n in (1, 2, 3):
+                for k in range(-700 // n, 1200 // n):
+                    try:
+                        exact = float(ball_measure(k, FieldParams(q, n, 1.0)))
+                    except OverflowError:
+                        with pytest.raises(OverflowError):
+                            radial._ball_measure(q, n, k)
+                        continue
+                    assert radial._ball_measure(q, n, k) == exact
+
+    @pytest.mark.parametrize("step", [-1, 2, -0.37, 1.5], ids=str)
+    @pytest.mark.parametrize(
+        "wider", [(-9, 0), (0, 9), (-9, 9), (-400, 0), (0, 400), (-900, 900)], ids=str
+    )
+    def test_tables_grown_in_every_order(self, monkeypatch, step, wider):
+        """A window, a wider one on either side or both, then the first window
+        again: every slice equals a direct np.power, and so does the table,
+        which spans at most twice the hull of the crowns asked of it."""
+        monkeypatch.setattr(radial, "_TABLES", {})
+        q, (lo, hi) = 3, (-2, 3)
+        far = round(-700 / step)  # 3**(-700) is past the table's clamp: computed afresh
+        windows = [(lo, hi), (lo + wider[0], hi + wider[1]), (lo, hi), (hi + 5, hi + 7), (far, far + 2)]
+        for kmin, kmax in windows + windows[::-1]:
+            with np.errstate(over="ignore"):
+                ref = np.power(float(q), step * np.arange(kmin, kmax + 1, dtype=float))
+            if not np.isfinite(ref).all():  # past the floats: refused, the table untouched
+                with pytest.raises(WindowOverflowError):
+                    radial._qpow_table(q, step, kmin, kmax)
+                continue
+            assert np.array_equal(radial._qpow_table(q, step, kmin, kmax), ref)
+            first, table, ulo, uhi = radial._TABLES[q, step, 1.0]
+            ks = np.arange(first, first + table.size, dtype=float)
+            assert np.array_equal(table, np.power(float(q), step * ks))
+            assert np.all(np.isfinite(table)) and table.size <= 2 * (uhi - ulo + 1)
+            assert min(w[0] for w in windows) <= ulo and uhi <= max(w[1] for w in windows)
+
+    def test_read_only_and_shared(self, monkeypatch):
+        """Slices are read-only views of one buffer per (q, step, scale)."""
+        monkeypatch.setattr(radial, "_TABLES", {})
+        slices = [radial._sphere_measures(2, 1, -3, 4), radial._qpow_table(2, 1, -5, 3),
+                  radial._qpow_table(2, -0.5, -3, 4)]
+        for table in slices:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0
-        assert radial._sphere_measures(2, 1, -3, 4) is radial._sphere_measures(2, 1, -3, 4)
-        assert radial._out_weights(2, 1, -3, 4) is radial._out_weights(2, 1, -3, 4)
+        for table, again in zip(slices, [radial._sphere_measures(2, 1, 0, 2),
+                                         radial._qpow_table(2, 1, -3, 0),
+                                         radial._qpow_table(2, -0.5, 0, 2)]):
+            assert table.base is not None and again.base is table.base
+        assert len({id(t.base) for t in slices}) == 3
 
     def test_overflow_raised_on_every_call(self):
         for _ in range(2):
@@ -272,14 +330,30 @@ class TestWindowMemo:
             with pytest.raises(WindowOverflowError):
                 radial_fourier(RadialProfile.ball_indicator(P21, -1100))
 
-    def test_caches_stay_bounded(self):
-        for k in range(3 * radial._WINDOW_CACHE):
+    def test_caches_stay_bounded(self, monkeypatch):
+        """After a sweep of 3 x 32 windows each table spans at most twice the
+        crowns asked of it; past _MAX_TABLES keys the oldest table goes."""
+        monkeypatch.setattr(radial, "_TABLES", {})
+        asked, table_of = {}, radial._qpow_table
+
+        def recording(q, step, lo, hi, scale=1.0):
+            a, b = asked.get((q, step, scale), (lo, hi))
+            asked[q, step, scale] = min(a, lo), max(b, hi)
+            return table_of(q, step, lo, hi, scale)
+
+        monkeypatch.setattr(radial, "_qpow_table", recording)
+        for k in range(3 * 32):
             f = RadialProfile.sphere_indicator(P31, k)
             radial_fourier(f)
             lp_norm(f, 2.0)
-            for memo in self.MEMOS:
-                assert memo.cache_info().currsize <= radial._WINDOW_CACHE
-        assert all(memo.cache_info().maxsize == radial._WINDOW_CACHE for memo in self.MEMOS)
+        assert set(radial._TABLES) == set(asked) and len(asked) == 2
+        for key, (first, table, _, _) in radial._TABLES.items():
+            lo, hi = asked[key]
+            assert first <= lo and hi < first + table.size <= first + 2 * (hi - lo + 1)
+        for i in range(2 * radial._MAX_TABLES):
+            radial._qpow_table(2, 1.0 + i / 64, 0, 3)
+            assert len(radial._TABLES) <= radial._MAX_TABLES
+        assert (2, 1.0 + (2 * radial._MAX_TABLES - 1) / 64, 1.0) in radial._TABLES
 
 
 class TestConvolve:

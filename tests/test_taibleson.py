@@ -164,14 +164,17 @@ class TestHypersingularRoute:
             (P21, "ones_out", None, 1100),
             # inner crown measures q**(-m n) up to 2**1100
             (P21, "ones_in", -1101, 1100),
+            # suffix weights q**(k_x (alpha + n) - m n) up to 3**647, past the window's 3**646
+            (FieldParams(3, 1, 2.0), "ones_330", 324, 647),
         ],
-        ids=["equal_crown", "window", "suffix"],
+        ids=["equal_crown", "window", "suffix", "suffix_weight"],
     )
     def test_weight_past_float_range(self, params, f, k_x, power):
         prof = {
             "sphere": lambda: RadialProfile.sphere_indicator(params, 0),
             "ones_out": lambda: RadialProfile(params, 0, 1100, np.ones(1101)),
             "ones_in": lambda: RadialProfile(params, -1100, 0, np.ones(1101)),
+            "ones_330": lambda: RadialProfile(params, 0, 330, np.ones(331)),
         }[f]()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

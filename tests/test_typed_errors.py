@@ -201,10 +201,17 @@ def sphere_cases(draw):
     return k, x, draw(part), lattice
 
 
+Q2_LATTICE = QuotientLattice(FieldParams(2, 1, 1.0, FieldModel.QADIC_QUOTIENT), 1, 2)
+
+
 @CONTRACT
 @given(case=sphere_cases())
 @example(case=(0, (0, 0), 1, QuotientLattice(FieldParams(2, 2, 1.0, FieldModel.QADIC_QUOTIENT),
                                              0, 11)))  # 4**11 cosets: past the cap
+# a NaN or infinite float raised a bare OverflowError, or an untyped ValueError, from Fraction
+@example(case=(0, (1,), math.inf, Q2_LATTICE))
+@example(case=(0, (math.inf,), 1, Q2_LATTICE))
+@example(case=(0, (math.nan,), math.nan, Q2_LATTICE))
 def test_sphere_routes_finite_or_typed(case):
     k, x, norm, lattice = case
     _holds(lambda: brute_sphere_character_integral(k, x, lattice))
