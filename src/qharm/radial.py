@@ -148,22 +148,24 @@ def _qpow_table(q: int, step, lo: int, hi: int, scale=1.0, what="crown weight") 
     for a largest power past the floats.  A miss rebuilds the table on the hull
     of the crowns asked, doubled toward the side that ran short and clamped to
     _QPOW_LOG2; a window past that, or an empty one, is computed afresh."""
+    entry = _TABLES.get((q, step, scale))
+    if entry and entry[0] <= lo and hi < entry[0] + entry[1].size:  # clamped: no power is inf
+        return entry[1][lo - entry[0] : hi + 1 - entry[0]]
     _float_qpow(q, step * (hi if step > 0 else lo), what)
-    first, table, ulo, uhi = _TABLES.get((q, step, scale), (lo, None, lo, hi))
+    first, table, ulo, uhi = entry or (lo, None, lo, hi)
     low, high = table is None or lo < first, table is not None and hi >= first + table.size
-    if low or high:
-        down, up = sorted(x / (step * math.log2(q)) for x in _QPOW_LOG2)
-        ulo, uhi = min(ulo, lo), max(uhi, hi)
-        grow = 0 if table is None or (low and high) else uhi - ulo + 1
-        span = max(math.ceil(down), ulo - grow * low), min(math.floor(up), uhi + grow * high)
-        fresh = hi < lo or lo < span[0] or hi > span[1]
-        first, last = (lo, hi) if fresh else span
-        table = scale * np.power(float(q), step * np.arange(first, last + 1, dtype=float))
-        table.setflags(write=False)
-        if not fresh:
-            if len(_TABLES) >= _MAX_TABLES:
-                _TABLES.pop(next(iter(_TABLES)), None)
-            _TABLES[q, step, scale] = (first, table, ulo, uhi)
+    down, up = sorted(x / (step * math.log2(q)) for x in _QPOW_LOG2)
+    ulo, uhi = min(ulo, lo), max(uhi, hi)
+    grow = 0 if table is None or (low and high) else uhi - ulo + 1
+    span = max(math.ceil(down), ulo - grow * low), min(math.floor(up), uhi + grow * high)
+    fresh = hi < lo or lo < span[0] or hi > span[1]
+    first, last = (lo, hi) if fresh else span
+    table = scale * np.power(float(q), step * np.arange(first, last + 1, dtype=float))
+    table.setflags(write=False)
+    if not fresh:
+        if len(_TABLES) >= _MAX_TABLES:  # list() is one call: no other thread resizes it
+            _TABLES.pop(list(_TABLES)[0], None)
+        _TABLES[q, step, scale] = (first, table, ulo, uhi)
     return table[lo - first : hi + 1 - first]
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -322,6 +323,39 @@ class TestWindowMemo:
                                          radial._qpow_table(2, -0.5, 0, 2)]):
             assert table.base is not None and again.base is table.base
         assert len({id(t.base) for t in slices}) == 3
+
+    def test_threads_racing_on_the_tables_get_direct_values(self, monkeypatch):
+        """Threads that grow, evict and slice the tables, switching every
+        microsecond, each get the direct np.power of their window."""
+        monkeypatch.setattr(radial, "_TABLES", {})
+        keys = [(q, step) for q in (2, 3) for step in (-1, 0.5, *(1 + i / 64 for i in range(40)))]
+        wrong = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    q, step = keys[rng.integers(len(keys))]
+                    lo = int(rng.integers(-200, 200))
+                    hi = lo + int(rng.integers(0, 40))
+                    ref = np.power(float(q), step * np.arange(lo, hi + 1, dtype=float))
+                    if not np.array_equal(radial._qpow_table(q, step, lo, hi), ref):
+                        wrong.append((q, step, lo, hi))
+            except Exception as exc:  # reported below, not lost in the thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and len(radial._TABLES) <= radial._MAX_TABLES
 
     def test_overflow_raised_on_every_call(self):
         for _ in range(2):
