@@ -106,7 +106,7 @@ def _fourier_window(x0: RadialProfile | None, profiles, horizon: float):
     kmin = min(blk[0] for blk in blocks)
     kmax = radial._extension_depth(params, max(blk[1] for blk in blocks), lip)
     H, lams = zip(*(radial._extend(params, *blk, kmin, kmax) for blk in blocks))
-    return kmin, kmax, np.vstack(H), tails, lams[0]
+    return kmin, kmax, H[0] if len(H) == 1 else np.concatenate(H), tails, lams[0]
 
 
 def _check_times(x0: RadialProfile, forcing: ForcingSignal | None, times) -> None:

@@ -26,14 +26,14 @@ error, plus roundoff for the oracles and the ball integral; compare with
 value +- bound.
 
 Per-time state.  The exp form alone keeps state, for the last time, in one
-tuple rebound whole and keyed by (params, z, sign of Im z) (1+0j == 1-0j, but
--z carries the zero's sign): its scales (``_exp_scales``) and its terms
+tuple rebound whole and keyed by (q, n, alpha, z, sign of Im z) (1+0j == 1-0j,
+but -z carries the zero's sign): its scales (``_exp_scales``) and its terms
 q**(-j n) D_j as one array grown by doubling (``_exp_terms``).  The oracles'
 z-free parts sit in bounded caches: the crown sum's powers and last crown by
-(params, ||x||, tol, budget), the series' factors Gamma_q^(n)(k alpha + n) by
-(params, k).  Each call keeps its own cut, sum, bound and checks, and a call
-that raises keeps nothing of its error, so a warm call returns a cold call's
-bytes or raises its error; ``_clear_state`` empties all three.
+(q, n, alpha, ||x||, tol, budget), the series' factors Gamma_q^(n)(k alpha + n)
+by (q, n, alpha, k).  Each call keeps its own cut, sum, bound and checks, and
+a call that raises keeps nothing of its error, so a warm call returns a cold
+call's bytes or raises its error; ``_clear_state`` empties all three.
 """
 
 from __future__ import annotations
@@ -191,7 +191,9 @@ def _exp_form_block(
     kept scales (:func:`_exp_scales`) and terms (:func:`_exp_terms`)."""
     global _state
     q, n, alpha, t = params.q, params.n, params.alpha, z.real
-    key = (params, z, math.copysign(1.0, z.imag))  # 1+0j == 1-0j, but -z carries the zero's sign
+    # numbers, not params (a dataclass compares in Python); 1+0j == 1-0j, but
+    # -z carries the zero's sign
+    key = (q, n, alpha, z, math.copysign(1.0, z.imag))
     state = _state
     if state is None or state.key != key:  # a new time, kept once its terms are
         state = _TimeState(key, _exp_scales(z, params), 0, None)

@@ -110,13 +110,11 @@ class RadialProfile:
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        a, b = align(self, other)
-        return RadialProfile(
-            a.params, a.kmin, a.kmax, a.coeffs + b.coeffs, tail=a.tail + b.tail
-        )
+        return _sum(self, other, other.coeffs, other.tail)
 
     def __sub__(self, other: "RadialProfile") -> "RadialProfile":
-        return self + (-1.0) * other
+        # -other on its own window, so that its outer zeros pad as +0.0
+        return _sum(self, other, (-1.0) * other.coeffs, (-1.0) * other.tail)
 
     def __rmul__(self, c: complex) -> "RadialProfile":
         return RadialProfile(
@@ -126,10 +124,27 @@ class RadialProfile:
     __mul__ = __rmul__
 
 
-def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProfile]:
-    """Pad both profiles to the union crown window."""
+def _sum(f: RadialProfile, g: RadialProfile, gc: np.ndarray, gt: complex) -> RadialProfile:
+    """f plus the values gc, inner tail gt, on g's window, both padded to the
+    union crown window as :meth:`RadialProfile.padded` pads: the one profile built."""
     if f.params != g.params:
         raise ValueError("profiles live on different fields")
+    lo, hi = min(f.kmin, g.kmin), max(f.kmax, g.kmax)
+    fc, gc = (
+        c if (h.kmin, h.kmax) == (lo, hi)
+        else _pad(h.kmin, h.kmax, c[None, :], np.array([t]), lo, hi)[0]
+        for h, c, t in ((f, f.coeffs, f.tail), (g, gc, gt))
+    )
+    return RadialProfile(f.params, lo, hi, fc + gc, tail=f.tail + gt)
+
+
+def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProfile]:
+    """Pad both profiles to the union crown window; profiles on one window
+    come back as they are."""
+    if f.params != g.params:
+        raise ValueError("profiles live on different fields")
+    if (f.kmin, f.kmax) == (g.kmin, g.kmax):
+        return f, g
     kmin = min(f.kmin, g.kmin)
     kmax = max(f.kmax, g.kmax)
     return f.padded(kmin, kmax), g.padded(kmin, kmax)
@@ -254,15 +269,14 @@ def _fourier_block(params: FieldParams, kmin: int, kmax: int, C: np.ndarray, tai
     its one-row transform bit for bit."""
     q, n = params.q, params.n
     mu = _sphere_measures(q, n, kmin, kmax)  # the range check, before the ball measure
-    top = np.zeros((len(C), 1)) if tails is None else tails[:, None] * _ball_measure(q, n, kmax + 1)
-    # column i, crown j = i - kmax - 1: T_{-j} - c_{-j-1} q**(n j), in order over C reversed once
-    rev = C[:, ::-1].copy()
-    OUT = np.empty((len(C), kmax - kmin + 2), dtype=complex)
-    np.cumsum(np.multiply(rev, mu[::-1], out=OUT[:, 1:]), axis=1, out=OUT[:, 1:])
+    top = 0.0 if tails is None else tails[:, None] * _ball_measure(q, n, kmax + 1)
+    # column i, crown j = i - kmax - 1: T_{-j} - c_{-j-1} q**(n j), over C reversed
+    rev, OUT = C[:, ::-1], np.empty((len(C), kmax - kmin + 2), dtype=complex)
+    S = OUT[:, 1:]
+    np.add.accumulate(np.multiply(rev, mu[::-1], out=S), axis=1, out=S)
     OUT[:, :1] = top
-    OUT[:, 1:] += top
-    rev *= _qpow_table(q, n, -kmax - 1, -kmin - 1)  # q**(n j) on the output crowns but the last
-    OUT[:, :-1] -= rev
+    S += top  # + 0.0 too: a -0.0 suffix sum becomes +0.0
+    OUT[:, :-1] -= rev * _qpow_table(q, n, -kmax - 1, -kmin - 1)  # q**(n j), j < -kmin
     return -kmax - 1, -kmin, OUT, OUT[:, -1]
 
 

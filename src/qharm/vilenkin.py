@@ -16,7 +16,6 @@ identity chi(x . xi) = exp(2 pi i (u . w) / q**(M+N)) is asserted by test).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +54,6 @@ class QuotientFunction:
 def _lp_rows(X: np.ndarray, p: float, mu: float) -> list[float]:
     """L^p norms of the rows of X, 1 <= p < inf, every value carrying measure mu."""
     return [float(s * mu) ** (1.0 / p) for s in np.sum(np.abs(X) ** p, axis=1)]
-
-
-def lp_norm_quotient(f: QuotientFunction, p: float) -> float:
-    """L^p(G) norm; every coset carries measure q**(-n*N)."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
-    if not p >= 1:  # a NaN p too
-        raise ValueError(f"p must be >= 1, got {p}")
-    return _lp_rows(f.values[None], p, float(f.lattice.coset_measure))[0]
 
 
 def average_Ai(f: QuotientFunction, i: int) -> QuotientFunction:
@@ -152,13 +142,6 @@ def _majorant_l1(lat: QuotientLattice, Phi: np.ndarray) -> np.ndarray:
     run = np.maximum.accumulate(np.hstack((np.zeros((len(mods), 1)), mods[:, :-1])), axis=1)
     total = np.sum(run * _sphere_measures(q, n, -M - 1, N - 1), axis=1)
     return total + np.maximum(run[:, -1], mods[:, -1]) * _ball_measure(q, n, N)
-
-
-def majorant_l1_lattice(phi: QuotientFunction) -> float:
-    """L^1 norm of the radially decreasing majorant of a radial phi."""
-    if not is_radial(phi):
-        raise ValueError("majorant domination needs a radial phi")
-    return float(_majorant_l1(phi.lattice, phi.values[None])[0])
 
 
 def _convolve(lat: QuotientLattice, Phi: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -30,6 +30,16 @@ def make_profile(rng, params, kmin, kmax, tail=0.0):
     return RadialProfile(params, kmin, kmax, vals, tail=tail)
 
 
+def signed_zeros(rng, Z, share=0.25):
+    """Z with about ``share`` of its real and of its imaginary parts set to
+    +0.0 or -0.0 (through views: ``x + 1j * y`` loses the sign of a zero y)."""
+    Z = np.array(Z, dtype=complex)
+    for part in (Z.real, Z.imag):
+        hit = rng.random(Z.shape) < share
+        part[hit] = rng.choice([0.0, -0.0], hit.sum())
+    return Z
+
+
 # hypothesis strategies ---------------------------------------------------------
 
 field_params_st = st.builds(

@@ -33,7 +33,7 @@ from qharm.field import FieldParams, ball_measure
 from qharm.radial import LOG_FLOOR, RadialProfile, lp_norm, radial_fourier
 from qharm.verification import rbound_family, standard_symbols
 
-from conftest import make_profile
+from conftest import make_profile, signed_zeros
 
 REL = 1e-13
 
@@ -255,27 +255,38 @@ def max_regularity_loop(forcing, p, q_space, n_time):
     "rows, kmin, kmax", [(1, 0, 0), (3, -3, 4), (17, -12, 9), (256, -30, 35)]
 )
 def test_block_rows_equal_one_row_transforms(params, rows, kmin, kmax, rng):
-    """Every row bit for bit, for C contiguous and for C a view with reversed
-    rows and reversed, strided crowns; the 256-row block on 66 crowns has
-    the shape of the Rademacher back transform."""
+    """Every row byte for byte, signed zeros included, for C contiguous and
+    for C a view with reversed rows and reversed, strided crowns; some
+    values and tails are +-0.0, and the last row is zeros alone.  The
+    256-row block on 66 crowns has the shape of the Rademacher back
+    transform."""
     m = kmax - kmin + 1
     wide = rng.standard_normal((rows, 2 * m)) + 1j * rng.standard_normal((rows, 2 * m))
-    tails = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    wide = signed_zeros(rng, wide)
+    wide[-1] = signed_zeros(rng, np.zeros(2 * m), share=0.5)
+    tails = signed_zeros(rng, rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     for C in (np.ascontiguousarray(wide[:, :m]), wide[::-1, ::-2]):
         okmin, okmax, out, out_tails = radial._fourier_block(params, kmin, kmax, C, tails)
         for i in range(rows):
             f = RadialProfile(params, kmin, kmax, C[i], tail=tails[i])
             for ref in (radial_fourier(f), fourier_1d(f)):
                 assert (okmin, okmax) == (ref.kmin, ref.kmax)
-                assert np.array_equal(out[i], ref.coeffs)
-                assert out_tails[i] == ref.tail
+                assert out[i].tobytes() == ref.coeffs.tobytes()
+                assert out_tails[i:i + 1].tobytes() == np.array([ref.tail]).tobytes()
 
 
 def test_block_default_tails_are_zero(rng):
-    C = rng.standard_normal((4, 6)) + 0j
+    """tails=None gives the bytes of explicit zero tails, real or complex:
+    a -0.0 suffix sum comes out +0.0 either way."""
+    C = signed_zeros(rng, rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    C[0], C[1] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    raw = np.cumsum(C[:2] * radial._sphere_measures(2, 1, -2, 3), axis=1)[:, -1]  # no + 0.0
+    assert np.signbit(raw[0].real) and np.signbit(raw[1].imag)
     a = radial._fourier_block(DIAG[0], -2, 3, C)
-    b = radial._fourier_block(DIAG[0], -2, 3, C, np.zeros(4))
-    assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+    assert not np.signbit(a[3].real).any() and not np.signbit(a[3].imag).any()
+    for zeros in (np.zeros(4), np.zeros(4, dtype=complex)):
+        b = radial._fourier_block(DIAG[0], -2, 3, C, zeros)
+        assert a[2].tobytes() == b[2].tobytes() and a[3].tobytes() == b[3].tobytes()
 
 
 # -- batched routes against their loops ------------------------------------------

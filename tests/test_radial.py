@@ -20,7 +20,7 @@ from qharm.radial import (
     radial_fourier,
 )
 
-from conftest import make_profile, profile_st
+from conftest import make_profile, profile_st, signed_zeros
 
 P21 = FieldParams(2, 1, 1.0)
 P31 = FieldParams(3, 1, 1.0)
@@ -487,3 +487,46 @@ def test_convolve_builds_one_profile(monkeypatch):
     assert (out.kmin, out.kmax) == (ref.kmin, ref.kmax)
     assert out.coeffs.tobytes() == ref.coeffs.tobytes()
     assert np.array([out.tail]).tobytes() == np.array([ref.tail]).tobytes()
+
+
+def _signed_zero_profile(rng, params, kmin, kmax, tail):
+    """A profile whose real and imaginary parts are about half +-0.0."""
+    c = signed_zeros(rng, make_profile(rng, params, kmin, kmax).coeffs, share=0.5)
+    return RadialProfile(params, kmin, kmax, c, tail=tail)
+
+
+def _bytes(f: RadialProfile) -> tuple:
+    return f.kmin, f.kmax, f.coeffs.tobytes(), np.array([f.tail]).tobytes()
+
+
+def test_profile_arithmetic_builds_one_profile(monkeypatch):
+    """f + g and f - g equal the padded route byte for byte, signed zeros and
+    tails included, on one window, on overlapping windows and on nested ones
+    either way, and each builds its one profile; align returns profiles on
+    one window as they are, and both refuse two fields on one window."""
+    rng = np.random.default_rng(31)
+    tails = (complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.0, -0.25))
+    windows = ((-3, 4), (-1, 6), (-2, 3), (-5, 7))
+    f = _signed_zero_profile(rng, P21, -3, 4, tails[0])
+    ops = ((lambda x, y: x + y, 1.0), (lambda x, y: x - y, -1.0))
+    cases = [
+        (_signed_zero_profile(rng, P21, *w, t), op, c) for t in tails for w in windows
+        for op, c in ops
+    ]
+    for g, op, c in cases:
+        lo, hi = min(f.kmin, g.kmin), max(f.kmax, g.kmax)
+        fp, bp = f.padded(lo, hi), (g if c == 1.0 else c * g).padded(lo, hi)
+        ref = RadialProfile(P21, lo, hi, fp.coeffs + bp.coeffs, tail=fp.tail + bp.tail)
+        assert _bytes(op(f, g)) == _bytes(ref)
+    a, b = radial.align(f, cases[0][0])
+    assert a is f and b is cases[0][0]
+    other = RadialProfile(P31, f.kmin, f.kmax, f.coeffs)
+    for fn in (radial.align, *(op for op, _ in ops)):
+        with pytest.raises(ValueError, match="different fields"):
+            fn(f, other)
+    built = []
+    init = RadialProfile.__post_init__
+    monkeypatch.setattr(RadialProfile, "__post_init__", lambda self: built.append(init(self)))
+    for g, op, _ in cases:
+        op(f, g)
+    assert len(built) == len(cases)

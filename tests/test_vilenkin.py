@@ -12,6 +12,7 @@ from qharm.verification import TOL_DOMINATION
 from qharm.vilenkin import (
     QuotientFunction,
     _domination_rows,
+    _majorant_l1,
     average_Ai,
     domination_check,
     doob_check,
@@ -21,8 +22,6 @@ from qharm.vilenkin import (
     group_dft,
     is_radial,
     lift_profile,
-    lp_norm_quotient,
-    majorant_l1_lattice,
     maximal_M,
 )
 
@@ -31,6 +30,21 @@ from conftest import LATTICE_SPECS, make_profile, quotient_params, spec_lattice
 
 def lattice(q=2, n=1, M=3, N=3, alpha=1.0):
     return QuotientLattice(quotient_params(q, n, alpha), M, N)
+
+
+def lp_norm_quotient(f, p):
+    """L^p(G) norm, 1 <= p <= inf; every coset carries measure q**(-n*N)."""
+    if p == math.inf:
+        return float(np.max(np.abs(f.values)))
+    if not p >= 1:  # a NaN p too
+        raise ValueError(f"p must be >= 1, got {p}")
+    return float(np.sum(np.abs(f.values) ** p) * float(f.lattice.coset_measure)) ** (1.0 / p)
+
+
+def majorant_l1_lattice(phi):
+    """L^1 norm of the radially decreasing majorant of a radial phi."""
+    assert is_radial(phi)
+    return float(_majorant_l1(phi.lattice, phi.values[None])[0])
 
 
 def random_qf(rng, lat):
