@@ -54,11 +54,9 @@ file = out.csv       ; optional, default stdout
 EVOLVE_CSV_SHA256 = "aedd79cc2daa24428d578489131fcaf76628ceaf6a1e903734af0b2debeea2de"
 
 
-# SHA-256 of the stdout of `qharm kernel --sweep` on three fields, of the
-# three kernel suites of `qharm verify`, of the two suites that check the
-# field-layer oracles (brute sphere sums, the Gamma crown sum) and of the
-# maximal-regularity suite (the exact solver, its RK4 oracle and the report);
-# each prints the evaluators' values, so their last bits are pinned here
+# SHA-256 of the stdout of `qharm kernel --sweep` on three fields and of every
+# suite of `qharm verify`; each prints the evaluators' values, so their last
+# bits are pinned here (CI checks each entry through the installed script)
 KERNEL_STDOUT_SHA256 = {
     "sweep-q2n1a1": (
         ["kernel", "--q", "2", "--n", "1", "--alpha", "1.0", "--sweep"],
@@ -95,6 +93,34 @@ KERNEL_STDOUT_SHA256 = {
     "maxreg": (
         ["verify", "maxreg"],
         "b059deb67696f6420737cd1a9dd8e024de64613b4c15b4939d05439013fcabed",
+    ),
+    "levy": (
+        ["verify", "levy"],
+        "3ae717aee335fc0a52ee1686826dabd84d5b8d20c7225b87bd19303bb1545b28",
+    ),
+    "taibleson": (
+        ["verify", "taibleson"],
+        "f54b018174b4c5c2c2fd6e7f21880315e521b3cabfe7ec0190f0aaa467a3cf4d",
+    ),
+    "calculus": (
+        ["verify", "calculus"],
+        "1a69f01953ccb112f60edcdc8f99b967cb6755a0cdb59931d49b935f6fe917aa",
+    ),
+    "squarefn": (
+        ["verify", "squarefn"],
+        "43086d5579aa811c70855a578eaff9f77968aa92da52509ce8813ab323036b88",
+    ),
+    "doob": (
+        ["verify", "doob"],
+        "0b6d06ccf6d80d1e236ef6351a3cb52035ef50ac3f4958b61fc2822d8380a0c8",
+    ),
+    "domination": (
+        ["verify", "domination"],
+        "d327929cb351706fd944472087905331e979a5145f10e8c0e7e6f390457bbb64",
+    ),
+    "rbound": (
+        ["verify", "rbound"],
+        "f7e60b5765474884a16ddd6991e26c48514dedd8ab1b2859cddff6114f51eab4",
     ),
 }
 
@@ -194,6 +220,12 @@ class TestKernel:
             "is no finite float\n"
         )
 
+
+
+def test_every_suite_pinned():
+    assert {argv[1] for argv, _ in KERNEL_STDOUT_SHA256.values() if argv[0] == "verify"} == set(
+        verification.ALL_SUITES
+    )
 
 
 @pytest.mark.parametrize("name", list(KERNEL_STDOUT_SHA256))
