@@ -39,7 +39,9 @@ to 0 or below the normal float range, raises :class:`WindowOverflowError`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -110,13 +112,19 @@ class RadialProfile:
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
+        if not isinstance(other, RadialProfile):
+            return NotImplemented
         return _sum(self, other, other.coeffs, other.tail)
 
     def __sub__(self, other: "RadialProfile") -> "RadialProfile":
+        if not isinstance(other, RadialProfile):
+            return NotImplemented
         # -other on its own window, so that its outer zeros pad as +0.0
         return _sum(self, other, (-1.0) * other.coeffs, (-1.0) * other.tail)
 
     def __rmul__(self, c: complex) -> "RadialProfile":
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
         return RadialProfile(
             self.params, self.kmin, self.kmax, c * self.coeffs, tail=c * self.tail
         )
@@ -150,38 +158,36 @@ def align(f: RadialProfile, g: RadialProfile) -> tuple[RadialProfile, RadialProf
     return f.padded(kmin, kmax), g.padded(kmin, kmax)
 
 
-# power tables, the oldest dropped past _MAX_TABLES: one round of perfbench's diagonal
-# op set uses 9, of wide_kernel_lattice 18 (26,327 floats), the 13 suites 15
-_MAX_TABLES = 64
+# one power table per (q, step, scale) over its whole span: a round of perfbench's
+# diagonal op set uses 9 keys (13,577 floats), of wide_kernel_lattice 18 (55,410)
 _QPOW_LOG2 = (-1100, 1023)  # log2 q**e of a table's powers: below, 0; above, maybe inf
-_TABLES: dict = {}  # (q, step, scale) -> (first k, scale * q**(step*k), the hull asked)
+_MAX_SPAN = 16384  # most crowns of a table; the widest used spans 8,493 (q = 2, step 1/4)
+
+
+def _powers(q: int, step, lo: int, hi: int, scale) -> np.ndarray:
+    table = scale * np.power(float(q), step * np.arange(lo, hi + 1, dtype=float))
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _power_span(q: int, step, scale) -> tuple[int, np.ndarray] | None:
+    """(first k, scale * q**(step*k)) over every k with q**(step*k) in
+    2**_QPOW_LOG2, read-only, or None when that span exceeds _MAX_SPAN crowns."""
+    down, up = sorted(x / (step * math.log2(q)) for x in _QPOW_LOG2)
+    first, last = math.ceil(down), math.floor(up)
+    return (first, _powers(q, step, first, last, scale)) if last - first < _MAX_SPAN else None
 
 
 def _qpow_table(q: int, step, lo: int, hi: int, scale=1.0, what="crown weight") -> np.ndarray:
-    """scale * q**(step*k), k = lo..hi, each the np.power of its own exponent: a
-    read-only slice of one table per (q, step, scale), after WindowOverflowError
-    for a largest power past the floats.  A miss rebuilds the table on the hull
-    of the crowns asked, doubled toward the side that ran short and clamped to
-    _QPOW_LOG2; a window past that, or an empty one, is computed afresh."""
-    entry = _TABLES.get((q, step, scale))
-    if entry and entry[0] <= lo and hi < entry[0] + entry[1].size:  # clamped: no power is inf
-        return entry[1][lo - entry[0] : hi + 1 - entry[0]]
+    """scale * q**(step*k), k = lo..hi, each the np.power of its own exponent,
+    read-only: a slice of :func:`_power_span`, else computed afresh, and kept
+    nowhere, after WindowOverflowError for a largest power past the floats."""
+    span = _power_span(q, step, scale)
+    if span and span[0] <= lo <= hi < span[0] + span[1].size:  # no power in it is inf
+        return span[1][lo - span[0] : hi + 1 - span[0]]
     _float_qpow(q, step * (hi if step > 0 else lo), what)
-    first, table, ulo, uhi = entry or (lo, None, lo, hi)
-    low, high = table is None or lo < first, table is not None and hi >= first + table.size
-    down, up = sorted(x / (step * math.log2(q)) for x in _QPOW_LOG2)
-    ulo, uhi = min(ulo, lo), max(uhi, hi)
-    grow = 0 if table is None or (low and high) else uhi - ulo + 1
-    span = max(math.ceil(down), ulo - grow * low), min(math.floor(up), uhi + grow * high)
-    fresh = hi < lo or lo < span[0] or hi > span[1]
-    first, last = (lo, hi) if fresh else span
-    table = scale * np.power(float(q), step * np.arange(first, last + 1, dtype=float))
-    table.setflags(write=False)
-    if not fresh:
-        if len(_TABLES) >= _MAX_TABLES:  # list() is one call: no other thread resizes it
-            _TABLES.pop(list(_TABLES)[0], None)
-        _TABLES[q, step, scale] = (first, table, ulo, uhi)
-    return table[lo - first : hi + 1 - first]
+    return _powers(q, step, lo, hi, scale)
 
 
 def _sphere_measures(q: int, n: int, kmin: int, kmax: int) -> np.ndarray:

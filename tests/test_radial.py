@@ -242,7 +242,8 @@ class TestExtend:
 
 class TestWindowMemo:
     """The constant tables of a crown window are read-only slices of one
-    power table per (q, step), equal to the direct formulas bit for bit."""
+    power table per (q, step, scale) over its whole span, equal to the direct
+    formulas bit for bit."""
 
     @pytest.mark.parametrize("field", [(2, 1), (3, 2), (5, 3)], ids=str)
     @pytest.mark.parametrize("window", [(4, 4), (-3, 4), (-50, 849)], ids=["1", "8", "900"])
@@ -287,47 +288,69 @@ class TestWindowMemo:
     @pytest.mark.parametrize(
         "wider", [(-9, 0), (0, 9), (-9, 9), (-400, 0), (0, 400), (-900, 900)], ids=str
     )
-    def test_tables_grown_in_every_order(self, monkeypatch, step, wider):
+    def test_tables_grown_in_every_order(self, step, wider):
         """A window, a wider one on either side or both, then the first window
-        again: every slice equals a direct np.power, and so does the table,
-        which spans at most twice the hull of the crowns asked of it."""
-        monkeypatch.setattr(radial, "_TABLES", {})
+        again, in both orders: every slice, and the whole span table, equal a
+        direct np.power.  A window past the span or an empty one is computed
+        afresh and read-only, and the memo keeps the one key it had."""
+        radial._power_span.cache_clear()
         q, (lo, hi) = 3, (-2, 3)
-        far = round(-700 / step)  # 3**(-700) is past the table's clamp: computed afresh
-        windows = [(lo, hi), (lo + wider[0], hi + wider[1]), (lo, hi), (hi + 5, hi + 7), (far, far + 2)]
+        far = round(-700 / step)  # 3**(-700) is below the span's 2**-1100: computed afresh
+        windows = [(lo, hi), (lo + wider[0], hi + wider[1]), (lo, hi), (hi + 5, hi + 7),
+                   (far, far + 2), (hi, hi - 1)]
         for kmin, kmax in windows + windows[::-1]:
             with np.errstate(over="ignore"):
                 ref = np.power(float(q), step * np.arange(kmin, kmax + 1, dtype=float))
-            if not np.isfinite(ref).all():  # past the floats: refused, the table untouched
+            if not np.isfinite(ref).all():  # past the floats: refused
                 with pytest.raises(WindowOverflowError):
                     radial._qpow_table(q, step, kmin, kmax)
                 continue
-            assert np.array_equal(radial._qpow_table(q, step, kmin, kmax), ref)
-            first, table, ulo, uhi = radial._TABLES[q, step, 1.0]
-            ks = np.arange(first, first + table.size, dtype=float)
-            assert np.array_equal(table, np.power(float(q), step * ks))
-            assert np.all(np.isfinite(table)) and table.size <= 2 * (uhi - ulo + 1)
-            assert min(w[0] for w in windows) <= ulo and uhi <= max(w[1] for w in windows)
+            out = radial._qpow_table(q, step, kmin, kmax)
+            assert np.array_equal(out, ref) and not out.flags.writeable
+            first, table = radial._power_span(q, step, 1.0)
+            assert (out.base is table) == (first <= kmin <= kmax < first + table.size)
+            assert radial._power_span.cache_info().currsize == 1
+        ks = np.arange(first - 1, first + table.size + 1, dtype=float)
+        with np.errstate(over="ignore"):
+            powers = np.power(float(q), step * ks)
+        assert np.array_equal(table, powers[1:-1]) and table.size <= radial._MAX_SPAN
+        # the span is every k with log2 q**(step k) in _QPOW_LOG2, below which it is 0
+        low, high = radial._QPOW_LOG2
+        exponents = step * ks * math.log2(q)
+        inside = (low <= exponents) & (exponents <= high)
+        assert inside[1:-1].all() and not inside[0] and not inside[-1]
 
-    def test_read_only_and_shared(self, monkeypatch):
-        """Slices are read-only views of one buffer per (q, step, scale)."""
-        monkeypatch.setattr(radial, "_TABLES", {})
+    def test_read_only_and_shared(self):
+        """Slices of one (q, step, scale) are read-only views of its one span
+        table.  Every window of a step whose span passes _MAX_SPAN crowns is
+        computed afresh and read-only, and the memo's key set stays as it was."""
+        radial._power_span.cache_clear()
         slices = [radial._sphere_measures(2, 1, -3, 4), radial._qpow_table(2, 1, -5, 3),
                   radial._qpow_table(2, -0.5, -3, 4)]
         for table in slices:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0
-        for table, again in zip(slices, [radial._sphere_measures(2, 1, 0, 2),
-                                         radial._qpow_table(2, 1, -3, 0),
-                                         radial._qpow_table(2, -0.5, 0, 2)]):
-            assert table.base is not None and again.base is table.base
+        for table, again, key in zip(slices, [radial._sphere_measures(2, 1, 0, 2),
+                                              radial._qpow_table(2, 1, -3, 0),
+                                              radial._qpow_table(2, -0.5, 0, 2)],
+                                     [(2, -1, 0.5), (2, 1, 1.0), (2, -0.5, 1.0)]):
+            assert table.base is again.base is radial._power_span(*key)[1]
         assert len({id(t.base) for t in slices}) == 3
+        step = 2123 / (2 * radial._MAX_SPAN)  # 2**(step k) in 2**(-1100, 1023): 2 _MAX_SPAN k
+        assert radial._power_span(2, step, 1.0) is None
+        info = radial._power_span.cache_info()
+        for lo, hi in [(-5, 3), (0, 0), (3, 2), (-16000, -15990), (15000, 15010)]:
+            out = radial._qpow_table(2, step, lo, hi)
+            ref = np.power(2.0, step * np.arange(lo, hi + 1, dtype=float))
+            assert np.array_equal(out, ref) and out.base is None and not out.flags.writeable
+        after = radial._power_span.cache_info()
+        assert after.currsize == info.currsize == 4 and after.misses == info.misses
 
-    def test_threads_racing_on_the_tables_get_direct_values(self, monkeypatch):
-        """Threads that grow, evict and slice the tables, switching every
+    def test_threads_racing_on_the_tables_get_direct_values(self):
+        """Threads that build, evict and slice the span tables, switching every
         microsecond, each get the direct np.power of their window."""
-        monkeypatch.setattr(radial, "_TABLES", {})
+        radial._power_span.cache_clear()
         keys = [(q, step) for q in (2, 3) for step in (-1, 0.5, *(1 + i / 64 for i in range(40)))]
         wrong = []
 
@@ -355,7 +378,8 @@ class TestWindowMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert wrong == [] and len(radial._TABLES) <= radial._MAX_TABLES
+        assert len(keys) == 84 and wrong == []
+        assert radial._power_span.cache_info().currsize <= 64
 
     def test_overflow_raised_on_every_call(self):
         for _ in range(2):
@@ -364,30 +388,22 @@ class TestWindowMemo:
             with pytest.raises(WindowOverflowError):
                 radial_fourier(RadialProfile.ball_indicator(P21, -1100))
 
-    def test_caches_stay_bounded(self, monkeypatch):
-        """After a sweep of 3 x 32 windows each table spans at most twice the
-        crowns asked of it; past _MAX_TABLES keys the oldest table goes."""
-        monkeypatch.setattr(radial, "_TABLES", {})
-        asked, table_of = {}, radial._qpow_table
-
-        def recording(q, step, lo, hi, scale=1.0):
-            a, b = asked.get((q, step, scale), (lo, hi))
-            asked[q, step, scale] = min(a, lo), max(b, hi)
-            return table_of(q, step, lo, hi, scale)
-
-        monkeypatch.setattr(radial, "_qpow_table", recording)
+    def test_caches_stay_bounded(self):
+        """A sweep of 3 x 32 windows keeps two span tables, one a key; past 64
+        keys the least recently used goes and the newest stays."""
+        radial._power_span.cache_clear()
         for k in range(3 * 32):
             f = RadialProfile.sphere_indicator(P31, k)
             radial_fourier(f)
             lp_norm(f, 2.0)
-        assert set(radial._TABLES) == set(asked) and len(asked) == 2
-        for key, (first, table, _, _) in radial._TABLES.items():
-            lo, hi = asked[key]
-            assert first <= lo and hi < first + table.size <= first + 2 * (hi - lo + 1)
-        for i in range(2 * radial._MAX_TABLES):
+        assert radial._power_span.cache_info().currsize == 2
+        for i in range(2 * 64):
             radial._qpow_table(2, 1.0 + i / 64, 0, 3)
-            assert len(radial._TABLES) <= radial._MAX_TABLES
-        assert (2, 1.0 + (2 * radial._MAX_TABLES - 1) / 64, 1.0) in radial._TABLES
+            assert radial._power_span.cache_info().currsize <= 64
+        info = radial._power_span.cache_info()
+        assert info.maxsize == info.currsize == 64
+        radial._power_span(2, 1.0 + (2 * 64 - 1) / 64, 1.0)
+        assert radial._power_span.cache_info().hits == info.hits + 1
 
 
 class TestConvolve:
@@ -530,3 +546,24 @@ def test_profile_arithmetic_builds_one_profile(monkeypatch):
     for g, op, _ in cases:
         op(f, g)
     assert len(built) == len(cases)
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda f: f + 0, "unsupported operand type(s) for +: 'RadialProfile' and 'int'"),
+        (lambda f: f - 1.5, "unsupported operand type(s) for -: 'RadialProfile' and 'float'"),
+        (lambda f: f * f, "unsupported operand type(s) for *: 'RadialProfile' and 'RadialProfile'"),
+        (lambda f: f * "a", "can't multiply sequence by non-int of type 'RadialProfile'"),
+    ],
+    ids=["f+0", "f-1.5", "f*f", "f*str"],
+)
+def test_profile_arithmetic_on_other_types_is_python_type_error(op, message):
+    """An operand that is no profile (to + and -) or no number (to *) gets
+    NotImplemented, so Python raises its own TypeError; numbers still scale."""
+    f = RadialProfile(P21, 0, 2, np.ones(3))
+    with pytest.raises(TypeError) as info:
+        op(f)
+    assert type(info.value) is TypeError and str(info.value) == message
+    for c in (2, 1.5, 0.5j, np.float64(3.0)):
+        assert _bytes(c * f) == _bytes(f * c) == _bytes(RadialProfile(P21, 0, 2, c * np.ones(3)))
