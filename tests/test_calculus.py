@@ -16,6 +16,7 @@ import qharm
 from qharm import calculus, radial, verification
 from qharm.calculus import (
     _BLOCK_ELEMS,
+    _BLOCK_ROWS,
     _CONTOUR_EPS,
     _CONTOUR_NODES,
     _G_EPS,
@@ -194,6 +195,50 @@ def rademacher_trial_loop(family, p, trials, seed, params, window=(-4, 4)):
         if dval > 0:
             best = max(best, nval / dval)
     return best
+
+
+def raw_word_signs(rng, nz, spare):
+    """nz Rademacher bits from PCG64's raw 64-bit words: the top bit of each
+    32-bit half, low half first, after the ``spare`` halves held over; the
+    halves left over are returned with the bits."""
+    words = rng.bit_generator.random_raw(max(0, nz - spare.size + 1) // 2)
+    halves = np.concatenate((spare, np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()))
+    return halves[:nz] >> 31, halves[nz:]
+
+
+@pytest.mark.parametrize("nz", range(1, 12))
+def test_raw_word_signs_equal_integers(nz):
+    # integers(0, 2) is Lemire's method on 32-bit draws, which never rejects in
+    # a range of 2; PCG64 serves a 64-bit output's low half, then its high half,
+    # and standard_normal takes whole outputs without touching that half
+    for seed in range(20):
+        ref = np.random.default_rng(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        spare = np.empty(0, dtype=np.uint64)
+        for _ in range(6):
+            bits, spare = raw_word_signs(rng, nz, spare)
+            assert np.array_equal(bits, ref.integers(0, 2, size=nz))
+            assert spare.size == 0 or spare.size == 1 and nz % 2 == 1
+            assert np.array_equal(rng.standard_normal((nz, 2, 3)), ref.standard_normal((nz, 2, 3)))
+
+
+# rademacher_ratio(rbound_family(1.3, 8)[:points], 4.0, 256 // points + 5, 5,
+# params) on the DIAG fields, as float.hex, keyed q-n-alpha-points; the same
+# at one and two BLAS threads
+ODD_FAMILY_RATIOS = {
+    "2-1-1.0-1": "0x1.11dbe10f96823p-2",
+    "2-1-1.0-3": "0x1.8393ec4cd6b5ap-2",
+    "2-1-1.0-5": "0x1.3de13a88b774bp-2",
+    "2-1-1.0-7": "0x1.9ac2667ec431dp-2",
+    "3-2-0.5-1": "0x1.11db5300312b1p-2",
+    "3-2-0.5-3": "0x1.beafc5204d635p-2",
+    "3-2-0.5-5": "0x1.e7a7475554996p-2",
+    "3-2-0.5-7": "0x1.04a62a9f155ddp-1",
+    "2-2-2.0-1": "0x1.11eb19f5ce734p-2",
+    "2-2-2.0-3": "0x1.2985a95388727p-2",
+    "2-2-2.0-5": "0x1.8675004f8bb96p-2",
+    "2-2-2.0-7": "0x1.6fa2abb4415f7p-2",
+}
 
 
 class TestSymbolFunction:
@@ -732,6 +777,36 @@ class TestRademacher:
         assert rademacher_ratio(fam, p, 200, seed, P21) == rademacher_trial_loop(
             fam, p, 200, seed, P21
         )
+
+    @pytest.mark.parametrize("params", DIAG, ids=DIAG_IDS)
+    @pytest.mark.parametrize("points", [1, 3, 5, 7])
+    def test_odd_families_draw_the_integers_stream(self, points, params, monkeypatch):
+        # an odd family leaves half a sign word to the next trial, across the
+        # normal draws and across a ragged block: 256 // points trials, then 5.
+        # Every block's denominator rows sum_j eps_j g_j are those of signs from
+        # integers(0, 2) and profiles from standard_normal, drawn trial by trial
+        # from default_rng, bit for bit; the ratio is the pinned one, and within
+        # 1e-14 of the trial loop (its rows sum after the back transform)
+        fam = rbound_family(1.3, 8)[:points]
+        trials, m = _BLOCK_ROWS // points + 5, 9
+        calls, lp_norms = [], radial._lp_norms
+
+        def spy(*args):
+            calls.append(np.array(args[3]))
+            return lp_norms(*args)
+
+        monkeypatch.setattr(radial, "_lp_norms", spy)
+        ratio = rademacher_ratio(fam, 4.0, trials, 5, params)
+        monkeypatch.undo()
+        rng, dens = np.random.default_rng(5), []
+        for _ in range(trials):
+            eps = rng.integers(0, 2, size=points) * 2.0 - 1.0
+            draws = rng.standard_normal((points, 2, m))
+            dens.append((eps[:, None] * (draws[:, 0] + 1j * draws[:, 1])).sum(axis=0))
+        assert np.array_equal(np.concatenate(calls[::2]), np.array(dens))  # den, then num
+        assert ratio.hex() == ODD_FAMILY_RATIOS[f"{params.q}-{params.n}-{params.alpha}-{points}"]
+        ref = rademacher_trial_loop(fam, 4.0, trials, 5, params)
+        assert abs(ratio - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize(
         "params, window",
