@@ -298,7 +298,16 @@ def rademacher_ratio(
     Each trial draws one sign vector and one tuple of random profiles and
     computes ||sum_j eps_j (cos arg z_j) T_{z_j} g_j||_p /
     ||sum_j eps_j g_j||_p; the maximum over trials is returned.
-    Deterministic given the seed, drawn trial by trial.  Up to
+    Deterministic given the seed, drawn trial by trial from
+    ``Generator(PCG64(seed))``, the stream of ``default_rng(seed)``: a trial's
+    signs, then its profiles by ``standard_normal``.  Sign j of a trial is the
+    top bit of its 32-bit word j; the words are the halves of PCG64's raw
+    64-bit outputs, low half first, and an odd family leaves the high half to
+    the next trial.  These are the bits ``integers(0, 2, size=len(family))``
+    returns: Lemire's method (ACM TOMACS 29, 2019) never rejects in a range
+    of 2 and keeps the top bit of one 32-bit draw, PCG64 serves a 64-bit
+    output as its low then its high half, and ``standard_normal`` takes whole
+    outputs, leaving a held half to the next 32-bit draw.  Up to
     ``_BLOCK_ROWS // len(family)`` trials are one forward transform block, a
     row per (trial, z), on the Fourier window of the deepest row extension:
     every decay is (1, |z|), so that of the row with the largest |z| |tail| /
@@ -319,17 +328,23 @@ def rademacher_ratio(
     coss = np.array([z.real / abs(z) for z in zs])
     mods = np.array([_semigroup_decay(z)[1] for z in zs])
     zcol = np.array(zs)[:, None]
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    raw, spare = rng.bit_generator.random_raw, np.empty(0, dtype=np.uint64)
     nz, m = len(zs), kmax - kmin + 1
     chunk = max(1, _BLOCK_ROWS // nz)
     best = 0.0
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        bits, draws = np.empty((count, nz)), np.empty((count, nz, 2, m))  # re, im parts
+        words, held, draws = [], spare.size, np.empty((count, nz, 2, m))  # re, im parts
         for i in range(count):
-            bits[i] = rng.integers(0, 2, size=nz)
+            n = (nz - held + 1) // 2  # sign words past the half held over
+            words.append(raw(n))
+            held += 2 * n - nz
             rng.standard_normal(out=draws[i])
-        eps = bits * 2.0 - 1.0
+        w = np.concatenate(words)
+        halves = np.concatenate((spare, np.stack((w & 0xFFFFFFFF, w >> 32), axis=1).ravel()))
+        eps = (halves[: count * nz] >> 31).reshape(count, nz) * 2.0 - 1.0
+        spare = halves[count * nz :]
         gs = draws[:, :, 0] + 1j * draws[:, :, 1]
         hkmin, hkmax, hats, htails = radial._fourier_block(params, kmin, kmax, gs.reshape(-1, m))
         sizes = np.abs(htails).reshape(count, nz)

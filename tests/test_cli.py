@@ -122,6 +122,10 @@ KERNEL_STDOUT_SHA256 = {
         ["verify", "rbound"],
         "f7e60b5765474884a16ddd6991e26c48514dedd8ab1b2859cddff6114f51eab4",
     ),
+    "rbound-default": (
+        ["rbound"],
+        "5276ab00280c8161392eed1a67b5f203dec3e049aa79c40d8cb7c50ce29a74d1",
+    ),
 }
 
 
@@ -302,6 +306,26 @@ class TestRbound:
             code, out, _ = run_cli(capsys, "rbound", "--trials", "5", *extra)
             assert code == 0
             assert json.loads(out)["baseline"] is None
+
+    @pytest.mark.parametrize(
+        "extra", [["--seed", "1"], ["--trials", "201"]], ids=["seed-1", "trials-201"]
+    )
+    def test_baseline_only_at_recorded_seed_and_trials(self, capsys, extra):
+        # rbound_p4 is the maximum over the 200 trials of seed 20240801; another
+        # seed, or more trials, draws trials it does not bound (seed 1 gives 0.4595)
+        code, out, _ = run_cli(capsys, "rbound", *extra)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["baseline"] is None and payload["pass"] is True
+
+    def test_baseline_for_a_prefix_of_the_recorded_trials(self, capsys):
+        key = verification._bkey("rbound_p4", FieldParams(2, 1, 1.0))
+        ref = verification.load_baselines()[key]
+        for trials in ("1", "17", "200"):
+            code, out, _ = run_cli(capsys, "rbound", "--trials", trials)
+            payload = json.loads(out)
+            assert code == 0 and payload["baseline"] == ref
+            assert payload["ratio"] <= ref
 
     def test_deterministic_stdout(self, capsys):
         argv = ["rbound", "--trials", "10", "--seed", "99", "--points", "4"]
