@@ -201,7 +201,7 @@ def raw_word_signs(rng, nz, spare):
     """nz Rademacher bits from PCG64's raw 64-bit words: the top bit of each
     32-bit half, low half first, after the ``spare`` halves held over; the
     halves left over are returned with the bits."""
-    words = rng.bit_generator.random_raw(max(0, nz - spare.size + 1) // 2)
+    words = rng.bit_generator.random_raw((nz - spare.size + 1) // 2)
     halves = np.concatenate((spare, np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()))
     return halves[:nz] >> 31, halves[nz:]
 
